@@ -29,6 +29,7 @@ from .errors import (
     InvalidV,
     NoTailBound,
     NormalizationDivergent,
+    SamplerLimit,
     ScheduleTooShort,
     SpecParseError,
     StagesExceeded,
@@ -83,7 +84,7 @@ __all__ = [
     "EstimatorReport", "FamilyKind", "FamilySpec", "FiniteSupport",
     "FrequencyTable", "IndexSeries", "IndexValue", "InvalidBase",
     "InvalidParams", "InvalidV", "Method", "NoTailBound",
-    "NormalizationDivergent", "OscillationState", "ScheduleTooShort",
+    "NormalizationDivergent", "OscillationState", "SamplerLimit", "ScheduleTooShort",
     "SpecParseError", "StagesExceeded", "Statistic", "Thresholds", "TooLarge",
     "catalog", "classify_analytic", "classify_numeric", "construct_congregated",
     "construct_diffusion", "construct_pair_averaged", "diffusion_transient_probes",

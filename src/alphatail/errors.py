@@ -45,6 +45,11 @@ class InvalidV(InvalidParams):
     """Estimator order v outside the admissible range [1, n-1]."""
 
 
+class SamplerLimit(AlphatailError):
+    """A draw needs a sampler CDF longer than its cap, or beyond the mass the
+    CDF can reach in floating point."""
+
+
 class TooLarge(InvalidParams):
     """Exact enumeration was requested beyond the supported instance size."""
 

@@ -34,12 +34,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidParams, InvalidV, TooLarge
+from .errors import DepthExceeded, InvalidParams, InvalidV, SamplerLimit, TooLarge
 from .zoo import Distribution
 
 _EXACT_N_LIMIT = 30         # exact integer factorial path below, log-gamma above
 _ORACLE_MAX_N = 12
 _ORACLE_MAX_K = 6
+_MAX_CDF_ENTRIES = 1 << 24  # 128 MiB of float64 prefix sums
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,20 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
 
 
 def _grow_cdf(dist: Distribution, u_max: float) -> tuple[np.ndarray, Optional[int]]:
+    """Prefix sums of p_k in doubling blocks, up to the first that exceeds
+    u_max; at most _MAX_CDF_ENTRIES entries, refused up front when the
+    certified tail mass beyond the cap already exceeds 1 - u_max."""
+    if dist.tail_mass_lower(_MAX_CDF_ENTRIES) > 1.0 - u_max:
+        raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
     block = 64
     parts: list[np.ndarray] = []
     start = 1
+    reached = 0.0
     vec_len = len(dist._finite_probs) if dist._finite_probs is not None else None
     while True:
-        stop = start + block
+        if start > _MAX_CDF_ENTRIES:
+            raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
+        stop = min(start + block, _MAX_CDF_ENTRIES + 1)
         if vec_len is not None:
             stop = min(stop, vec_len + 1)
         if dist.prefix_length is not None:
@@ -126,6 +135,12 @@ def _grow_cdf(dist: Distribution, u_max: float) -> tuple[np.ndarray, Optional[in
         cdf = np.cumsum(np.concatenate(parts)) if len(parts) > 1 else np.cumsum(parts[0])
         if float(cdf[-1]) > u_max or (vec_len is not None and stop == vec_len + 1):
             return cdf, vec_len
+        if float(cdf[-1]) <= reached:
+            # later blocks hold smaller values, which round away as well
+            raise SamplerLimit(
+                f"the CDF stops at {reached!r} in floating point, below the draw {u_max!r}"
+            )
+        reached = float(cdf[-1])
         start = stop
         block *= 2
 
@@ -198,7 +213,8 @@ def estimator_report(freq: FrequencyTable, v_values: Iterable[int]) -> Estimator
 # ---------------------------------------------------------------------------
 
 def _rational_probs(dist: Distribution) -> list[Fraction]:
-    probs = [Fraction(float(p)) for p in dist._finite_probs]
+    """The nonzero probabilities, aligned with support_size()."""
+    probs = [Fraction(float(p)) for p in dist._finite_probs if p > 0.0]
     total = sum(probs)
     return [p / total for p in probs]
 

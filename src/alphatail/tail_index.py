@@ -7,13 +7,20 @@ accumulation; each evaluation returns a lower-bound ``value`` together with a
 certified ``trunc_error`` so that the true quantity lies in
 ``[value, value + trunc_error]``.
 
-Truncation bounds are family-aware.  Since ``p(1-p)^n <= p e^{-np}``, a
-certified bound on the exponential surrogate's tail bounds both series: power
-tails use the closed incomplete-gamma form of the surrogate's integral, other
-infinite tails use a dyadic-block bound built from the family's tail-mass
-certificate.  ``eps`` is a target on the t_n scale; when a slowly decaying
-tail cannot certify it within ``max_terms`` summands, the evaluation stops at
-the cap and reports the honest, larger ``trunc_error`` instead of guessing.
+Truncation bounds are family-aware.  Power tails ``p_k = c k^-lam`` are
+closed analytically: the summand ``f(x) = p(1-p)^n`` has the tail integral
+``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function, and
+once ``f`` is convex on ``[K+1/2, inf)`` the omitted sum lies between the
+trapezoid and midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and
+``int_{K+1/2}^inf f``.  The lower end is added to ``value`` and the width is
+the ``trunc_error``.  Other infinite tails use a dyadic-block upper bound
+built from the family's tail-mass certificate, since ``p(1-p)^n <= p e^{-np}``.
+``eps`` is a target on the t_n scale; when a slowly decaying tail (log-power)
+cannot certify it within ``max_terms`` summands, the evaluation stops at the
+cap, adds the sound lower term ``(1-p_{K+1})^n`` times the certified lower
+tail mass to ``value`` and reports the honest, larger ``trunc_error`` instead
+of guessing.  Float rounding and the normalizer's halfwidth lie outside
+``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
 subsequences) is supported for level-represented distributions: terms are
@@ -88,19 +95,8 @@ class EmGap(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Certified tail bounds for the series sum_{k>K} p_k e^{-n p_k}
+# Certified tail bounds for the series sum_{k>K} p_k (1-p_k)^n
 # ---------------------------------------------------------------------------
-
-def _power_series_tail(dist: Distribution, K: int, n: float) -> float:
-    """Incomplete-gamma bound; valid once K passes the summand's mode."""
-    lam = dist.spec.params["lambda"]
-    c = dist.norm_constant
-    if K < (n * c) ** (1.0 / lam):
-        return math.inf
-    a = 1.0 - 1.0 / lam
-    s = n * c * K ** (-lam)
-    return (c ** (1.0 / lam) / lam) * n ** (1.0 / lam - 1.0) * special.gammainc(a, s) * math.gamma(a)
-
 
 def _dyadic_series_tail(dist: Distribution, K: int, n: float, blocks: int = 60) -> float:
     """Generic bound from mass certificates: on (K 2^j, K 2^{j+1}] every term
@@ -120,11 +116,51 @@ def _dyadic_series_tail(dist: Distribution, K: int, n: float, blocks: int = 60) 
 
 
 def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
-    """Certified zeta-scale bound on everything omitted beyond index K."""
-    mass = dist.tail_mass_bound(K)
-    if dist.kind is FamilyKind.POWER:
-        return min(mass, _power_series_tail(dist, K, n))
-    return min(mass, _dyadic_series_tail(dist, K, n))
+    """Certified zeta-scale bound on everything omitted beyond index K,
+    from p(1-p)^n <= p e^{-np}."""
+    return min(dist.tail_mass_bound(K), _dyadic_series_tail(dist, K, n))
+
+
+def _power_convex_from(c: float, lam: float, n: float) -> float:
+    """x_c beyond which f(x) = p(1-p)^n, p = c x^-lam, is convex.
+
+    The sign of f'' is that of the quadratic A p^2 - B p + (lam+1) in p, so f
+    is convex for p below its smaller root; the margin covers rounding.
+    """
+    A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
+    B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
+    C = lam + 1.0
+    p_minus = 2.0 * C / (B + math.sqrt(B * B - 4.0 * A * C))
+    return (c / p_minus) ** (1.0 / lam) * (1.0 + 1e-9)
+
+
+def _power_tail_integral(c: float, lam: float, n: float, y: float) -> float:
+    """integral_y^inf p(1-p)^n dx for p = c x^-lam, where p(y) < 1.
+
+    Substituting q = p(x) gives (c^{1/lam}/lam) B_{p(y)}(a, n+1) with
+    a = 1 - 1/lam, an incomplete beta function.  Its hypergeometric form
+    B_x(a,b) = x^a (1-x)^b / a * F(a+b, 1; a+1; x) has positive terms whose
+    ratios fall towards x, so the sum is accurate to a few ulps; the prefactor
+    simplifies to c y^{1-lam}/(lam-1) (1-x)^{n+1}.
+    """
+    x = c * y ** -lam
+    a = 1.0 - 1.0 / lam
+    term = total = 1.0
+    j = 0.0
+    while term > 1e-17 * total:
+        term *= (a + n + 1.0 + j) / (a + 1.0 + j) * x
+        total += term
+        j += 1.0
+    return c * y ** (1.0 - lam) / (lam - 1.0) * math.exp((n + 1.0) * math.log1p(-x)) * total
+
+
+def _power_tail_bracket(c: float, lam: float, n: float, K: int) -> tuple[float, float]:
+    """[lo, hi] on sum_{k>K} p_k (1-p_k)^n once f is convex on [K+1/2, inf):
+    trapezoid lower and midpoint upper sandwich of the integral."""
+    p1 = c * (K + 1.0) ** -lam
+    f1 = p1 * math.exp(n * math.log1p(-p1))
+    return (_power_tail_integral(c, lam, n, K + 1.0) + 0.5 * f1,
+            _power_tail_integral(c, lam, n, K + 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +186,14 @@ def _eval_finite(dist: Distribution, n: float) -> tuple[float, float, int]:
 
 
 def _eval_levels(dist: Distribution, n: float) -> tuple[float, float, int]:
-    l2 = dist._level_log2
-    counts = np.asarray([c for _, c in dist.levels()], dtype=np.float64)
-    ln_p = LN2 * l2
+    l2, counts = dist.level_arrays()
     with np.errstate(under="ignore"):
-        p = np.exp(ln_p)
+        p = np.exp(LN2 * l2)
         zeta_terms = counts * p * _pow_one_minus(p, n)
     value = math.fsum(zeta_terms.tolist())
     beyond = 2.0 ** dist.beyond_prefix_log2_mass
     trunc = max(beyond, 5e-324)
-    return value, trunc, int(counts.sum())
+    return value, trunc, dist.prefix_length
 
 
 def _eval_closed_form(
@@ -168,12 +202,24 @@ def _eval_closed_form(
     eps_t: float,
     max_terms: int,
     want_exp: bool,
-) -> tuple[float, Optional[float], float, int]:
+) -> tuple[float, Optional[float], float, float, int]:
+    """(sum, sum of p e^{-np}, tail lower bound, trunc, terms) over k <= terms.
+
+    Blocks are summed until the omitted tail's bracket is narrower than
+    eps_t / n.  Power tails close with the incomplete-beta bracket once the
+    summand is convex; other tails with the dyadic upper bound alone.  A tail that
+    reaches ``max_terms`` unmet takes the lower bound (1-p_{K+1})^n times
+    the certified lower tail mass, sound because p_k <= p_{K+1} beyond K.
+    """
     sums: list[float] = []
     exp_sums: list[float] = []
+    power = dist.kind is FamilyKind.POWER
+    if power:
+        c, lam = dist.norm_constant, dist.spec.params["lambda"]
+        x_c = _power_convex_from(c, lam, n)
     k = 1
     chunk = 1 << 10
-    trunc = math.inf
+    tail_lo, tail_hi = 0.0, math.inf
     while True:
         hi = min(k + chunk, max_terms + 1)
         lp = dist.log_prob_block(k, hi)
@@ -183,16 +229,23 @@ def _eval_closed_form(
             if want_exp:
                 exp_sums.append(float((p * np.exp(-n * p)).sum()))
         k = hi
-        if k - 1 >= dist.k0_head:
-            trunc = _series_tail_bound(dist, k - 1, n)
-            if n * trunc <= eps_t:
-                break
-        if k > max_terms:
+        K = k - 1
+        closed = power and K + 0.5 >= x_c
+        capped = k > max_terms
+        if closed:
+            tail_lo, tail_hi = _power_tail_bracket(c, lam, n, K)
+        elif K >= dist.k0_head and (capped or not power):
+            tail_hi = _series_tail_bound(dist, K, n)
+        if n * (tail_hi - tail_lo) <= eps_t:
+            break
+        if capped:
+            if not closed and K >= dist.k0_head:
+                p1 = math.exp(dist.log_prob(K + 1))
+                tail_lo = min(dist.tail_mass_lower(K) * math.exp(n * math.log1p(-p1)), tail_hi)
             break
         chunk = min(chunk * 2, 1 << 21)
-    value = math.fsum(sums)
     exp_value = math.fsum(exp_sums) if want_exp else None
-    return value, exp_value, trunc, k - 1
+    return math.fsum(sums), exp_value, tail_lo, max(tail_hi - tail_lo, 0.0), K
 
 
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
@@ -201,14 +254,13 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     Works from ln n and log2 probabilities only; the asymptotic handling of
     -n*log1p(-p) is exact to double precision once n exceeds 2**53.
     """
-    if dist._levels is None:
+    if dist.prefix_length is None:
         raise InvalidParams(
             f"n = {n} exceeds the float-exact range; only level-represented "
             f"families support it (got {dist.kind.value})"
         )
     ln_n = math.log(n)
-    l2 = dist._level_log2
-    counts = np.asarray([c for _, c in dist.levels()], dtype=np.float64)
+    l2, counts = dist.level_arrays()
     ln_p = LN2 * l2
     with np.errstate(under="ignore", over="ignore"):
         pv = np.exp(np.maximum(ln_p, -690.0))
@@ -220,7 +272,7 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     value = math.fsum(t_terms.tolist())
     z_tr = ln_n + LN2 * dist.beyond_prefix_log2_mass
     trunc = math.exp(z_tr) if z_tr < _EXP_OVERFLOW else math.inf
-    return value, max(trunc, 5e-324), int(counts.sum())
+    return value, max(trunc, 5e-324), dist.prefix_length
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +306,8 @@ def zeta1(
     elif dist.prefix_length is not None:
         value, trunc, terms = _eval_levels(dist, nf)
     else:
-        value, _, trunc, terms = _eval_closed_form(dist, nf, eps, max_terms, False)
+        head, _, tail_lo, trunc, terms = _eval_closed_form(dist, nf, eps, max_terms, False)
+        value = head + tail_lo
     return IndexValue(n, value, trunc, terms)
 
 
@@ -310,14 +363,13 @@ def scaled_pair(
         s2 = math.fsum((p * np.exp(-nf * p)).tolist())
         return factor * s1, factor * s2
     if dist.prefix_length is not None:
-        l2 = dist._level_log2
-        counts = np.asarray([c for _, c in dist.levels()], dtype=np.float64)
+        l2, counts = dist.level_arrays()
         with np.errstate(under="ignore"):
             p = np.exp(LN2 * l2)
             s1 = math.fsum((counts * p * _pow_one_minus(p, nf)).tolist())
             s2 = math.fsum((counts * p * np.exp(-nf * p)).tolist())
         return factor * s1, factor * s2
-    s1, s2, _, _ = _eval_closed_form(dist, nf, eps, max_terms, True)
+    s1, s2, _, _, _ = _eval_closed_form(dist, nf, eps, max_terms, True)
     return factor * s1, factor * s2
 
 

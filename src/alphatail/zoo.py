@@ -331,6 +331,9 @@ class Distribution:
             counts = np.array([c for _, c in levels], dtype=np.int64)
             self._cum_counts = np.cumsum(counts)
             self._level_log2 = np.array([e for e, _ in levels], dtype=np.float64)
+            self._level_counts = counts.astype(np.float64)
+            self._level_log2.flags.writeable = False
+            self._level_counts.flags.writeable = False
             # float suffix masses within the prefix (guarded upward later)
             masses = counts * np.exp2(self._level_log2)
             self._suffix_mass = np.concatenate(
@@ -378,6 +381,14 @@ class Distribution:
         if self._levels is None:
             raise InvalidParams(f"{self.kind.value} has no level representation")
         return list(self._levels)
+
+    def level_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (log2 probability, multiplicity) arrays of the levels,
+        built once at construction; multiplicities are float64 for direct use
+        as weights."""
+        if self._levels is None:
+            raise InvalidParams(f"{self.kind.value} has no level representation")
+        return self._level_log2, self._level_counts
 
     @property
     def beyond_prefix_log2_mass(self) -> float:
@@ -449,6 +460,13 @@ class Distribution:
         bound = self.norm_constant * _mass_tail_upper(self.kind, self.spec.params, K)
         # never certify zero for an infinite tail, even past float underflow
         return max(bound, _SMALLEST_SUBNORMAL)
+
+    def tail_mass_lower(self, K: int) -> float:
+        """Certified L with L <= sum_{k>K} p_k for closed forms past their
+        head (the lower side of the normalization bracket); 0 elsewhere."""
+        if self.kind not in _CLOSED_FORM or K < self.k0_head:
+            return 0.0
+        return self.norm_constant * _tail_bracket(self.kind, self.spec.params, K)[0]
 
     def _constructed_tail(self, K: int) -> float:
         n_prefix = int(self._cum_counts[-1])

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphatail import estimate
 from alphatail import (
     FamilyKind,
     FamilySpec,
     FrequencyTable,
     InvalidParams,
     InvalidV,
+    SamplerLimit,
     Statistic,
     TooLarge,
     estimator_report,
@@ -103,6 +105,27 @@ class TestSampling:
         shallow = make_distribution(parse_spec("pairavg:base=(geometric:a=2),depth=2"))
         with pytest.raises(DepthExceeded):
             sample(shallow, 500, seed=0)
+
+    def test_cdf_that_stalls_in_floating_point_raises(self):
+        # the float CDF of geometric a=3 tops out at 1 - 2^-52, so the
+        # largest draw 1 - 2^-53 would otherwise be searched for forever
+        d = make_distribution(parse_spec("geometric:a=3"))
+        with pytest.raises(SamplerLimit):
+            estimate._grow_cdf(d, 1.0 - 2.0 ** -53)
+
+    def test_heavy_draw_refused_before_growing(self):
+        # log-power keeps ~3% of its mass beyond 2^24 letters
+        d = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
+        with pytest.raises(SamplerLimit):
+            sample(d, 100, seed=1)
+
+    def test_cdf_cap_during_growth(self, monkeypatch):
+        # no certified lower tail mass here, so only the growth loop sees the cap
+        monkeypatch.setattr(estimate, "_MAX_CDF_ENTRIES", 1000)
+        d = make_distribution(parse_spec("pairavg:base=(power:lambda=2),depth=4096"))
+        assert d.tail_mass_lower(1000) == 0.0
+        with pytest.raises(SamplerLimit):
+            estimate._grow_cdf(d, 1.0 - 1e-4)
 
 
 class TestTuring:
@@ -224,6 +247,11 @@ class TestExactOracle:
             exact_expectation(geom2, 4, Statistic.TURING)
         with pytest.raises(InvalidV):
             exact_expectation(finite([0.5, 0.5]), 4, Statistic.Z1V, v=4)
+
+    def test_zero_entries_keep_counts_aligned(self):
+        d = make_distribution(parse_spec("finite:p=0.5;0;0.5"))
+        assert exact_zeta(d, 1) == Fraction(1, 2)
+        assert exact_expectation(d, 4, Statistic.Z1V, v=1) == exact_zeta(d, 1)
 
     def test_returns_exact_rationals(self, uniform2):
         e = exact_expectation(uniform2, 2, Statistic.Z1V, v=1)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
+from alphatail import tail_index
 from alphatail import (
     FamilyKind,
     FamilySpec,
@@ -111,15 +112,84 @@ class TestCertificates:
         iv = tn(geom2, 10 ** 4, eps=1e-9)
         assert iv.trunc_error <= 1e-9
 
-    def test_honest_trunc_when_capped(self, power2):
-        # the power tail cannot certify 1e-12 at n=1e6 within the cap;
+    def test_honest_trunc_when_capped(self):
+        # the log-power tail cannot certify 1e-12 at n=1e6 within the cap;
         # the reported remainder must say so rather than pretend
-        iv = tn(power2, 10 ** 6, eps=1e-12, max_terms=1 << 20)
+        logpower = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
+        iv = tn(logpower, 10 ** 6, eps=1e-12, max_terms=1 << 20)
         assert iv.trunc_error > 1e-12
         assert iv.terms_used == 1 << 20
 
     def test_finite_has_zero_trunc(self, uniform10):
         assert tn(uniform10, 12345).trunc_error == 0.0
+
+
+# t_n from bench/refs.json (30-digit mpmath sums, regenerated by bench/refs.py)
+POWER_REFS = [
+    ("power:lambda=2", 1000, "21.84277876406327379400344"),
+    ("power:lambda=2", 223872, "326.941352786883545615595"),
+    ("power:lambda=2", 10 ** 8, "6909.882963514648454878989"),
+    ("power:lambda=1.5", 1000, "94.13503517193707341494275"),
+    ("power:lambda=1.5", 223872, "3471.473550039934612859144"),
+    ("power:lambda=1.5", 10 ** 8, "202852.8457565743507155243"),
+]
+LOGPOWER_REFS = [
+    (1000, "123.3084328254529784883514"),
+    (223872, "13458.32563118769524461052"),
+    (10 ** 8, "3639634.907342783999780465"),
+]
+
+
+def _brackets(iv, ref: float) -> bool:
+    # float rounding of the sums and the normalizer's halfwidth lie outside
+    # trunc_error: allow (terms_used + 1e4) ulps of the upper end, which also
+    # covers the ~5e-12 relative error of the lambda = 1.5 references
+    slack = (iv.terms_used + 1e4) * 2.0 ** -52 * iv.upper
+    return iv.value - slack <= ref <= iv.upper + slack
+
+
+class TestPowerClosure:
+    @pytest.mark.parametrize("spec_text, n, ref", POWER_REFS)
+    def test_certifies_eps_and_brackets_reference(self, spec_text, n, ref):
+        iv = tn(make_distribution(parse_spec(spec_text)), n, eps=1e-9)
+        assert iv.trunc_error <= 1e-9
+        assert iv.terms_used <= 5 * 10 ** 6
+        assert _brackets(iv, float(ref))
+
+    @pytest.mark.parametrize("n, ref", LOGPOWER_REFS)
+    def test_logpower_lower_term_brackets_reference(self, n, ref):
+        iv = tn(make_distribution(parse_spec("logpower:lambda=2,k0=2")), n, eps=1e-9)
+        assert iv.terms_used == tail_index.DEFAULT_MAX_TERMS
+        assert _brackets(iv, float(ref))
+        # the mass bound alone leaves a remainder wider than the value
+        assert iv.trunc_error < 0.01 * iv.value
+
+    @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 7.0])
+    @pytest.mark.parametrize("n", [1, 1000, 10 ** 8])
+    def test_convexity_starts_at_x_c(self, lam, n):
+        mp = pytest.importorskip("mpmath")
+        c = 0.6
+        x_c = tail_index._power_convex_from(c, lam, float(n))
+        with mp.workdps(40):
+            m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+            f = lambda x: m_c * x ** -m_lam * (1 - m_c * x ** -m_lam) ** n  # noqa: E731
+            assert mp.diff(f, mp.mpf(x_c) * (1 - mp.mpf(1e-6)), 2) < 0
+            for scale in (1 + 1e-6, 2, 100):
+                assert mp.diff(f, mp.mpf(x_c) * scale, 2) > 0
+
+    @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("n", [1, 10, 1000, 223872, 10 ** 8, 2 ** 53])
+    def test_tail_integral_matches_mpmath(self, lam, n):
+        mp = pytest.importorskip("mpmath")
+        c = 0.6
+        x_c = tail_index._power_convex_from(c, lam, float(n))
+        for y in (x_c, 10 * x_c, 1000 * x_c):
+            got = tail_index._power_tail_integral(c, lam, float(n), y)
+            with mp.workdps(40):
+                m_c, m_lam, m_y = mp.mpf(c), mp.mpf(lam), mp.mpf(y)
+                want = (m_c ** (1 / m_lam) / m_lam
+                        * mp.betainc(1 - 1 / m_lam, n + 1, 0, m_c * m_y ** -m_lam))
+            assert abs(got - float(want)) <= 2e-15 * float(want)
 
 
 class TestElementaryInequalities:

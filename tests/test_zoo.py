@@ -75,6 +75,7 @@ def test_mass_certificate_on_grid(spec_text):
             partial = float(np.exp(dist.log_prob_block(1, K + 1)).sum())
         assert partial <= 1.0 + 1e-12
         assert partial + dist.tail_mass_bound(K) >= 1.0 - 1e-10
+        assert partial + dist.tail_mass_lower(K) <= 1.0 + 1e-10
 
 
 @pytest.mark.parametrize("spec_text", [
@@ -99,6 +100,17 @@ def test_tail_mass_bound_examples(geom2):
     bound = p.tail_mass_bound(100)
     assert true_tail <= bound <= true_tail * 1.05
     assert bound == pytest.approx((6 / math.pi ** 2) / 100, rel=1e-2)
+
+
+def test_level_arrays_match_levels(diffusion14):
+    l2, counts = diffusion14.level_arrays()
+    assert l2.tolist() == [e for e, _ in diffusion14.levels()]
+    assert counts.tolist() == [c for _, c in diffusion14.levels()]
+    assert counts.sum() == diffusion14.prefix_length
+    with pytest.raises(ValueError):
+        l2[0] = 0.0
+    with pytest.raises(InvalidParams):
+        make_distribution(parse_spec("geometric:a=2")).level_arrays()
 
 
 class TestCongregated:
