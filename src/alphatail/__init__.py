@@ -27,7 +27,6 @@ from .errors import (
     InvalidBase,
     InvalidParams,
     InvalidV,
-    NoTailBound,
     NormalizationDivergent,
     SamplerLimit,
     ScheduleTooShort,
@@ -47,7 +46,6 @@ from .estimate import (
     true_missing_mass,
     turing,
     z1v,
-    z1v_product_form,
 )
 from .tail_index import (
     EmGap,
@@ -83,8 +81,8 @@ __all__ = [
     "DomainVerdict", "DominanceReport", "DominanceVerdict", "EmGap",
     "EstimatorReport", "FamilyKind", "FamilySpec", "FiniteSupport",
     "FrequencyTable", "IndexSeries", "IndexValue", "InvalidBase",
-    "InvalidParams", "InvalidV", "Method", "NoTailBound",
-    "NormalizationDivergent", "OscillationState", "SamplerLimit", "ScheduleTooShort",
+    "InvalidParams", "InvalidV", "Method", "NormalizationDivergent",
+    "OscillationState", "SamplerLimit", "ScheduleTooShort",
     "SpecParseError", "StagesExceeded", "Statistic", "Thresholds", "TooLarge",
     "catalog", "classify_analytic", "classify_numeric", "construct_congregated",
     "construct_diffusion", "construct_pair_averaged", "diffusion_transient_probes",
@@ -92,5 +90,5 @@ __all__ = [
     "exact_zeta", "format_spec", "geometric_band_ceiling", "make_distribution",
     "oscillation_state", "oscillation_t", "parse_spec", "power_tail_limit",
     "sample", "scaled_pair", "subsequence_probe", "t_hat", "tn",
-    "true_missing_mass", "turing", "z1v", "z1v_product_form", "zeta1",
+    "true_missing_mass", "turing", "z1v", "zeta1",
 ]

@@ -17,7 +17,7 @@ upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -58,17 +58,6 @@ class Thresholds:
     min_decades: float = 4.0
     min_points: int = 8
     flat_slope: float = 0.05
-
-    def to_dict(self) -> dict:
-        return {
-            "theta0": self.theta0,
-            "theta2": self.theta2,
-            "band_floor": self.band_floor,
-            "band_ceiling": self.band_ceiling,
-            "min_decades": self.min_decades,
-            "min_points": self.min_points,
-            "flat_slope": self.flat_slope,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Thresholds":
@@ -178,7 +167,7 @@ def classify_numeric(
         "max_upper": max(uppers),
         "final_upper": uppers[-1],
         "growth_exponent": _fit_slope([(p.n, p.value) for p in tail_pts]),
-        "thresholds": thresholds.to_dict(),
+        "thresholds": asdict(thresholds),
     }
 
     # Domain 0: certified collapse at a geometric rate

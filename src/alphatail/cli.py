@@ -56,7 +56,7 @@ def _parse_schedule(text: str) -> list[int]:
     return out
 
 
-def _parse_vrange(text: str, n: int) -> list[int]:
+def _parse_vrange(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -176,7 +176,7 @@ def _cmd_dominates(args) -> int:
 def _cmd_estimate(args) -> int:
     dist = make_distribution(parse_spec(args.dist))
     freq = sample(dist, args.n, args.seed)
-    vs = _parse_vrange(args.v, args.n)
+    vs = _parse_vrange(args.v)
     rep = estimator_report(freq, vs)
     records = [
         {"v": v, "Z_1v": z, "t_hat": t}

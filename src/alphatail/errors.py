@@ -29,10 +29,6 @@ class InvalidBase(InvalidParams):
     """A constructed family needs a strictly decreasing, infinite base."""
 
 
-class NoTailBound(AlphatailError):
-    """The distribution cannot certify a bound on its tail mass."""
-
-
 class FiniteSupport(AlphatailError):
     """Operation requires an infinite-support distribution."""
 

@@ -98,49 +98,52 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     u_max = float(u.max())
-    cdf, vec_len = _grow_cdf(dist, u_max)
+    cdf = _grow_cdf(dist, u_max)
     letters = np.searchsorted(cdf, u, side="right") + 1
-    if vec_len is not None:
-        # u beyond the last cumulative value is rounding dust on a full vector
-        letters = np.minimum(letters, vec_len)
+    if u_max >= cdf[-1]:
+        # a draw past the end of a table with no mass beyond is rounding dust
+        letters = np.minimum(letters, len(cdf))
     ks, ys = np.unique(letters, return_counts=True)
     return FrequencyTable(n, {int(k): int(y) for k, y in zip(ks, ys)})
 
 
-def _grow_cdf(dist: Distribution, u_max: float) -> tuple[np.ndarray, Optional[int]]:
+def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
     """Prefix sums of p_k in doubling blocks, up to the first that exceeds
-    u_max; at most _MAX_CDF_ENTRIES entries, refused up front when the
-    certified tail mass beyond the cap already exceeds 1 - u_max."""
+    u_max or the end of a level table; at most _MAX_CDF_ENTRIES entries,
+    refused up front when the certified tail mass beyond the cap already
+    exceeds 1 - u_max.  A table that ends below u_max must hold all the
+    mass; otherwise the draw needs letters it does not have.
+
+    Each block is summed on from the running total, which gives the same
+    floats as one cumsum over the whole prefix."""
     if dist.tail_mass_lower(_MAX_CDF_ENTRIES) > 1.0 - u_max:
         raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
+    end = dist.prefix_length or math.inf    # last letter of a level table
     block = 64
     parts: list[np.ndarray] = []
     start = 1
     reached = 0.0
-    vec_len = len(dist._finite_probs) if dist._finite_probs is not None else None
     while True:
         if start > _MAX_CDF_ENTRIES:
             raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
-        stop = min(start + block, _MAX_CDF_ENTRIES + 1)
-        if vec_len is not None:
-            stop = min(stop, vec_len + 1)
-        if dist.prefix_length is not None:
-            if start > dist.prefix_length:
-                raise DepthExceeded(
-                    "a draw landed beyond the constructed family's prefix"
-                )
-            stop = min(stop, dist.prefix_length + 1)
+        stop = min(start + block, end + 1, _MAX_CDF_ENTRIES + 1)
         with np.errstate(under="ignore"):
-            parts.append(np.exp(dist.log_prob_block(start, stop)))
-        cdf = np.cumsum(np.concatenate(parts)) if len(parts) > 1 else np.cumsum(parts[0])
-        if float(cdf[-1]) > u_max or (vec_len is not None and stop == vec_len + 1):
-            return cdf, vec_len
-        if float(cdf[-1]) <= reached:
-            # later blocks hold smaller values, which round away as well
+            p = np.exp(dist.log_prob_block(start, stop))
+        parts.append(np.cumsum(np.concatenate(([reached], p)))[1:])
+        top = float(parts[-1][-1])
+        if top > u_max:
+            return np.concatenate(parts)
+        if stop > end:
+            if dist.support_size() is None:
+                raise DepthExceeded("a draw landed beyond the constructed family's prefix")
+            return np.concatenate(parts)
+        if top <= reached and end == math.inf:
+            # later blocks of a closed form hold smaller values, which round
+            # away as well; a table ends by itself
             raise SamplerLimit(
                 f"the CDF stops at {reached!r} in floating point, below the draw {u_max!r}"
             )
-        reached = float(cdf[-1])
+        reached = top
         start = stop
         block *= 2
 
@@ -180,23 +183,6 @@ def z1v(freq: FrequencyTable, v: int) -> float:
     return total
 
 
-def z1v_product_form(freq: FrequencyTable, v: int) -> float:
-    """Literal product form of the estimator; kept as a cross-check of the
-    falling-factorial reformulation for small n."""
-    n = freq.n
-    if not 1 <= v <= n - 1:
-        raise InvalidV(f"v must lie in [1, n-1], got v={v} with n={n}")
-    front = n ** (1 + v) * factorial(n - 1 - v) / factorial(n)
-    acc = 0.0
-    for y in freq.counts.values():
-        ph = y / n
-        prod = ph
-        for j in range(v):
-            prod *= 1.0 - ph - j / n
-        acc += prod
-    return front * acc
-
-
 def t_hat(freq: FrequencyTable, v: int) -> float:
     """Unbiased estimate of t_v, namely v * Z_{1,v}."""
     return v * z1v(freq, v)
@@ -214,7 +200,8 @@ def estimator_report(freq: FrequencyTable, v_values: Iterable[int]) -> Estimator
 
 def _rational_probs(dist: Distribution) -> list[Fraction]:
     """The nonzero probabilities, aligned with support_size()."""
-    probs = [Fraction(float(p)) for p in dist._finite_probs if p > 0.0]
+    l2, counts = dist.level_arrays()
+    probs = [Fraction(float(p)) for p in np.exp2(np.repeat(l2, counts.astype(np.int64))) if p > 0.0]
     total = sum(probs)
     return [p / total for p in probs]
 

@@ -2,10 +2,13 @@
 
 The central objects are the coverage deficit ``zeta_n = sum_k p_k (1-p_k)^n``
 (the chance that one more draw lands on an unseen letter) and the tail index
-``t_n = n * zeta_n``.  Series are summed in index order with compensated
-accumulation; each evaluation returns a lower-bound ``value`` together with a
-certified ``trunc_error`` so that the true quantity lies in
-``[value, value + trunc_error]``.
+``t_n = n * zeta_n``.  Each evaluation returns a lower-bound ``value``
+together with a certified ``trunc_error`` so that the true quantity lies in
+``[value, value + trunc_error]`` up to float rounding.  Closed forms are
+summed in index-ordered blocks, each with NumPy's pairwise sum, and the block
+sums with ``math.fsum``; a level table (a finite vector or a constructed
+prefix) is summed with one ``math.fsum``, so its value does not depend on
+the order of its levels and a finite vector's ``trunc_error`` is exactly 0.
 
 Truncation bounds are family-aware.  Power tails ``p_k = c k^-lam`` are
 closed analytically: the summand ``f(x) = p(1-p)^n`` has the tail integral
@@ -23,7 +26,7 @@ of guessing.  Float rounding and the normalizer's halfwidth lie outside
 ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
-subsequences) is supported for level-represented distributions: terms are
+subsequences) is supported for level tables: terms are
 assembled from ``ln n`` and exact log2 probabilities, so neither n nor p is
 ever materialized as a float.
 """
@@ -177,22 +180,27 @@ def _pow_one_minus(p: np.ndarray, n: float) -> np.ndarray:
     return out
 
 
-def _eval_finite(dist: Distribution, n: float) -> tuple[float, float, int]:
-    lp = dist.log_prob_block(1, len(dist._finite_probs) + 1)
-    p = np.exp(lp)
-    terms = p * _pow_one_minus(p, n)
-    # fsum makes the result independent of the vector's ordering
-    return math.fsum(terms.tolist()), 0.0, len(p)
-
-
-def _eval_levels(dist: Distribution, n: float) -> tuple[float, float, int]:
+def _level_sums(dist: Distribution, n: float, want_exp: bool) -> tuple[float, Optional[float]]:
+    """(sum, sum of p e^{-np}) over the level table, each one ``fsum``."""
     l2, counts = dist.level_arrays()
     with np.errstate(under="ignore"):
         p = np.exp(LN2 * l2)
-        zeta_terms = counts * p * _pow_one_minus(p, n)
-    value = math.fsum(zeta_terms.tolist())
-    beyond = 2.0 ** dist.beyond_prefix_log2_mass
-    trunc = max(beyond, 5e-324)
+        s1 = math.fsum((counts * p * _pow_one_minus(p, n)).tolist())
+        s2 = math.fsum((counts * p * np.exp(-n * p)).tolist()) if want_exp else None
+    return s1, s2
+
+
+def _beyond_floor(dist: Distribution, trunc: float) -> float:
+    """Never certify zero beyond a table that leaves mass, even past
+    underflow; a table that holds every letter leaves exactly nothing."""
+    if dist.beyond_prefix_log2_mass == -math.inf:
+        return trunc
+    return max(trunc, 5e-324)
+
+
+def _eval_levels(dist: Distribution, n: float) -> tuple[float, float, int]:
+    value, _ = _level_sums(dist, n, False)
+    trunc = _beyond_floor(dist, 2.0 ** dist.beyond_prefix_log2_mass)
     return value, trunc, dist.prefix_length
 
 
@@ -249,15 +257,15 @@ def _eval_closed_form(
 
 
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
-    """t_n for level-represented distributions at arbitrarily large integer n.
+    """t_n for level tables at arbitrarily large integer n.
 
     Works from ln n and log2 probabilities only; the asymptotic handling of
     -n*log1p(-p) is exact to double precision once n exceeds 2**53.
     """
     if dist.prefix_length is None:
         raise InvalidParams(
-            f"n = {n} exceeds the float-exact range; only level-represented "
-            f"families support it (got {dist.kind.value})"
+            f"n = {n} exceeds the float-exact range; only level tables "
+            f"support it (got {dist.kind.value})"
         )
     ln_n = math.log(n)
     l2, counts = dist.level_arrays()
@@ -272,7 +280,7 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     value = math.fsum(t_terms.tolist())
     z_tr = ln_n + LN2 * dist.beyond_prefix_log2_mass
     trunc = math.exp(z_tr) if z_tr < _EXP_OVERFLOW else math.inf
-    return value, max(trunc, 5e-324), dist.prefix_length
+    return value, _beyond_floor(dist, trunc), dist.prefix_length
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +309,7 @@ def zeta1(
         value = math.exp(math.log(t) - ln_n) if t > 0.0 else 0.0
         return IndexValue(n, value, math.exp(math.log(trunc_t) - ln_n) if trunc_t > 0 else 0.0, terms)
     nf = float(n)
-    if dist.support_size() is not None:
-        value, trunc, terms = _eval_finite(dist, nf)
-    elif dist.prefix_length is not None:
+    if dist.prefix_length is not None:
         value, trunc, terms = _eval_levels(dist, nf)
     else:
         head, _, tail_lo, trunc, terms = _eval_closed_form(dist, nf, eps, max_terms, False)
@@ -356,20 +362,10 @@ def scaled_pair(
         raise InvalidParams("scaled_pair requires n within the float-exact range")
     nf = float(n)
     factor = nf ** (1.0 - delta)
-    if dist.support_size() is not None:
-        lp = dist.log_prob_block(1, len(dist._finite_probs) + 1)
-        p = np.exp(lp)
-        s1 = math.fsum((p * _pow_one_minus(p, nf)).tolist())
-        s2 = math.fsum((p * np.exp(-nf * p)).tolist())
-        return factor * s1, factor * s2
     if dist.prefix_length is not None:
-        l2, counts = dist.level_arrays()
-        with np.errstate(under="ignore"):
-            p = np.exp(LN2 * l2)
-            s1 = math.fsum((counts * p * _pow_one_minus(p, nf)).tolist())
-            s2 = math.fsum((counts * p * np.exp(-nf * p)).tolist())
-        return factor * s1, factor * s2
-    s1, s2, _, _, _ = _eval_closed_form(dist, nf, eps, max_terms, True)
+        s1, s2 = _level_sums(dist, nf, True)
+    else:
+        s1, s2, _, _, _ = _eval_closed_form(dist, nf, eps, max_terms, True)
     return factor * s1, factor * s2
 
 

@@ -1,11 +1,15 @@
 """Catalog of probability distributions on countable alphabets.
 
-A distribution here is an ordered probability sequence ``p_1 >= p_2 >= ...``
-(non-increasing beyond a small head) given either by a closed form
-(geometric, gaussian-type, tilted geometric, power, log-power), by an
-explicit finite vector, or by one of three constructed sequences
-(congregated, pair-averaged, diffusion).  Every distribution carries a
-certified normalization: the total mass is known to lie within
+A distribution here is a probability sequence ``p_1, p_2, ...`` stored in
+one of two ways.  Closed forms (geometric, gaussian-type, tilted geometric,
+power, log-power) are ordered ``p_1 >= p_2 >= ...`` beyond a small head.
+Everything else is a level table of (log2 p, multiplicity) pairs in index
+order plus a certified bound on the mass beyond it: the three constructed
+sequences (congregated, pair-averaged, diffusion) are non-increasing tables
+with positive mass beyond, and an explicit finite vector is a table of one
+level per letter, in spec order (not necessarily non-increasing, ``-inf``
+for a zero entry), with exactly zero mass beyond.  Every distribution
+carries a certified normalization: the total mass is known to lie within
 ``1 +- mass_halfwidth`` with ``mass_halfwidth <= 1e-10``.
 
 Normalization of closed forms sums the unnormalized weights directly and
@@ -14,8 +18,8 @@ ratio brackets for super-geometric decay, convex integral brackets for
 power-type decay); summation stops once the bracket half-width falls below
 1e-14.
 
-Constructed families store log2 probabilities (exact integer exponents for
-the diffusion sequence) so that double-exponentially small values never
+Level tables store log2 probabilities (exact integer exponents for the
+diffusion sequence) so that double-exponentially small values never
 underflow before they are needed.  All distributions are immutable after
 construction; every prefix is materialized eagerly, so instances are safe
 to share across threads.
@@ -299,6 +303,7 @@ class DiffusionRun:
 class Distribution:
     """Immutable normalized distribution over indices k = 1, 2, ...
 
+    Stored as a closed form or as a level table (see the module docstring).
     ``prob(k)`` may flush to zero for double-exponentially small values;
     ``log_prob(k)`` stays finite as long as the value is positive, and is
     the accessor the series evaluators use.
@@ -311,7 +316,6 @@ class Distribution:
         k0_head: int,
         mass_halfwidth: float,
         *,
-        finite_probs: Optional[np.ndarray] = None,
         levels: Optional[list[tuple[float, int]]] = None,
         base: Optional["Distribution"] = None,
         runs: Optional[list[DiffusionRun]] = None,
@@ -321,21 +325,22 @@ class Distribution:
         self.norm_constant = norm_constant
         self.k0_head = k0_head
         self.mass_halfwidth = mass_halfwidth
-        self._finite_probs = finite_probs
         self._levels = levels
         self._base = base
         self.runs = runs or []
         self._beyond_log2_mass = beyond_log2_mass
-        self.int_levels: Optional[list[tuple[int, int]]] = None
         if levels is not None:
             counts = np.array([c for _, c in levels], dtype=np.int64)
+            log2_p = np.array([e for e, _ in levels], dtype=np.float64)
             self._cum_counts = np.cumsum(counts)
-            self._level_log2 = np.array([e for e, _ in levels], dtype=np.float64)
+            # one -inf level past the end: what an index beyond a table with
+            # no mass beyond it reads (searchsorted lands there)
+            self._level_log2 = np.append(log2_p, -np.inf)
             self._level_counts = counts.astype(np.float64)
             self._level_log2.flags.writeable = False
             self._level_counts.flags.writeable = False
             # float suffix masses within the prefix (guarded upward later)
-            masses = counts * np.exp2(self._level_log2)
+            masses = counts * np.exp2(log2_p)
             self._suffix_mass = np.concatenate(
                 [np.cumsum(masses[::-1])[::-1], [0.0]]
             )
@@ -355,14 +360,15 @@ class Distribution:
         return self._base
 
     def support_size(self) -> Optional[int]:
-        """Effective cardinality; None means countably infinite."""
-        if self._finite_probs is not None:
-            return int(np.count_nonzero(self._finite_probs))
-        return None
+        """Number of letters with positive probability; None means countably
+        infinite (a closed form, or a level table with mass beyond it)."""
+        if self._levels is None or self._beyond_log2_mass > -math.inf:
+            return None
+        return int(self._level_counts[self._level_log2[:-1] > -np.inf].sum())
 
     @property
     def prefix_length(self) -> Optional[int]:
-        """Number of materialized indices for constructed families."""
+        """Number of indices in the level table; None for closed forms."""
         if self._levels is None:
             return None
         return int(self._cum_counts[-1])
@@ -377,7 +383,9 @@ class Distribution:
         return False
 
     def levels(self) -> list[tuple[float, int]]:
-        """Materialized (log2 probability, multiplicity) pairs, non-increasing."""
+        """The level table's (log2 probability, multiplicity) pairs in index
+        order: non-increasing for constructed families, spec order for a
+        finite vector."""
         if self._levels is None:
             raise InvalidParams(f"{self.kind.value} has no level representation")
         return list(self._levels)
@@ -388,11 +396,12 @@ class Distribution:
         as weights."""
         if self._levels is None:
             raise InvalidParams(f"{self.kind.value} has no level representation")
-        return self._level_log2, self._level_counts
+        return self._level_log2[:-1], self._level_counts
 
     @property
     def beyond_prefix_log2_mass(self) -> float:
-        """log2 of a certified upper bound on the mass beyond the prefix."""
+        """log2 of a certified upper bound on the mass beyond the level table;
+        -inf when the table holds every letter."""
         if self._beyond_log2_mass is None:
             raise InvalidParams(f"{self.kind.value} has no prefix")
         return self._beyond_log2_mass
@@ -405,39 +414,32 @@ class Distribution:
         lp = self.log_prob(k)
         return math.exp(lp) if lp > -math.inf else 0.0
 
+    def _check_depth(self, k: int) -> None:
+        """Past a level table, p_k is zero when no mass lies beyond it and
+        unknown otherwise."""
+        end = int(self._cum_counts[-1])
+        if k > end and self._beyond_log2_mass > -math.inf:
+            raise DepthExceeded(
+                f"{self.kind.value} materialized to {end} indices; asked for {k}"
+            )
+
     def log_prob(self, k: int) -> float:
         """Natural log of p_k (-inf when p_k = 0)."""
         if k < 1:
             raise InvalidParams("index k must be >= 1")
-        if self._finite_probs is not None:
-            if k > len(self._finite_probs):
-                return -math.inf
-            v = float(self._finite_probs[k - 1])
-            return math.log(v) if v > 0.0 else -math.inf
         if self._levels is not None:
-            if k > self._cum_counts[-1]:
-                raise DepthExceeded(
-                    f"{self.kind.value} materialized to {int(self._cum_counts[-1])} indices; asked for {k}"
-                )
+            self._check_depth(k)
             idx = int(np.searchsorted(self._cum_counts, k, side="left"))
             return LN2 * float(self._level_log2[idx])
         return math.log(self.norm_constant) + _log_weight(self.kind, self.spec.params, k)
 
     def log_prob_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized log_prob over k in [start, stop); closed forms only."""
-        ks = np.arange(start, stop, dtype=np.float64)
-        if self._finite_probs is not None:
-            out = np.full(len(ks), -np.inf)
-            m = ks <= len(self._finite_probs)
-            vals = self._finite_probs[ks[m].astype(np.int64) - 1]
-            with np.errstate(divide="ignore"):
-                out[m] = np.log(vals)
-            return out
+        """Vectorized log_prob over k in [start, stop)."""
         if self._levels is not None:
-            if stop - 1 > self._cum_counts[-1]:
-                raise DepthExceeded(f"prefix ends at {int(self._cum_counts[-1])}")
+            self._check_depth(stop - 1)
             idx = np.searchsorted(self._cum_counts, np.arange(start, stop), side="left")
             return LN2 * self._level_log2[idx]
+        ks = np.arange(start, stop, dtype=np.float64)
         return math.log(self.norm_constant) + _log_weight_block(self.kind, self.spec.params, ks)
 
     # -- tail certification ----------------------------------------------------
@@ -446,17 +448,11 @@ class Distribution:
         """Certified U with sum_{k>K} p_k <= U."""
         if K < 1:
             raise InvalidParams("K must be >= 1")
-        if self._finite_probs is not None:
-            if K >= len(self._finite_probs):
-                return 0.0
-            return float(np.sum(self._finite_probs[K:]))
         if self.kind is FamilyKind.CONGREGATED:
             # p_k <= q_k for every k >= 2, so the base tail dominates
             return self._base.tail_mass_bound(K)
-        if self.kind is FamilyKind.PAIR_AVERAGED:
-            return self._constructed_tail(K)
-        if self.kind is FamilyKind.DIFFUSION:
-            return self._constructed_tail(K)
+        if self._levels is not None:
+            return self._table_tail(K)
         bound = self.norm_constant * _mass_tail_upper(self.kind, self.spec.params, K)
         # never certify zero for an infinite tail, even past float underflow
         return max(bound, _SMALLEST_SUBNORMAL)
@@ -468,16 +464,20 @@ class Distribution:
             return 0.0
         return self.norm_constant * _tail_bracket(self.kind, self.spec.params, K)[0]
 
-    def _constructed_tail(self, K: int) -> float:
+    def _table_tail(self, K: int) -> float:
         n_prefix = int(self._cum_counts[-1])
         beyond = 2.0 ** self._beyond_log2_mass if self._beyond_log2_mass > -1070 else 0.0
         if K >= n_prefix:
-            return max(beyond, _SMALLEST_SUBNORMAL)
-        idx = int(np.searchsorted(self._cum_counts, K, side="left"))
-        # suffix of the current level (ties split) plus full deeper levels
-        within = float(self._cum_counts[idx] - K) * 2.0 ** float(self._level_log2[idx])
-        rest = float(self._suffix_mass[idx + 1])
-        bound = (within + rest + beyond) * (1.0 + 1e-12)
+            bound = beyond
+        else:
+            idx = int(np.searchsorted(self._cum_counts, K, side="left"))
+            # suffix of the current level (ties split) plus full deeper levels
+            within = float(self._cum_counts[idx] - K) * 2.0 ** float(self._level_log2[idx])
+            rest = float(self._suffix_mass[idx + 1])
+            bound = (within + rest + beyond) * (1.0 + 1e-12)
+        if self._beyond_log2_mass == -math.inf:
+            return bound
+        # never certify zero for an infinite tail, even past float underflow
         return max(bound, _SMALLEST_SUBNORMAL)
 
 
@@ -493,8 +493,11 @@ def make_distribution(spec: FamilySpec) -> Distribution:
         vec = np.asarray(p["p"], dtype=np.float64)
         total = math.fsum(vec.tolist())
         norm = 1.0 / total
+        with np.errstate(divide="ignore"):
+            log2_p = np.log2(vec * norm)
         return Distribution(spec, norm, len(vec), abs(total - 1.0),
-                            finite_probs=vec * norm)
+                            levels=[(float(e), 1) for e in log2_p],
+                            beyond_log2_mass=-math.inf)
     if kind in _CLOSED_FORM:
         params = {k: (int(v) if k == "k0" else float(v)) for k, v in p.items()}
         total, halfwidth = _normalize_closed_form(kind, params)
@@ -616,10 +619,8 @@ def construct_diffusion(stages: int) -> Distribution:
     spec = FamilySpec(FamilyKind.DIFFUSION, {"stages": stages})
     # mass conservation: the prefix holds exactly the mass of q_1..q_{j_used}
     float_levels = [(-float(e), c) for e, c in levels]
-    dist = Distribution(spec, 1.0, 1, 0.0, levels=float_levels,
+    return Distribution(spec, 1.0, 1, 0.0, levels=float_levels,
                         runs=runs, beyond_log2_mass=float(-j_used))
-    dist.int_levels = [(-e, c) for e, c in levels]  # log2 p as exact integers
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +666,7 @@ def parse_spec(text: str) -> FamilySpec:
                 raise SpecParseError(f"bad numeric value {val!r} for {key}") from exc
         else:
             raise SpecParseError(f"unknown parameter {key!r} for {kind.value}")
-    try:
-        validate_spec(FamilySpec(kind, params))
-    except InvalidParams:
-        raise
+    validate_spec(FamilySpec(kind, params))
     return FamilySpec(kind, params)
 
 

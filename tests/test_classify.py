@@ -1,6 +1,7 @@
 """Domain verdicts: analytic mapping, numeric semi-decision, probes."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -100,7 +101,7 @@ class TestNumeric:
 
     def test_thresholds_round_trip(self):
         t = Thresholds(theta0=1e-5, band_ceiling=9.0)
-        assert Thresholds.from_dict(t.to_dict()) == t
+        assert Thresholds.from_dict(asdict(t)) == t
 
 
 class TestTransient:

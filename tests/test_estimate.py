@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -29,9 +30,26 @@ from alphatail import (
     true_missing_mass,
     turing,
     z1v,
-    z1v_product_form,
     zeta1,
 )
+
+
+def z1v_product_form(freq: FrequencyTable, v: int) -> float:
+    """Literal product form of the estimator; kept as a cross-check of the
+    falling-factorial reformulation for small n."""
+    n = freq.n
+    if not 1 <= v <= n - 1:
+        raise InvalidV(f"v must lie in [1, n-1], got v={v} with n={n}")
+    front = n ** (1 + v) * factorial(n - 1 - v) / factorial(n)
+    acc = 0.0
+    for y in freq.counts.values():
+        ph = y / n
+        prod = ph
+        for j in range(v):
+            prod *= 1.0 - ph - j / n
+        acc += prod
+    return front * acc
+
 
 FINITE_GRID = [
     [0.5, 0.5],
@@ -97,6 +115,20 @@ class TestSampling:
         f = sample(d, 10 ** 4, seed=4)
         assert 2 not in f.counts
         assert set(f.counts) == {1, 3}
+
+    def test_zero_run_inside_a_finite_vector(self):
+        # a whole CDF block of zeros adds no mass, yet the vector goes on
+        d = finite([0.5] + [0.0] * 200 + [0.5])
+        f = sample(d, 10 ** 3, seed=5)
+        assert set(f.counts) == {1, 202}
+
+    def test_grown_cdf_is_one_cumsum(self):
+        d = make_distribution(parse_spec("power:lambda=2"))
+        cdf = estimate._grow_cdf(d, 1.0 - 1e-4)
+        with np.errstate(under="ignore"):
+            ref = np.cumsum(np.exp(d.log_prob_block(1, len(cdf) + 1)))
+        assert len(cdf) > 4096  # seven blocks
+        assert np.array_equal(cdf, ref)
 
     def test_draw_beyond_prefix_raises(self):
         # a two-pair prefix only covers 93.75% of the mass, so a large

@@ -1,0 +1,49 @@
+"""Module boundaries: no library module touches another object's private
+attributes or imports a private name from a sibling module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "alphatail"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            owner = node.value
+            if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom):
+            sibling = node.level > 0 or (node.module or "").startswith("alphatail")
+            for alias in node.names:
+                if sibling and is_private(alias.name):
+                    found.append(f"line {node.lineno}: import of {alias.name}")
+    return found
+
+
+def test_modules_found():
+    assert {"zoo.py", "tail_index.py", "estimate.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_access_across_objects(path):
+    assert violations(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source, n_found", [
+    ("dist._finite_probs", 1),
+    ("self._levels; cls._x; dist.__class__", 0),
+    ("from .zoo import _log_weight, LN2", 1),
+    ("from alphatail.zoo import _tail_bracket", 1),
+    ("from numpy import _private_thing", 0),
+])
+def test_checker_itself(source, n_found):
+    assert len(violations(ast.parse(source))) == n_found

@@ -361,3 +361,10 @@ class TestHugeN:
     def test_closed_form_rejects_huge_n(self, geom2):
         with pytest.raises(InvalidParams):
             tn(geom2, 2 ** 100)
+
+    def test_finite_vector_at_huge_n(self, uniform2):
+        # a finite vector is a level table with nothing beyond it
+        for f in (tn, zeta1):
+            iv = f(uniform2, 2 ** 60)
+            assert iv.value == 0.0
+            assert iv.trunc_error == 0.0

@@ -55,6 +55,29 @@ def test_finite_distribution_basics():
     assert d.prob(1) == pytest.approx(0.5, rel=1e-15)
 
 
+def test_finite_vector_is_a_complete_level_table():
+    d = make_distribution(parse_spec("finite:p=0.5;0;0.5"))
+    assert d.support_size() == 2
+    assert d.prefix_length == 3
+    assert d.beyond_prefix_log2_mass == -math.inf
+    assert d.levels() == [(-1.0, 1), (-math.inf, 1), (-1.0, 1)]
+    assert d.prob(2) == 0.0 and d.prob(4) == 0.0
+    assert d.log_prob_block(2, 6).tolist() == [-math.inf, d.log_prob(3), -math.inf, -math.inf]
+    assert d.tail_mass_bound(2) >= 0.5
+    for K in (3, 4, 100):
+        assert d.tail_mass_bound(K) == 0.0
+
+
+def test_past_a_constructed_prefix_is_unknown(pairavg2):
+    end = pairavg2.prefix_length
+    assert pairavg2.prob(end) > 0.0
+    with pytest.raises(DepthExceeded):
+        pairavg2.prob(end + 1)
+    with pytest.raises(DepthExceeded):
+        pairavg2.log_prob_block(end - 1, end + 2)
+    assert pairavg2.tail_mass_bound(end) > 0.0
+
+
 def test_prob_examples():
     g = make_distribution(parse_spec("geometric:a=2"))
     assert g.prob(3) == pytest.approx(0.125, rel=1e-14)
@@ -195,30 +218,31 @@ class TestDiffusion:
             assert diffusion14.log_prob(k) / math.log(2) == pytest.approx(-17, abs=1e-12)
 
     def test_non_increasing(self, diffusion14):
-        exps = [e for e, c in diffusion14.int_levels for _ in range(min(c, 1))]
-        assert all(a >= b for a, b in zip(exps, exps[1:]))
+        l2, _ = diffusion14.level_arrays()
+        assert np.all(np.diff(l2) <= 0)
 
     def test_run_lengths(self, diffusion14):
         # runs are exactly the levels with multiplicity > 1, of size d_i + 1
-        runs = [(e, c) for e, c in diffusion14.int_levels if c > 1]
+        runs = [(e, c) for e, c in zip(*diffusion14.level_arrays()) if c > 1]
         assert len(runs) == 14
         for (e, c), run in zip(runs, diffusion14.runs):
             assert c == run.d + 1
             assert -e == run.run_exponent
 
     def test_reciprocals_are_integers(self, diffusion14):
-        # exact integer arithmetic on the stored exponents
-        for e, c in diffusion14.int_levels:
-            assert isinstance(e, int) and e < 0
+        # the stored exponents are exact integers in float64
+        l2, counts = diffusion14.level_arrays()
+        assert np.all(l2 == np.floor(l2)) and np.all(l2 < 0)
+        for e, c in zip(l2.astype(np.int64).tolist(), counts.astype(np.int64).tolist()):
             reciprocal = 1 << (-e)
             assert reciprocal * c > 0
 
     def test_gap_between_runs(self, diffusion14):
         # strictly decreasing stretch between consecutive runs exceeds d_i + d_{i+1}
-        flat_counts = diffusion14.int_levels
-        run_pos = [i for i, (_, c) in enumerate(flat_counts) if c > 1]
+        counts = diffusion14.level_arrays()[1].tolist()
+        run_pos = [i for i, c in enumerate(counts) if c > 1]
         for a, b, run in zip(run_pos, run_pos[1:], diffusion14.runs):
-            singles = sum(c for _, c in flat_counts[a + 1:b])
+            singles = sum(counts[a + 1:b])
             assert singles > run.d + 2 * run.d
 
     def test_stage_cap(self):
