@@ -10,23 +10,29 @@ sums with ``math.fsum``; a level table (a finite vector or a constructed
 prefix) is summed with one ``math.fsum``, so its value does not depend on
 the order of its levels and a finite vector's ``trunc_error`` is exactly 0.
 
+One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
+``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
+``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
+
 Truncation bounds are family-aware.  Power tails ``p_k = c k^-lam`` are
-closed analytically: the summand ``f(x) = p(1-p)^n`` has the tail integral
-``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function, and
-once ``f`` is convex on ``[K+1/2, inf)`` the omitted sum lies between the
-trapezoid and midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and
-``int_{K+1/2}^inf f``.  The lower end is added to ``value`` and the width is
-the ``trunc_error``.  Other infinite tails use a dyadic-block upper bound
-built from the family's tail-mass certificate, since ``p(1-p)^n <= p e^{-np}``.
+closed analytically: the summand ``f(x) = p w(p)`` has the tail integral
+``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function, for
+``(1-p)^n`` and ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an
+incomplete gamma function, for ``e^{-np}``.  Once ``f`` is convex on
+``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
+sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
+lower end is added to ``value`` and the width is the ``trunc_error``.  Other
+infinite tails use a dyadic-block upper bound built from the family's
+tail-mass certificate, valid for both kernels since ``p(1-p)^n <= p e^{-np}``.
 ``eps`` is a target on the t_n scale; when a slowly decaying tail (log-power)
 cannot certify it within ``max_terms`` summands, the evaluation stops at the
-cap, adds the sound lower term ``(1-p_{K+1})^n`` times the certified lower
-tail mass to ``value`` and reports the honest, larger ``trunc_error`` instead
-of guessing.  Float rounding and the normalizer's halfwidth lie outside
+cap, adds the sound lower term ``w(p_{K+1})`` times the certified lower tail
+mass to ``value`` and reports the honest, larger ``trunc_error`` instead of
+guessing.  Float rounding and the normalizer's halfwidth lie outside
 ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
-subsequences) is supported for level tables: terms are
+subsequences) is supported for ``(1-p)^n`` over level tables: terms are
 assembled from ``ln n`` and exact log2 probabilities, so neither n nor p is
 ever materialized as a float.
 """
@@ -35,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -98,7 +105,35 @@ class EmGap(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Certified tail bounds for the series sum_{k>K} p_k (1-p_k)^n
+# The two kernels
+# ---------------------------------------------------------------------------
+
+class _Kernel(Enum):
+    """The weight w(p) of the series sum_k p_k w(p_k)."""
+
+    BINOMIAL = "(1-p)^n"    # Turing's zeta_n
+    POISSON = "e^{-np}"     # its Poissonized twin
+
+    def block(self, p: np.ndarray, n: float) -> np.ndarray:
+        """w on an array; (1-p)^n by exp(n log1p(-p)), with a direct-power
+        fallback for p > 0.99."""
+        if self is _Kernel.POISSON:
+            return np.exp(-n * p)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.exp(n * np.log1p(-p))
+        big = p > 0.99
+        if np.any(big):
+            out[big] = np.power(1.0 - p[big], n)
+        return out
+
+    def at(self, p: float, n: float) -> float:
+        if self is _Kernel.BINOMIAL:
+            return math.exp(n * math.log1p(-p))
+        return math.exp(-n * p)
+
+
+# ---------------------------------------------------------------------------
+# Certified tail bounds for the series sum_{k>K} p_k w(p_k)
 # ---------------------------------------------------------------------------
 
 def _dyadic_series_tail(dist: Distribution, K: int, n: float, blocks: int = 60) -> float:
@@ -119,76 +154,68 @@ def _dyadic_series_tail(dist: Distribution, K: int, n: float, blocks: int = 60) 
 
 
 def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
-    """Certified zeta-scale bound on everything omitted beyond index K,
-    from p(1-p)^n <= p e^{-np}."""
+    """Certified zeta-scale bound on everything omitted beyond index K, for
+    either kernel, from p(1-p)^n <= p e^{-np}."""
     return min(dist.tail_mass_bound(K), _dyadic_series_tail(dist, K, n))
 
 
-def _power_convex_from(c: float, lam: float, n: float) -> float:
-    """x_c beyond which f(x) = p(1-p)^n, p = c x^-lam, is convex.
+def _power_convex_from(c: float, lam: float, n: float, kernel: _Kernel) -> float:
+    """x_c beyond which f(x) = p w(p), p = c x^-lam, is convex.
 
-    The sign of f'' is that of the quadratic A p^2 - B p + (lam+1) in p, so f
-    is convex for p below its smaller root; the margin covers rounding.
+    The sign of f'' is that of a quadratic A p^2 - B p + (lam+1) in p, so f
+    is convex for p below its smaller root; the margin covers rounding.  For
+    e^{-np} the root is u_-/n with u_- = 2(lam+1)/((3lam+1) + sqrt(5lam^2+2lam+1)).
     """
-    A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
-    B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
+    if kernel is _Kernel.BINOMIAL:
+        A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
+        B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
+    else:
+        A = lam * n * n
+        B = (3.0 * lam + 1.0) * n
     C = lam + 1.0
     p_minus = 2.0 * C / (B + math.sqrt(B * B - 4.0 * A * C))
     return (c / p_minus) ** (1.0 / lam) * (1.0 + 1e-9)
 
 
-def _power_tail_integral(c: float, lam: float, n: float, y: float) -> float:
-    """integral_y^inf p(1-p)^n dx for p = c x^-lam, where p(y) < 1.
+def _power_tail_integral(c: float, lam: float, n: float, y: float, kernel: _Kernel) -> float:
+    """integral_y^inf p w(p) dx for p = c x^-lam, where p(y) < 1.
 
-    Substituting q = p(x) gives (c^{1/lam}/lam) B_{p(y)}(a, n+1) with
-    a = 1 - 1/lam, an incomplete beta function.  Its hypergeometric form
-    B_x(a,b) = x^a (1-x)^b / a * F(a+b, 1; a+1; x) has positive terms whose
-    ratios fall towards x, so the sum is accurate to a few ulps; the prefactor
-    simplifies to c y^{1-lam}/(lam-1) (1-x)^{n+1}.
+    Substituting q = p(x) gives (c^{1/lam}/lam) B_{p(y)}(a, n+1) for (1-p)^n
+    and (c^{1/lam}/lam) n^{1/lam-1} gamma(a, n p(y)) for e^{-np}, with
+    a = 1 - 1/lam.  Their series B_x(a,b) = x^a (1-x)^b / a * F(a+b, 1; a+1; x)
+    and gamma(a,u) = u^a e^{-u} / a * M(1; a+1; u) have positive terms whose
+    ratios fall towards x and 0, so the sums are accurate to a few ulps; the
+    prefactor simplifies to c y^{1-lam}/(lam-1) times (1-x)^{n+1} or e^{-nx}.
+    Past the convex range (n x > 1, em_gap's integral from y = 1) the gamma
+    series would need some n x terms, and Gamma(a) P(a, n x) is used instead.
     """
     x = c * y ** -lam
     a = 1.0 - 1.0 / lam
+    binomial = kernel is _Kernel.BINOMIAL
+    if not binomial and n * x > 1.0:
+        return c ** (1.0 / lam) / lam * n ** (-a) * math.gamma(a) * float(special.gammainc(a, n * x))
     term = total = 1.0
     j = 0.0
     while term > 1e-17 * total:
-        term *= (a + n + 1.0 + j) / (a + 1.0 + j) * x
+        term *= (a + n + 1.0 + j) / (a + 1.0 + j) * x if binomial else n * x / (a + 1.0 + j)
         total += term
         j += 1.0
-    return c * y ** (1.0 - lam) / (lam - 1.0) * math.exp((n + 1.0) * math.log1p(-x)) * total
+    damp = math.exp((n + 1.0) * math.log1p(-x)) if binomial else math.exp(-n * x)
+    return c * y ** (1.0 - lam) / (lam - 1.0) * damp * total
 
 
-def _power_tail_bracket(c: float, lam: float, n: float, K: int) -> tuple[float, float]:
-    """[lo, hi] on sum_{k>K} p_k (1-p_k)^n once f is convex on [K+1/2, inf):
+def _power_tail_bracket(c: float, lam: float, n: float, K: int, kernel: _Kernel) -> tuple[float, float]:
+    """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
     trapezoid lower and midpoint upper sandwich of the integral."""
     p1 = c * (K + 1.0) ** -lam
-    f1 = p1 * math.exp(n * math.log1p(-p1))
-    return (_power_tail_integral(c, lam, n, K + 1.0) + 0.5 * f1,
-            _power_tail_integral(c, lam, n, K + 0.5))
+    f1 = p1 * kernel.at(p1, n)
+    return (_power_tail_integral(c, lam, n, K + 1.0, kernel) + 0.5 * f1,
+            _power_tail_integral(c, lam, n, K + 0.5, kernel))
 
 
 # ---------------------------------------------------------------------------
 # Core evaluators
 # ---------------------------------------------------------------------------
-
-def _pow_one_minus(p: np.ndarray, n: float) -> np.ndarray:
-    """(1-p)^n, by exp(n log1p(-p)) with a direct-power fallback for p > 0.99."""
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.exp(n * np.log1p(-p))
-    big = p > 0.99
-    if np.any(big):
-        out[big] = np.power(1.0 - p[big], n)
-    return out
-
-
-def _level_sums(dist: Distribution, n: float, want_exp: bool) -> tuple[float, Optional[float]]:
-    """(sum, sum of p e^{-np}) over the level table, each one ``fsum``."""
-    l2, counts = dist.level_arrays()
-    with np.errstate(under="ignore"):
-        p = np.exp(LN2 * l2)
-        s1 = math.fsum((counts * p * _pow_one_minus(p, n)).tolist())
-        s2 = math.fsum((counts * p * np.exp(-n * p)).tolist()) if want_exp else None
-    return s1, s2
-
 
 def _beyond_floor(dist: Distribution, trunc: float) -> float:
     """Never certify zero beyond a table that leaves mass, even past
@@ -198,33 +225,28 @@ def _beyond_floor(dist: Distribution, trunc: float) -> float:
     return max(trunc, 5e-324)
 
 
-def _eval_levels(dist: Distribution, n: float) -> tuple[float, float, int]:
-    value, _ = _level_sums(dist, n, False)
-    trunc = _beyond_floor(dist, 2.0 ** dist.beyond_prefix_log2_mass)
-    return value, trunc, dist.prefix_length
-
-
 def _eval_closed_form(
     dist: Distribution,
     n: float,
     eps_t: float,
     max_terms: int,
-    want_exp: bool,
-) -> tuple[float, Optional[float], float, float, int]:
-    """(sum, sum of p e^{-np}, tail lower bound, trunc, terms) over k <= terms.
+    kernel: _Kernel,
+) -> tuple[float, float, int]:
+    """(value, trunc, terms) for sum_k p_k w(p_k) over a closed form.
 
     Blocks are summed until the omitted tail's bracket is narrower than
-    eps_t / n.  Power tails close with the incomplete-beta bracket once the
-    summand is convex; other tails with the dyadic upper bound alone.  A tail that
-    reaches ``max_terms`` unmet takes the lower bound (1-p_{K+1})^n times
+    eps_t / n, and the bracket's lower end joins ``value``.  Power tails
+    close with the kernel's incomplete-beta or incomplete-gamma bracket once
+    the summand is convex; other tails with the dyadic upper bound alone,
+    which bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail
+    that reaches ``max_terms`` unmet takes the lower bound w(p_{K+1}) times
     the certified lower tail mass, sound because p_k <= p_{K+1} beyond K.
     """
     sums: list[float] = []
-    exp_sums: list[float] = []
     power = dist.kind is FamilyKind.POWER
     if power:
         c, lam = dist.norm_constant, dist.spec.params["lambda"]
-        x_c = _power_convex_from(c, lam, n)
+        x_c = _power_convex_from(c, lam, n, kernel)
     k = 1
     chunk = 1 << 10
     tail_lo, tail_hi = 0.0, math.inf
@@ -233,15 +255,13 @@ def _eval_closed_form(
         lp = dist.log_prob_block(k, hi)
         with np.errstate(under="ignore"):
             p = np.exp(lp)
-            sums.append(float((p * _pow_one_minus(p, n)).sum()))
-            if want_exp:
-                exp_sums.append(float((p * np.exp(-n * p)).sum()))
+            sums.append(float((p * kernel.block(p, n)).sum()))
         k = hi
         K = k - 1
         closed = power and K + 0.5 >= x_c
         capped = k > max_terms
         if closed:
-            tail_lo, tail_hi = _power_tail_bracket(c, lam, n, K)
+            tail_lo, tail_hi = _power_tail_bracket(c, lam, n, K, kernel)
         elif K >= dist.k0_head and (capped or not power):
             tail_hi = _series_tail_bound(dist, K, n)
         if n * (tail_hi - tail_lo) <= eps_t:
@@ -249,11 +269,10 @@ def _eval_closed_form(
         if capped:
             if not closed and K >= dist.k0_head:
                 p1 = math.exp(dist.log_prob(K + 1))
-                tail_lo = min(dist.tail_mass_lower(K) * math.exp(n * math.log1p(-p1)), tail_hi)
+                tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
             break
         chunk = min(chunk * 2, 1 << 21)
-    exp_value = math.fsum(exp_sums) if want_exp else None
-    return math.fsum(sums), exp_value, tail_lo, max(tail_hi - tail_lo, 0.0), K
+    return math.fsum(sums) + tail_lo, max(tail_hi - tail_lo, 0.0), K
 
 
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
@@ -283,6 +302,31 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     return value, _beyond_floor(dist, trunc), dist.prefix_length
 
 
+def _series(
+    dist: Distribution,
+    n: int,
+    eps_t: float,
+    max_terms: int,
+    kernel: _Kernel,
+) -> tuple[float, float, int]:
+    """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale: the one
+    dispatch over huge n (past 2**53, for (1-p)^n), level tables and closed
+    forms."""
+    if n > _FLOAT_N_LIMIT and kernel is _Kernel.BINOMIAL:
+        t, trunc_t, terms = _eval_t_large(dist, n)
+        ln_n = math.log(n)
+        return (math.exp(math.log(t) - ln_n) if t > 0.0 else 0.0,
+                math.exp(math.log(trunc_t) - ln_n) if trunc_t > 0.0 else 0.0, terms)
+    nf = float(n)
+    if dist.prefix_length is None:
+        return _eval_closed_form(dist, nf, eps_t, max_terms, kernel)
+    l2, counts = dist.level_arrays()
+    with np.errstate(under="ignore"):
+        p = np.exp(LN2 * l2)
+        value = math.fsum((counts * p * kernel.block(p, nf)).tolist())
+    return value, _beyond_floor(dist, 2.0 ** dist.beyond_prefix_log2_mass), dist.prefix_length
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -303,18 +347,7 @@ def zeta1(
         raise InvalidParams("n must be >= 1")
     if eps <= 0.0:
         raise InvalidParams("eps must be positive")
-    if n > _FLOAT_N_LIMIT:
-        t, trunc_t, terms = _eval_t_large(dist, n)
-        ln_n = math.log(n)
-        value = math.exp(math.log(t) - ln_n) if t > 0.0 else 0.0
-        return IndexValue(n, value, math.exp(math.log(trunc_t) - ln_n) if trunc_t > 0 else 0.0, terms)
-    nf = float(n)
-    if dist.prefix_length is not None:
-        value, trunc, terms = _eval_levels(dist, nf)
-    else:
-        head, _, tail_lo, trunc, terms = _eval_closed_form(dist, nf, eps, max_terms, False)
-        value = head + tail_lo
-    return IndexValue(n, value, trunc, terms)
+    return IndexValue(n, *_series(dist, n, eps, max_terms, _Kernel.BINOMIAL))
 
 
 def tn(
@@ -352,20 +385,16 @@ def scaled_pair(
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[float, float]:
-    """(n^{1-delta} sum p(1-p)^n, n^{1-delta} sum p e^{-np}) over one shared
-    index range, so the two members see identical truncation."""
+    """(n^{1-delta} sum p(1-p)^n, n^{1-delta} sum p e^{-np}), each member
+    certified to eps as zeta1 is: its sum's lower end, within eps/n."""
     if not 0.0 < delta < 1.0:
         raise InvalidParams("delta must lie in (0,1)")
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if n > _FLOAT_N_LIMIT:
         raise InvalidParams("scaled_pair requires n within the float-exact range")
-    nf = float(n)
-    factor = nf ** (1.0 - delta)
-    if dist.prefix_length is not None:
-        s1, s2 = _level_sums(dist, nf, True)
-    else:
-        s1, s2, _, _, _ = _eval_closed_form(dist, nf, eps, max_terms, True)
+    factor = float(n) ** (1.0 - delta)
+    s1, s2 = (_series(dist, n, eps, max_terms, kernel)[0] for kernel in _Kernel)
     return factor * s1, factor * s2
 
 
@@ -452,9 +481,11 @@ def geometric_band_ceiling() -> float:
 def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     """Lattice sum vs integral for f_n(x) = n^{1-1/lam} c x^{-lam} e^{-n c x^{-lam}}.
 
-    Returns the sum over k >= 1, the closed-form integral over [1, inf)
-    (an incomplete-gamma evaluation), and the certified unimodal gap bound
-    f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.
+    Returns the sum over k >= 1 (n^{1-1/lam} times the e^{-np} series, closed
+    and certified as in ``scaled_pair``, so it equals that pair's second
+    member at delta = 1/lam), the integral over [1, inf) (the same
+    incomplete-gamma tail integral, from y = 1), and the certified unimodal
+    gap bound f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.
     """
     if dist.kind is not FamilyKind.POWER:
         raise InvalidParams("the sum-integral gap is instantiated for power tails only")
@@ -463,38 +494,12 @@ def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     lam = dist.spec.params["lambda"]
     c = dist.norm_constant
     nf = float(n)
-    pref = nf ** (1.0 - 1.0 / lam) * c
-
-    def f(x: float) -> float:
-        return pref * x ** (-lam) * math.exp(-nf * c * x ** (-lam))
-
-    mode = (nf * c) ** (1.0 / lam)
+    scale = nf ** (1.0 - 1.0 / lam)
     f_mode = 1.0 / (math.e * nf ** (1.0 / lam))
-    bound = f(1.0) + 2.0 * f_mode
-
-    def tail_integral(a: float) -> float:
-        # integral_a^inf f_n(x) dx, via the substitution s = n c x^-lam
-        g = 1.0 - 1.0 / lam
-        s = nf * c * a ** (-lam)
-        return (c ** (1.0 / lam) / lam) * special.gammainc(g, s) * math.gamma(g)
-
-    sums: list[float] = []
-    k = 1
-    chunk = 1 << 12
-    while True:
-        hi = min(k + chunk, max_terms + 1)
-        ks = np.arange(k, hi, dtype=np.float64)
-        with np.errstate(under="ignore"):
-            sums.append(float((pref * ks ** -lam * np.exp(-nf * c * ks ** -lam)).sum()))
-        k = hi
-        if k > 2.0 * mode and f(float(k)) <= 1e-3 * bound:
-            break
-        if k > max_terms:
-            break
-        chunk = min(chunk * 2, 1 << 21)
-    # close the series with the decreasing-tail bracket [I(K+1), I(K)]
-    lattice = math.fsum(sums) + 0.5 * (tail_integral(float(k)) + tail_integral(float(k - 1)))
-    integral = tail_integral(1.0)
-    if abs(lattice - integral) > bound + f(float(k - 1)):
+    bound = scale * c * math.exp(-nf * c) + 2.0 * f_mode
+    value, trunc, _ = _series(dist, n, DEFAULT_EPS, max_terms, _Kernel.POISSON)
+    lattice = scale * value
+    integral = scale * _power_tail_integral(c, lam, nf, 1.0, _Kernel.POISSON)
+    if abs(lattice - integral) > bound + scale * trunc:
         raise AlphatailError("sum-integral gap exceeded its certified bound")
     return EmGap(lattice, integral, bound, f_mode)

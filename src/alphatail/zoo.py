@@ -223,31 +223,6 @@ def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
     raise InvalidParams(f"no tail bracket for {kind}")
 
 
-def _mass_tail_upper(kind: FamilyKind, p: dict, K: int) -> float:
-    """Documented upper bound on the unnormalized tail mass over k > K."""
-    if kind is FamilyKind.GEOMETRIC:
-        a = p["a"]
-        return a ** (-K) / (a - 1.0)
-    if kind is FamilyKind.POWER:
-        lam = p["lambda"]
-        return K ** (1.0 - lam) / (lam - 1.0)
-    if kind is FamilyKind.LOG_POWER:
-        lam, k0 = p["lambda"], p["k0"]
-        return math.log(K + k0 - 1) ** (1.0 - lam) / (lam - 1.0)
-    if kind is FamilyKind.GAUSSIAN_TYPE:
-        return _tail_bracket(kind, p, K)[1]
-    if kind is FamilyKind.TILTED_GEOMETRIC:
-        head = _head_length(kind, p)
-        if K >= head:
-            return _tail_bracket(kind, p, K)[1]
-        # walk the non-monotone head explicitly, then bound the monotone rest
-        extra = math.fsum(
-            math.exp(_log_weight(kind, p, k)) for k in range(K + 1, head + 1)
-        )
-        return extra + _tail_bracket(kind, p, head)[1]
-    raise InvalidParams(f"no tail mass bound for {kind}")
-
-
 def _normalize_closed_form(kind: FamilyKind, p: dict) -> tuple[float, float]:
     """Sum weights until the tail bracket closes; return (total, halfwidth)."""
     head = _head_length(kind, p)
@@ -448,12 +423,16 @@ class Distribution:
         """Certified U with sum_{k>K} p_k <= U."""
         if K < 1:
             raise InvalidParams("K must be >= 1")
-        if self.kind is FamilyKind.CONGREGATED:
-            # p_k <= q_k for every k >= 2, so the base tail dominates
-            return self._base.tail_mass_bound(K)
         if self._levels is not None:
             return self._table_tail(K)
-        bound = self.norm_constant * _mass_tail_upper(self.kind, self.spec.params, K)
+        kind, p, head = self.kind, self.spec.params, self.k0_head
+        if K >= head:
+            tail = _tail_bracket(kind, p, K)[1]
+        else:
+            # walk the non-monotone head explicitly, then bound the monotone rest
+            tail = math.fsum(math.exp(_log_weight(kind, p, k)) for k in range(K + 1, head + 1))
+            tail += _tail_bracket(kind, p, head)[1]
+        bound = self.norm_constant * tail
         # never certify zero for an infinite tail, even past float underflow
         return max(bound, _SMALLEST_SUBNORMAL)
 

@@ -124,14 +124,18 @@ class TestCertificates:
         assert tn(uniform10, 12345).trunc_error == 0.0
 
 
-# t_n from bench/refs.json (30-digit mpmath sums, regenerated by bench/refs.py)
+# t_n as 30-digit mpmath sums: the lambda = 2 rows from bench/refs.json; the
+# lambda = 1.5 rows computed apart, as the head sum over k <= K plus the exact
+# tail (c^{1/lam}/lam) B_{p(K)}(1-1/lam, n+1) - f(K)/2 less four
+# Euler-Maclaurin terms, c = 1/zeta(1.5), with two cut points K per row
+# (2e3/4e3, 1e4/2e4, 1.5e5/2.5e5) agreeing in every printed digit
 POWER_REFS = [
     ("power:lambda=2", 1000, "21.84277876406327379400344"),
     ("power:lambda=2", 223872, "326.941352786883545615595"),
     ("power:lambda=2", 10 ** 8, "6909.882963514648454878989"),
-    ("power:lambda=1.5", 1000, "94.13503517193707341494275"),
-    ("power:lambda=1.5", 223872, "3471.473550039934612859144"),
-    ("power:lambda=1.5", 10 ** 8, "202852.8457565743507155243"),
+    ("power:lambda=1.5", 1000, "94.13503517200011634334772"),
+    ("power:lambda=1.5", 223872, "3471.473550054048159327022"),
+    ("power:lambda=1.5", 10 ** 8, "202852.8457574109491965245"),
 ]
 LOGPOWER_REFS = [
     (1000, "123.3084328254529784883514"),
@@ -140,10 +144,19 @@ LOGPOWER_REFS = [
 ]
 
 
+BINOMIAL, POISSON = tail_index._Kernel.BINOMIAL, tail_index._Kernel.POISSON
+
+
+def _kernel_cases(ns, lams):
+    """(n, lam, kernel) for both kernels, with ids n-lam for (1-p)^n and
+    n-lam-poisson for e^{-np}."""
+    return [pytest.param(n, lam, kernel, id=f"{n}-{lam}" + ("" if kernel is BINOMIAL else "-poisson"))
+            for kernel in (BINOMIAL, POISSON) for n in ns for lam in lams]
+
+
 def _brackets(iv, ref: float) -> bool:
     # float rounding of the sums and the normalizer's halfwidth lie outside
-    # trunc_error: allow (terms_used + 1e4) ulps of the upper end, which also
-    # covers the ~5e-12 relative error of the lambda = 1.5 references
+    # trunc_error: allow (terms_used + 1e4) ulps of the upper end
     slack = (iv.terms_used + 1e4) * 2.0 ** -52 * iv.upper
     return iv.value - slack <= ref <= iv.upper + slack
 
@@ -164,31 +177,36 @@ class TestPowerClosure:
         # the mass bound alone leaves a remainder wider than the value
         assert iv.trunc_error < 0.01 * iv.value
 
-    @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 7.0])
-    @pytest.mark.parametrize("n", [1, 1000, 10 ** 8])
-    def test_convexity_starts_at_x_c(self, lam, n):
+    @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 10 ** 8], [1.1, 1.5, 2.0, 7.0]))
+    def test_convexity_starts_at_x_c(self, n, lam, kernel):
         mp = pytest.importorskip("mpmath")
         c = 0.6
-        x_c = tail_index._power_convex_from(c, lam, float(n))
+        x_c = tail_index._power_convex_from(c, lam, float(n), kernel)
         with mp.workdps(40):
             m_c, m_lam = mp.mpf(c), mp.mpf(lam)
-            f = lambda x: m_c * x ** -m_lam * (1 - m_c * x ** -m_lam) ** n  # noqa: E731
+            if kernel is BINOMIAL:
+                f = lambda x: m_c * x ** -m_lam * (1 - m_c * x ** -m_lam) ** n  # noqa: E731
+            else:
+                f = lambda x: m_c * x ** -m_lam * mp.exp(-n * m_c * x ** -m_lam)  # noqa: E731
             assert mp.diff(f, mp.mpf(x_c) * (1 - mp.mpf(1e-6)), 2) < 0
             for scale in (1 + 1e-6, 2, 100):
                 assert mp.diff(f, mp.mpf(x_c) * scale, 2) > 0
 
-    @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0, 7.0])
-    @pytest.mark.parametrize("n", [1, 10, 1000, 223872, 10 ** 8, 2 ** 53])
-    def test_tail_integral_matches_mpmath(self, lam, n):
+    @pytest.mark.parametrize("n, lam, kernel", _kernel_cases(
+        [1, 10, 1000, 223872, 10 ** 8, 2 ** 53], [1.1, 1.5, 2.0, 3.0, 7.0]))
+    def test_tail_integral_matches_mpmath(self, n, lam, kernel):
         mp = pytest.importorskip("mpmath")
         c = 0.6
-        x_c = tail_index._power_convex_from(c, lam, float(n))
+        x_c = tail_index._power_convex_from(c, lam, float(n), kernel)
         for y in (x_c, 10 * x_c, 1000 * x_c):
-            got = tail_index._power_tail_integral(c, lam, float(n), y)
+            got = tail_index._power_tail_integral(c, lam, float(n), y, kernel)
             with mp.workdps(40):
                 m_c, m_lam, m_y = mp.mpf(c), mp.mpf(lam), mp.mpf(y)
-                want = (m_c ** (1 / m_lam) / m_lam
-                        * mp.betainc(1 - 1 / m_lam, n + 1, 0, m_c * m_y ** -m_lam))
+                a, x = 1 - 1 / m_lam, m_c * m_y ** -m_lam
+                if kernel is BINOMIAL:
+                    want = m_c ** (1 / m_lam) / m_lam * mp.betainc(a, n + 1, 0, x)
+                else:
+                    want = m_c ** (1 / m_lam) / m_lam * mp.mpf(n) ** -a * mp.gammainc(a, 0, n * x)
             assert abs(got - float(want)) <= 2e-15 * float(want)
 
 
@@ -219,6 +237,32 @@ class TestElementaryInequalities:
 
 
 class TestScaledPair:
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 6, 10 ** 8])
+    def test_members_are_certified_series(self, power2, n):
+        # each member is its whole series, not a shared truncated prefix:
+        # n^{1/2} times the first is t_n, and the second is em_gap's sum
+        a, b = scaled_pair(power2, n, 0.5)
+        assert _brackets(tn(power2, n), a * math.sqrt(n))
+        assert em_gap(power2, n).lattice_sum == b
+
+    def test_poisson_member_matches_mpmath(self, power2):
+        mp = pytest.importorskip("mpmath")
+        n, K = 10 ** 4, 2000
+        with mp.workdps(30):
+            c, lam = 6 / mp.pi ** 2, mp.mpf(2)
+            f = lambda x: c * x ** -lam * mp.exp(-n * c * x ** -lam)  # noqa: E731
+            head = mp.fsum(f(mp.mpf(k)) for k in range(1, K + 1))
+            # exact tail integral over [K, inf), less f(K)/2 and four
+            # Euler-Maclaurin terms: the sum over k > K
+            tail = c ** (1 / lam) / lam * mp.mpf(n) ** (1 / lam - 1) * mp.gammainc(
+                1 - 1 / lam, 0, n * c * mp.mpf(K) ** -lam)
+            tail -= f(mp.mpf(K)) / 2 + mp.fsum(
+                mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, K, 2 * j - 1)
+                for j in range(1, 5))
+            want = float(mp.sqrt(n) * (head + tail))
+        # eps = 1e-9 on the t_n scale leaves 1e-13 on the sum, 1.5e-11 of b
+        assert scaled_pair(power2, n, 0.5)[1] == pytest.approx(want, rel=1e-10)
+
     def test_power_agreement_at_1e6(self, power2):
         a, b = scaled_pair(power2, 10 ** 6, 0.5)
         assert abs(a - b) / b < 0.01
