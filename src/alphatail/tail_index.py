@@ -9,6 +9,9 @@ summed in index-ordered blocks, each with NumPy's pairwise sum, and the block
 sums with ``math.fsum``; a level table (a finite vector or a constructed
 prefix) is summed with one ``math.fsum``, so its value does not depend on
 the order of its levels and a finite vector's ``trunc_error`` is exactly 0.
+That sum runs over the levels whose term can be nonzero: those with p > 0
+in float for n up to 2**53, those with -746 < ln(n p) < ln 800 beyond.
+Every other term is exactly 0, so the value is the full table's bit for bit.
 
 One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
@@ -56,6 +59,7 @@ DEFAULT_MAX_TERMS = 1 << 24
 _FLOAT_N_LIMIT = 1 << 53
 _EXP_OVERFLOW = 709.0
 _EXP_UNDERFLOW = -745.0
+_LN_800 = math.log(800.0)
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,6 @@ def _power_tail_bracket(c: float, lam: float, n: float, K: int, kernel: _Kernel)
 # Core evaluators
 # ---------------------------------------------------------------------------
 
-def _beyond_floor(dist: Distribution, trunc: float) -> float:
-    """Never certify zero beyond a table that leaves mass, even past
-    underflow; a table that holds every letter leaves exactly nothing."""
-    if dist.beyond_prefix_log2_mass == -math.inf:
-        return trunc
-    return max(trunc, 5e-324)
-
-
 def _eval_closed_form(
     dist: Distribution,
     n: float,
@@ -288,18 +284,23 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
         )
     ln_n = math.log(n)
     l2, counts = dist.level_arrays()
-    ln_p = LN2 * l2
-    with np.errstate(under="ignore", over="ignore"):
+    x = ln_n + LN2 * l2
+    # ln(n p) <= -746 or n p >= 800 leaves g <= -745, a term of exactly 0
+    window = (x > -746.0) & (x < _LN_800)
+    x, counts = x[window], counts[window]
+    ln_p = LN2 * l2[window]
+    with np.errstate(under="ignore"):
         pv = np.exp(np.maximum(ln_p, -690.0))
         ln_neg_l1p = np.where(ln_p > -690.0, np.log(-np.log1p(-pv)), ln_p)
-        z = ln_n + ln_neg_l1p
-        n_log1p = np.where(z > _EXP_OVERFLOW, -np.inf, -np.exp(np.minimum(z, _EXP_OVERFLOW)))
-        g = ln_n + ln_p + n_log1p
+        # -n log1p(-p) = n p (1 + O(p)) stays near or below 800 in the window
+        g = x - np.exp(ln_n + ln_neg_l1p)
         t_terms = counts * np.exp(np.maximum(g, -746.0)) * (g > _EXP_UNDERFLOW)
     value = math.fsum(t_terms.tolist())
     z_tr = ln_n + LN2 * dist.beyond_prefix_log2_mass
-    trunc = math.exp(z_tr) if z_tr < _EXP_OVERFLOW else math.inf
-    return value, _beyond_floor(dist, trunc), dist.prefix_length
+    # never certify zero beyond a table that leaves mass, even past underflow
+    floor = 5e-324 if z_tr > -math.inf else 0.0
+    trunc = max(math.exp(z_tr), floor) if z_tr < _EXP_OVERFLOW else math.inf
+    return value, trunc, dist.prefix_length
 
 
 def _series(
@@ -320,11 +321,10 @@ def _series(
     nf = float(n)
     if dist.prefix_length is None:
         return _eval_closed_form(dist, nf, eps_t, max_terms, kernel)
-    l2, counts = dist.level_arrays()
+    p, counts = dist.positive_levels()
     with np.errstate(under="ignore"):
-        p = np.exp(LN2 * l2)
         value = math.fsum((counts * p * kernel.block(p, nf)).tolist())
-    return value, _beyond_floor(dist, 2.0 ** dist.beyond_prefix_log2_mass), dist.prefix_length
+    return value, dist.tail_mass_bound(dist.prefix_length), dist.prefix_length
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ ratio brackets for super-geometric decay, convex integral brackets for
 power-type decay); summation stops once the bracket half-width falls below
 1e-14.
 
-Level tables store log2 probabilities (exact integer exponents for the
-diffusion sequence) so that double-exponentially small values never
-underflow before they are needed.  All distributions are immutable after
+A level table is stored once, as read-only arrays of log2 probabilities
+(exact integer exponents for the diffusion sequence, so double-exponentially
+small values never underflow before they are needed) and multiplicities;
+``levels()`` is a list view of them.  All distributions are immutable after
 construction; every prefix is materialized eagerly, so instances are safe
 to share across threads.
 """
@@ -291,7 +292,7 @@ class Distribution:
         k0_head: int,
         mass_halfwidth: float,
         *,
-        levels: Optional[list[tuple[float, int]]] = None,
+        levels: Optional[tuple[np.ndarray, np.ndarray]] = None,
         base: Optional["Distribution"] = None,
         runs: Optional[list[DiffusionRun]] = None,
         beyond_log2_mass: Optional[float] = None,
@@ -300,20 +301,23 @@ class Distribution:
         self.norm_constant = norm_constant
         self.k0_head = k0_head
         self.mass_halfwidth = mass_halfwidth
-        self._levels = levels
         self._base = base
         self.runs = runs or []
         self._beyond_log2_mass = beyond_log2_mass
+        self._level_log2 = None
         if levels is not None:
-            counts = np.array([c for _, c in levels], dtype=np.int64)
-            log2_p = np.array([e for e, _ in levels], dtype=np.float64)
+            log2_p = np.asarray(levels[0], dtype=np.float64)
+            counts = np.asarray(levels[1], dtype=np.int64)
             self._cum_counts = np.cumsum(counts)
             # one -inf level past the end: what an index beyond a table with
             # no mass beyond it reads (searchsorted lands there)
             self._level_log2 = np.append(log2_p, -np.inf)
             self._level_counts = counts.astype(np.float64)
-            self._level_log2.flags.writeable = False
-            self._level_counts.flags.writeable = False
+            with np.errstate(under="ignore"):
+                p = np.exp(LN2 * log2_p)
+            self._live_p, self._live_counts = p[p > 0.0], self._level_counts[p > 0.0]
+            for a in (self._level_log2, self._level_counts, self._live_p, self._live_counts):
+                a.flags.writeable = False
             # float suffix masses within the prefix (guarded upward later)
             masses = counts * np.exp2(log2_p)
             self._suffix_mass = np.concatenate(
@@ -337,14 +341,14 @@ class Distribution:
     def support_size(self) -> Optional[int]:
         """Number of letters with positive probability; None means countably
         infinite (a closed form, or a level table with mass beyond it)."""
-        if self._levels is None or self._beyond_log2_mass > -math.inf:
+        if self._level_log2 is None or self._beyond_log2_mass > -math.inf:
             return None
         return int(self._level_counts[self._level_log2[:-1] > -np.inf].sum())
 
     @property
     def prefix_length(self) -> Optional[int]:
         """Number of indices in the level table; None for closed forms."""
-        if self._levels is None:
+        if self._level_log2 is None:
             return None
         return int(self._cum_counts[-1])
 
@@ -360,18 +364,24 @@ class Distribution:
     def levels(self) -> list[tuple[float, int]]:
         """The level table's (log2 probability, multiplicity) pairs in index
         order: non-increasing for constructed families, spec order for a
-        finite vector."""
-        if self._levels is None:
-            raise InvalidParams(f"{self.kind.value} has no level representation")
-        return list(self._levels)
+        finite vector.  A list view of ``level_arrays()``."""
+        l2, counts = self.level_arrays()
+        return list(zip(l2.tolist(), counts.astype(np.int64).tolist()))
 
     def level_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (log2 probability, multiplicity) arrays of the levels,
         built once at construction; multiplicities are float64 for direct use
         as weights."""
-        if self._levels is None:
+        if self._level_log2 is None:
             raise InvalidParams(f"{self.kind.value} has no level representation")
         return self._level_log2[:-1], self._level_counts
+
+    def positive_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (probability, multiplicity) arrays of the levels whose
+        probability ``exp(LN2 * log2 p)`` is positive in float, in table
+        order; every other level adds exactly 0 to a float-range series."""
+        self.level_arrays()  # raises for closed forms
+        return self._live_p, self._live_counts
 
     @property
     def beyond_prefix_log2_mass(self) -> float:
@@ -402,7 +412,7 @@ class Distribution:
         """Natural log of p_k (-inf when p_k = 0)."""
         if k < 1:
             raise InvalidParams("index k must be >= 1")
-        if self._levels is not None:
+        if self._level_log2 is not None:
             self._check_depth(k)
             idx = int(np.searchsorted(self._cum_counts, k, side="left"))
             return LN2 * float(self._level_log2[idx])
@@ -410,7 +420,7 @@ class Distribution:
 
     def log_prob_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized log_prob over k in [start, stop)."""
-        if self._levels is not None:
+        if self._level_log2 is not None:
             self._check_depth(stop - 1)
             idx = np.searchsorted(self._cum_counts, np.arange(start, stop), side="left")
             return LN2 * self._level_log2[idx]
@@ -423,7 +433,7 @@ class Distribution:
         """Certified U with sum_{k>K} p_k <= U."""
         if K < 1:
             raise InvalidParams("K must be >= 1")
-        if self._levels is not None:
+        if self._level_log2 is not None:
             return self._table_tail(K)
         kind, p, head = self.kind, self.spec.params, self.k0_head
         if K >= head:
@@ -445,7 +455,7 @@ class Distribution:
 
     def _table_tail(self, K: int) -> float:
         n_prefix = int(self._cum_counts[-1])
-        beyond = 2.0 ** self._beyond_log2_mass if self._beyond_log2_mass > -1070 else 0.0
+        beyond = 2.0 ** self._beyond_log2_mass
         if K >= n_prefix:
             bound = beyond
         else:
@@ -475,7 +485,7 @@ def make_distribution(spec: FamilySpec) -> Distribution:
         with np.errstate(divide="ignore"):
             log2_p = np.log2(vec * norm)
         return Distribution(spec, norm, len(vec), abs(total - 1.0),
-                            levels=[(float(e), 1) for e in log2_p],
+                            levels=(log2_p, np.ones(len(vec), dtype=np.int64)),
                             beyond_log2_mass=-math.inf)
     if kind in _CLOSED_FORM:
         params = {k: (int(v) if k == "k0" else float(v)) for k, v in p.items()}
@@ -523,13 +533,12 @@ def construct_congregated(base: Distribution, depth: int) -> Distribution:
     p1 = 1.0 - group_mass - 0.5 * tail_hi
     if not 0.0 < p1 <= 1.0:
         raise InvalidBase("congregation left no admissible leading mass")
-    levels = [(math.log2(p1), 1)]
-    levels += [(lg, m) for m, lg in zip(range(2, depth + 1), group_log2)]
     halfwidth = 0.5 * tail_hi + base.mass_halfwidth + 4e-16
     spec = FamilySpec(FamilyKind.CONGREGATED, {"base": base.spec, "depth": depth})
     beyond_log2 = math.log2(max(tail_hi, _SMALLEST_SUBNORMAL))
-    return Distribution(spec, 1.0, 1, halfwidth, levels=levels, base=base,
-                        beyond_log2_mass=beyond_log2)
+    return Distribution(spec, 1.0, 1, halfwidth,
+                        levels=([math.log2(p1)] + group_log2, np.arange(1, depth + 1)),
+                        base=base, beyond_log2_mass=beyond_log2)
 
 
 def construct_pair_averaged(base: Distribution, depth: int) -> Distribution:
@@ -539,18 +548,18 @@ def construct_pair_averaged(base: Distribution, depth: int) -> Distribution:
     _require_base(base)
     if depth < 2:
         raise InvalidParams("pair-averaged depth must be >= 2")
-    levels: list[tuple[float, int]] = []
+    log2_avg: list[float] = []
     for m in range(1, depth + 1):
         la = base.log_prob(2 * m - 1) / LN2
         lb = base.log_prob(2 * m) / LN2
         # avg = q_odd * (1 + q_even/q_odd)/2, stable at any depth
-        lavg = la + math.log2(0.5 * (1.0 + 2.0 ** (lb - la)))
-        levels.append((lavg, 2))
+        log2_avg.append(la + math.log2(0.5 * (1.0 + 2.0 ** (lb - la))))
     spec = FamilySpec(FamilyKind.PAIR_AVERAGED, {"base": base.spec, "depth": depth})
     tail_hi = base.tail_mass_bound(2 * depth)
     beyond_log2 = math.log2(max(tail_hi, _SMALLEST_SUBNORMAL))
     return Distribution(spec, 1.0, 1, base.mass_halfwidth + 4e-16,
-                        levels=levels, base=base, beyond_log2_mass=beyond_log2)
+                        levels=(log2_avg, np.full(depth, 2)), base=base,
+                        beyond_log2_mass=beyond_log2)
 
 
 def construct_diffusion(stages: int) -> Distribution:
@@ -567,38 +576,25 @@ def construct_diffusion(stages: int) -> Distribution:
         raise InvalidParams("diffusion requires stages >= 1")
     if stages > MAX_DIFFUSION_STAGES:
         raise StagesExceeded(f"diffusion stages capped at {MAX_DIFFUSION_STAGES}")
-    levels: list[tuple[int, int]] = []
+    exponents, counts = [], []
     runs: list[DiffusionRun] = []
-
-    def emit(exponent: int, count: int = 1) -> None:
-        if levels and levels[-1][0] == exponent:
-            levels[-1] = (exponent, levels[-1][1] + count)
-        else:
-            levels.append((exponent, count))
-
-    j_used = 0
-    assigned = 0
+    j_used = 0      # dyadic terms q_1..q_{j_used} placed so far
+    assigned = 0    # indices filled so far
     for i in range(1, stages + 1):
         d = 1 << i
-        for j in range(j_used + 1, j_used + 2 * d + 1):
-            emit(j)
-        assigned += 2 * d
-        j_used += 2 * d
-        j_star = j_used + 1
-        j_used += 1
+        j_star = j_used + 2 * d + 1     # the term split into d halvings
         run_exp = j_star + i
-        for j in range(j_star + 1, j_star + i + 1):  # forward terms >= diffused value
-            emit(j)
-        assigned += i
-        j_used += i
-        emit(run_exp, d)
-        assigned += d
-        k_start = assigned - d  # the copied q-term opens the run
-        runs.append(DiffusionRun(i, d, run_exp, k_start, run_exp - d - 2))
+        # 2d copied terms, then the forward terms q_{j*+1}..q_{j*+i}; the
+        # last of them equals the diffused value and opens the run
+        exponents += [np.arange(j_used + 1, j_star), np.arange(j_star + 1, run_exp + 1)]
+        counts.append(np.append(np.ones(2 * d + i - 1, dtype=np.int64), d + 1))
+        assigned += 2 * d + i + d
+        runs.append(DiffusionRun(i, d, run_exp, assigned - d, run_exp - d - 2))
+        j_used = run_exp
     spec = FamilySpec(FamilyKind.DIFFUSION, {"stages": stages})
     # mass conservation: the prefix holds exactly the mass of q_1..q_{j_used}
-    float_levels = [(-float(e), c) for e, c in levels]
-    return Distribution(spec, 1.0, 1, 0.0, levels=float_levels,
+    log2_p = -np.concatenate(exponents).astype(np.float64)
+    return Distribution(spec, 1.0, 1, 0.0, levels=(log2_p, np.concatenate(counts)),
                         runs=runs, beyond_log2_mass=float(-j_used))
 
 

@@ -412,3 +412,97 @@ class TestHugeN:
             iv = f(uniform2, 2 ** 60)
             assert iv.value == 0.0
             assert iv.trunc_error == 0.0
+
+
+# The full-table sums that summing only the live levels must reproduce bit for
+# bit: every level of the table enters, including those whose term is 0.
+
+def full_table_sum(dist, n: int, kernel: str) -> float:
+    """fsum of counts * p * w(p) over every level, p = exp(ln2 * log2 p)."""
+    l2, counts = dist.level_arrays()
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):
+        p = np.exp(math.log(2.0) * l2)
+        if kernel == "binomial":
+            w = np.exp(n * np.log1p(-p))
+            big = p > 0.99
+            w[big] = np.power(1.0 - p[big], n)
+        else:
+            w = np.exp(-n * p)
+        return math.fsum((counts * p * w).tolist())
+
+
+def full_table_huge_t(dist, n: int) -> float:
+    """n * sum counts * p (1-p)^n over every level, in log space."""
+    ln_n = math.log(n)
+    l2, counts = dist.level_arrays()
+    ln_p = math.log(2.0) * l2
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):
+        pv = np.exp(np.maximum(ln_p, -690.0))
+        ln_neg_l1p = np.where(ln_p > -690.0, np.log(-np.log1p(-pv)), ln_p)
+        z = ln_n + ln_neg_l1p
+        n_log1p = np.where(z > 709.0, -np.inf, -np.exp(np.minimum(z, 709.0)))
+        g = ln_n + ln_p + n_log1p
+        t_terms = counts * np.exp(np.maximum(g, -746.0)) * (g > -745.0)
+    return math.fsum(t_terms.tolist())
+
+
+def beyond_trunc(dist) -> float:
+    b = dist.beyond_prefix_log2_mass
+    return 0.0 if b == -math.inf else max(2.0 ** b, 5e-324)
+
+
+def float_range_ns(seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    return sorted({int(2.0 ** rng.uniform(0.0, 53.0)) for _ in range(count)} | {1, 2 ** 53})
+
+
+# beside p = 1, whose term is 0, a lone letter carries the whole sum: a
+# subnormal one (n p = 2^-1020 at n = 2^54) and one at n p = 750 at n = 2^60,
+# whose term is subnormal too
+LONE_LETTERS = ["finite:p=1;5e-324", "finite:p=1;6.505213034913027e-16"]
+
+
+class TestLevelTablesMatchFullTable:
+    @pytest.mark.parametrize("spec_text", LONE_LETTERS + [
+        "finite:p=0.2;0;0.5;0.3",
+        "congregated:base=(geometric:a=2)",
+        "pairavg:base=(geometric:a=2)",
+        "diffusion:stages=14",
+    ])
+    def test_float_range(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        ns = float_range_ns(11, 30) + [r.n_probe for r in dist.runs] + [r.m_probe for r in dist.runs]
+        for n in (n for n in ns if n <= 2 ** 53):
+            ref_b = full_table_sum(dist, n, "binomial")
+            ref_p = full_table_sum(dist, n, "poisson")
+            z = zeta1(dist, n)
+            assert (z.value, z.trunc_error, z.terms_used) == (ref_b, beyond_trunc(dist), dist.prefix_length)
+            assert tn(dist, n).value == n * ref_b
+            factor = float(n) ** 0.5
+            assert scaled_pair(dist, n, 0.5) == (factor * ref_b, factor * ref_p)
+
+    @pytest.mark.parametrize("spec_text", LONE_LETTERS + [
+        "finite:p=0.2;0;0.5;0.3",
+        "congregated:base=(geometric:a=2)",
+        "pairavg:base=(geometric:a=2)",
+    ])
+    def test_huge_n(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        for n in (2 ** 53 + 1, 2 ** 54, 2 ** 60, 3 ** 700, 2 ** 1100 + 7, 2 ** 16470):
+            t = full_table_huge_t(dist, n)
+            assert tn(dist, n).value == t
+            assert zeta1(dist, n).value == (math.exp(math.log(t) - math.log(n)) if t > 0.0 else 0.0)
+
+    def test_diffusion_run_probes(self, diffusion14):
+        probes = [r.n_probe for r in diffusion14.runs] + [r.m_probe for r in diffusion14.runs]
+        assert len(probes) == 28 and sum(n > 2 ** 53 for n in probes) == 22
+        for n in probes:
+            if n <= 2 ** 53:
+                z = full_table_sum(diffusion14, n, "binomial")
+                t = n * z
+            else:
+                t = full_table_huge_t(diffusion14, n)
+                z = math.exp(math.log(t) - math.log(n)) if t > 0.0 else 0.0
+            iv = tn(diffusion14, n)
+            assert (iv.value, iv.terms_used) == (t, diffusion14.prefix_length)
+            assert zeta1(diffusion14, n).value == z

@@ -7,6 +7,7 @@ import pytest
 
 from alphatail import (
     DepthExceeded,
+    DiffusionRun,
     FamilyKind,
     InvalidBase,
     InvalidParams,
@@ -136,6 +137,32 @@ def test_level_arrays_match_levels(diffusion14):
         make_distribution(parse_spec("geometric:a=2")).level_arrays()
 
 
+@pytest.mark.parametrize("spec_text", [
+    "finite:p=0.2;0;0.5;0.3", "congregated:base=(geometric:a=2)", "diffusion:stages=14",
+])
+def test_positive_levels_are_the_levels_with_p_above_zero(spec_text):
+    dist = make_distribution(parse_spec(spec_text))
+    l2, counts = dist.level_arrays()
+    with np.errstate(under="ignore"):
+        p = np.exp(math.log(2.0) * l2)
+    live_p, live_counts = dist.positive_levels()
+    assert live_p.tolist() == p[p > 0.0].tolist()
+    assert live_counts.tolist() == counts[p > 0.0].tolist()
+    with pytest.raises(ValueError):
+        live_p[0] = 0.0
+    with pytest.raises(InvalidParams):
+        make_distribution(parse_spec("geometric:a=2")).positive_levels()
+
+
+@pytest.mark.parametrize("depth", [535, 536])
+def test_subnormal_beyond_mass_is_kept(depth):
+    # the base's exact tail past index 2 depth is 2^-(2 depth), a subnormal
+    dist = make_distribution(parse_spec(f"pairavg:base=(geometric:a=2),depth={depth}"))
+    true_beyond = 2.0 ** -(2 * depth)
+    assert 0.0 < true_beyond < 2.0 ** -1022
+    assert dist.tail_mass_bound(dist.prefix_length) >= true_beyond
+
+
 class TestCongregated:
     def test_group_values(self, congregated2, geom2):
         # indices 2,3 share the base value at index 3
@@ -205,6 +232,55 @@ class TestPairAveraged:
             prefix = math.fsum(np.exp(pairavg2.log_prob_block(1, n + 1)).tolist())
         tail = 2.0 ** -n  # exact dyadic base tail beyond the prefix
         assert prefix + tail == pytest.approx(1.0, abs=1e-12)
+
+
+def diffusion_by_emit(stages: int):
+    """The diffusion table emitted one term at a time: the reference that the
+    stage-wise construction must reproduce.  Returns (levels, runs, log2 of
+    the mass beyond)."""
+    levels: list[tuple[int, int]] = []
+    runs: list[DiffusionRun] = []
+
+    def emit(exponent: int, count: int = 1) -> None:
+        if levels and levels[-1][0] == exponent:
+            levels[-1] = (exponent, levels[-1][1] + count)
+        else:
+            levels.append((exponent, count))
+
+    j_used = 0
+    assigned = 0
+    for i in range(1, stages + 1):
+        d = 1 << i
+        for j in range(j_used + 1, j_used + 2 * d + 1):
+            emit(j)
+        assigned += 2 * d
+        j_used += 2 * d
+        j_star = j_used + 1
+        j_used += 1
+        run_exp = j_star + i
+        for j in range(j_star + 1, j_star + i + 1):  # forward terms >= diffused value
+            emit(j)
+        assigned += i
+        j_used += i
+        emit(run_exp, d)
+        assigned += d
+        k_start = assigned - d  # the copied q-term opens the run
+        runs.append(DiffusionRun(i, d, run_exp, k_start, run_exp - d - 2))
+    float_levels = [(-float(e), c) for e, c in levels]
+    return float_levels, runs, float(-j_used)
+
+
+@pytest.mark.parametrize("stages", range(1, 17))
+def test_diffusion_matches_per_term_rebuild(stages):
+    levels, runs, beyond = diffusion_by_emit(stages)
+    dist = make_distribution(parse_spec(f"diffusion:stages={stages}"))
+    l2, counts = dist.level_arrays()
+    assert l2.dtype == counts.dtype == np.float64
+    assert np.array_equal(l2, np.array([e for e, _ in levels], dtype=np.float64))
+    assert np.array_equal(counts, np.array([c for _, c in levels], dtype=np.float64))
+    assert dist.levels() == levels
+    assert dist.runs == runs
+    assert dist.beyond_prefix_log2_mass == beyond
 
 
 class TestDiffusion:
