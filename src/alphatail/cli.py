@@ -112,7 +112,9 @@ def _cmd_tn(args) -> int:
     records = []
     for n in sched:
         iv = tn(dist, n, args.eps)
-        records.append({"n": n, "t_n": iv.value, "trunc_error": iv.trunc_error})
+        records.append({"n": n, "t_n": iv.value, "trunc_error": iv.trunc_error,
+                        "terms_used": iv.terms_used})
+    # the CSV keeps its three columns; JSON records also carry terms_used
     _emit(records, ["n", "t_n", "trunc_error"], args.format or "csv", args.out)
     return EXIT_OK
 

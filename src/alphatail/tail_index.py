@@ -17,22 +17,29 @@ One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
 ``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
 
-Truncation bounds are family-aware.  Power tails ``p_k = c k^-lam`` are
-closed analytically: the summand ``f(x) = p w(p)`` has the tail integral
+Truncation bounds are family-aware.  Power and log-power tails are closed
+analytically.  For power tails ``p_k = c k^-lam`` the summand
+``f(x) = p w(p)`` has the tail integral
 ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function, for
 ``(1-p)^n`` and ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an
-incomplete gamma function, for ``e^{-np}``.  Once ``f`` is convex on
+incomplete gamma function, for ``e^{-np}``.  For log-power tails
+``p_k = c/(j ln^lam j)``, ``j = k + k0 - 1``, expanding the kernel in powers
+of p integrates term by term into upper incomplete gamma functions of
+negative order, evaluated by their continued fraction; the partial sums
+alternate, so the last two bracket the integral.  Once ``f`` is convex on
 ``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
 sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
-lower end is added to ``value`` and the width is the ``trunc_error``.  Other
-infinite tails use a dyadic-block upper bound built from the family's
-tail-mass certificate, valid for both kernels since ``p(1-p)^n <= p e^{-np}``.
-``eps`` is a target on the t_n scale; when a slowly decaying tail (log-power)
-cannot certify it within ``max_terms`` summands, the evaluation stops at the
-cap, adds the sound lower term ``w(p_{K+1})`` times the certified lower tail
-mass to ``value`` and reports the honest, larger ``trunc_error`` instead of
-guessing.  Float rounding and the normalizer's halfwidth lie outside
-``trunc_error``.
+lower end is added to ``value`` and the width, never less than one ulp of
+the upper end, is the ``trunc_error``.  Other infinite tails use a
+dyadic-block upper bound built from the family's tail-mass certificate,
+valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  ``eps`` is a target
+on the t_n scale; a tail that cannot certify it within ``max_terms``
+summands stops at the cap.  If the summand is not yet convex there (a
+small ``max_terms``; for ``logpower:lambda=2,k0=2`` under the default cap,
+n above about 4.8e9), the sound lower term ``w(p_{K+1})`` times the
+certified lower tail mass joins ``value``; either way the honest, larger
+``trunc_error`` is reported instead of a guess.  Float rounding and the
+normalizer's halfwidth lie outside ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
 subsequences) is supported for ``(1-p)^n`` over level tables: terms are
@@ -45,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import special
@@ -208,13 +215,116 @@ def _power_tail_integral(c: float, lam: float, n: float, y: float, kernel: _Kern
     return c * y ** (1.0 - lam) / (lam - 1.0) * damp * total
 
 
-def _power_tail_bracket(c: float, lam: float, n: float, K: int, kernel: _Kernel) -> tuple[float, float]:
-    """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
-    trapezoid lower and midpoint upper sandwich of the integral."""
-    p1 = c * (K + 1.0) ** -lam
-    f1 = p1 * kernel.at(p1, n)
-    return (_power_tail_integral(c, lam, n, K + 1.0, kernel) + 0.5 * f1,
-            _power_tail_integral(c, lam, n, K + 0.5, kernel))
+def _upper_gamma_ratio(a: float, x: float) -> float:
+    """R(a, x) = Gamma(a, x) e^x x^-a for x > 0 from the continued fraction
+    1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), which holds for every
+    real a, negative ones included.
+
+    Lentz's method finds the depth at which the convergents agree to an ulp;
+    that convergent is then evaluated from the bottom up, which stays within
+    a few ulps where Lentz's running product drifts by dozens at small x.
+    For a <= 0 and x >= 1/4 every partial denominator stays above half its
+    b, so none vanishes.
+    """
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        if abs(c * d - 1.0) <= 2.2e-16:
+            break
+    else:
+        raise AlphatailError(f"continued fraction for Gamma({a}, {x}) did not converge")
+    t = 0.0
+    for k in range(i, 0, -1):
+        t = -k * (k - a) / (x + 2.0 * k + 1.0 - a + t)
+    return 1.0 / (x + 1.0 - a + t)
+
+
+def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
+                            kernel: _Kernel) -> tuple[float, float]:
+    """[lo, hi] on integral_y^inf p w(p) dx for p = c/(j ln^lam j), j = x+k0-1,
+    where n p(y) < 1.
+
+    Expanding w(p) = sum_m (-1)^m a_m p^m, with a_m = C(n,m) for (1-p)^n and
+    n^m/m! for e^{-np}, and substituting u = ln j integrates every term: with
+    u0 = ln(y+k0-1) and q = p(y) the integral is
+    c u0^{1-lam} [1/(lam-1) + sum_{m>=1} (-1)^m a_m q^m R(1-(m+1)lam, m u0)].
+    The kernel's partial sums alternate around it (Bonferroni inequalities,
+    Taylor's theorem), so the integral lies between the last two partial
+    sums; the terms shrink like (nq)^m/m!.
+    """
+    j = y + k0 - 1.0
+    u0 = math.log(j)
+    q = c / (j * u0 ** lam)
+    binomial = kernel is _Kernel.BINOMIAL
+    prev = total = 1.0 / (lam - 1.0)
+    coef = 1.0
+    for m in range(1, 1000):
+        coef *= ((n + 1.0 - m) if binomial else n) * q / m
+        term = coef * _upper_gamma_ratio(1.0 - (m + 1.0) * lam, m * u0)
+        prev, total = total, total + (-term if m % 2 else term)
+        if term <= 1e-17 * total:
+            break
+    else:
+        raise AlphatailError(f"log-power tail series at n p(y) = {n * q} did not converge")
+    scale = c * u0 ** (1.0 - lam)
+    return scale * min(prev, total), scale * max(prev, total)
+
+
+def _logpower_convex_at(c: float, lam: float, k0: int, n: float, x: float, kernel: _Kernel) -> bool:
+    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, is convex on [x, inf).
+
+    With u = ln j and A = 1 + lam/u, p' = -pA/j and p'' = p(A^2+A+lam/u^2)/j^2,
+    so f'' >= 0 wherever (1-(n+1)p)(1-p)(1+1/A) >= 2np for (1-p)^n and
+    (1-np)(1+1/A) >= 2np for e^{-np}.  The left sides grow and the right
+    sides fall with x, so one point covers the tail; the margin covers
+    rounding.
+    """
+    j = x + k0 - 1.0
+    u = math.log(j)
+    p = c / (j * u ** lam)
+    gain = 1.0 + u / (u + lam)  # 1 + 1/A
+    if kernel is _Kernel.BINOMIAL:
+        lhs = (1.0 - (n + 1.0) * p) * (1.0 - p) * gain
+    else:
+        lhs = (1.0 - n * p) * gain
+    return lhs >= 2.0 * n * p * (1.0 + 1e-9)
+
+
+class _Sandwich(NamedTuple):
+    """A power-type tail in closed form: p on the continuous index, [lo, hi]
+    on integral_y^inf p w(p) dx, and whether p w(p) is convex on [x, inf)."""
+
+    p: Callable[[float], float]
+    integral: Callable[[float], tuple[float, float]]
+    convex: Callable[[float], bool]
+
+    def bracket(self, n: float, K: int, kernel: _Kernel) -> tuple[float, float]:
+        """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
+        trapezoid lower and midpoint upper sandwich of the integral."""
+        p1 = self.p(K + 1.0)
+        f1 = p1 * kernel.at(p1, n)
+        return self.integral(K + 1.0)[0] + 0.5 * f1, self.integral(K + 0.5)[1]
+
+
+def _sandwich(dist: Distribution, n: float, kernel: _Kernel) -> Optional[_Sandwich]:
+    """The closed-form sandwich of a power or log-power tail, None otherwise."""
+    kind, c, params = dist.kind, dist.norm_constant, dist.spec.params
+    if kind is FamilyKind.POWER:
+        lam = params["lambda"]
+        x_c = _power_convex_from(c, lam, n, kernel)
+        return _Sandwich(lambda x: c * x ** -lam,
+                         lambda y: (_power_tail_integral(c, lam, n, y, kernel),) * 2,
+                         lambda x: x >= x_c)
+    if kind is FamilyKind.LOG_POWER:
+        lam, k0 = params["lambda"], params["k0"]
+        return _Sandwich(lambda x: c / ((x + k0 - 1.0) * math.log(x + k0 - 1.0) ** lam),
+                         lambda y: _logpower_tail_integral(c, lam, k0, n, y, kernel),
+                         lambda x: _logpower_convex_at(c, lam, k0, n, x, kernel))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +341,16 @@ def _eval_closed_form(
     """(value, trunc, terms) for sum_k p_k w(p_k) over a closed form.
 
     Blocks are summed until the omitted tail's bracket is narrower than
-    eps_t / n, and the bracket's lower end joins ``value``.  Power tails
-    close with the kernel's incomplete-beta or incomplete-gamma bracket once
-    the summand is convex; other tails with the dyadic upper bound alone,
-    which bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail
-    that reaches ``max_terms`` unmet takes the lower bound w(p_{K+1}) times
-    the certified lower tail mass, sound because p_k <= p_{K+1} beyond K.
+    eps_t / n, and the bracket's lower end joins ``value``.  Power and
+    log-power tails close with their sandwich once the summand is convex;
+    other tails with the dyadic upper bound alone, which bounds
+    p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that reaches
+    ``max_terms`` unmet before it is convex takes the lower bound
+    w(p_{K+1}) times the certified lower tail mass, sound because
+    p_k <= p_{K+1} beyond K.
     """
     sums: list[float] = []
-    power = dist.kind is FamilyKind.POWER
-    if power:
-        c, lam = dist.norm_constant, dist.spec.params["lambda"]
-        x_c = _power_convex_from(c, lam, n, kernel)
+    sandwich = _sandwich(dist, n, kernel)
     k = 1
     chunk = 1 << 10
     tail_lo, tail_hi = 0.0, math.inf
@@ -254,21 +362,24 @@ def _eval_closed_form(
             sums.append(float((p * kernel.block(p, n)).sum()))
         k = hi
         K = k - 1
-        closed = power and K + 0.5 >= x_c
+        closed = sandwich is not None and sandwich.convex(K + 0.5)
         capped = k > max_terms
         if closed:
-            tail_lo, tail_hi = _power_tail_bracket(c, lam, n, K, kernel)
-        elif K >= dist.k0_head and (capped or not power):
+            tail_lo, tail_hi = sandwich.bracket(n, K, kernel)
+        elif K >= dist.k0_head and (capped or sandwich is None):
             tail_hi = _series_tail_bound(dist, K, n)
-        if n * (tail_hi - tail_lo) <= eps_t:
+        # never certify a zero width for an infinite tail: at least one ulp
+        width = max(tail_hi - tail_lo, math.ulp(tail_hi))
+        if n * width <= eps_t:
             break
         if capped:
             if not closed and K >= dist.k0_head:
                 p1 = math.exp(dist.log_prob(K + 1))
                 tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
+                width = max(tail_hi - tail_lo, math.ulp(tail_hi))
             break
         chunk = min(chunk * 2, 1 << 21)
-    return math.fsum(sums) + tail_lo, max(tail_hi - tail_lo, 0.0), K
+    return math.fsum(sums) + tail_lo, width, K
 
 
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:

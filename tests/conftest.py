@@ -43,3 +43,8 @@ def pairavg2():
 @pytest.fixture(scope="session")
 def diffusion14():
     return make_distribution(parse_spec("diffusion:stages=14"))
+
+
+@pytest.fixture(scope="session")
+def logpower2():
+    return make_distribution(parse_spec("logpower:lambda=2,k0=2"))

@@ -40,7 +40,13 @@ class TestTn:
                            "--schedule", "16:256:x4", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert set(doc["records"][0]) == {"n", "t_n", "trunc_error"}
+        # the CSV fields plus the number of summed terms
+        assert set(doc["records"][0]) == {"n", "t_n", "trunc_error", "terms_used"}
+        _, csv_out, _ = run("tn", "--dist", "geometric:a=2", "--schedule", "16:256:x4")
+        csv_rows = rows_of(csv_out)
+        assert [int(r["n"]) for r in csv_rows] == [r["n"] for r in doc["records"]]
+        assert [float(r["t_n"]) for r in csv_rows] == [r["t_n"] for r in doc["records"]]
+        assert all(isinstance(r["terms_used"], int) and r["terms_used"] > 0 for r in doc["records"])
 
     def test_values_are_finite(self, run):
         _, out, _ = run("tn", "--dist", "power:lambda=2", "--schedule", "16:4096:x4")

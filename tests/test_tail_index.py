@@ -142,6 +142,8 @@ LOGPOWER_REFS = [
     (223872, "13458.32563118769524461052"),
     (10 ** 8, "3639634.907342783999780465"),
 ]
+# per row, a max_terms below the first index where p(1-p)^n is convex
+LOGPOWER_LOWER_TERM_CAPS = {1000: 1 << 3, 223872: 1 << 10, 10 ** 8: 1 << 16}
 
 
 BINOMIAL, POISSON = tail_index._Kernel.BINOMIAL, tail_index._Kernel.POISSON
@@ -170,12 +172,25 @@ class TestPowerClosure:
         assert _brackets(iv, float(ref))
 
     @pytest.mark.parametrize("n, ref", LOGPOWER_REFS)
-    def test_logpower_lower_term_brackets_reference(self, n, ref):
-        iv = tn(make_distribution(parse_spec("logpower:lambda=2,k0=2")), n, eps=1e-9)
-        assert iv.terms_used == tail_index.DEFAULT_MAX_TERMS
+    def test_logpower_lower_term_brackets_reference(self, logpower2, n, ref):
+        iv = tn(logpower2, n, eps=1e-9)
+        assert 0.0 < iv.trunc_error <= 1e-9
+        assert iv.terms_used <= 2 ** 23
         assert _brackets(iv, float(ref))
-        # the mass bound alone leaves a remainder wider than the value
-        assert iv.trunc_error < 0.01 * iv.value
+        # a cap short of the convex point still ends in the lower term
+        # w(p_{K+1}) * (lower tail mass), and that bracket holds too
+        cap = LOGPOWER_LOWER_TERM_CAPS[n]
+        assert not tail_index._sandwich(logpower2, float(n), BINOMIAL).convex(cap + 0.5)
+        capped = tn(logpower2, n, eps=1e-9, max_terms=cap)
+        assert capped.terms_used == cap
+        assert _brackets(capped, float(ref))
+
+    def test_logpower_width_is_never_zero(self, logpower2):
+        # deep in the tail the sandwich's ends round to one float (at
+        # n = 1e9 and 2^23 terms they are equal); the width is floored at
+        # one ulp of the upper end instead of certifying zero
+        assert 0.0 < tn(logpower2, 10 ** 8).trunc_error <= 1e-9
+        assert tn(logpower2, 10 ** 9, max_terms=1 << 23).trunc_error > 0.0
 
     @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 10 ** 8], [1.1, 1.5, 2.0, 7.0]))
     def test_convexity_starts_at_x_c(self, n, lam, kernel):
@@ -208,6 +223,73 @@ class TestPowerClosure:
                 else:
                     want = m_c ** (1 / m_lam) / m_lam * mp.mpf(n) ** -a * mp.gammainc(a, 0, n * x)
             assert abs(got - float(want)) <= 2e-15 * float(want)
+
+
+def _logpower_first_convex(c: float, lam: float, k0: int, n: int, kernel) -> float:
+    """The least x >= 1 that passes the log-power convexity check, by
+    bisection: the check is monotone in x."""
+    convex = lambda x: tail_index._logpower_convex_at(c, lam, k0, float(n), x, kernel)  # noqa: E731
+    lo, hi = 1.0, 2.0 ** 60
+    if convex(lo):
+        return lo
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi) if hi < 4.0 * lo else math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if convex(mid) else (mid, hi)
+    return hi
+
+
+class TestLogPowerClosure:
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_gamma_ratio_matches_mpmath(self, lam):
+        mp = pytest.importorskip("mpmath")
+        # u0 = ln j at the cut: ln 2.5 at the smallest (K = 1, k0 = 2), ln
+        # 1025.5 after the first block; at 40 digits mpmath's gammainc loses
+        # every digit at a = -62, x = 138, so the reference takes 80
+        for u0 in (math.log(2.5), math.log(10.0), math.log(1025.5), math.log(1e7)):
+            for m in range(1, 21):
+                a, x = 1.0 - (m + 1) * lam, m * u0
+                got = tail_index._upper_gamma_ratio(a, x)
+                with mp.workdps(80):
+                    want = mp.gammainc(a, x) * mp.exp(x) * mp.mpf(x) ** -a
+                assert abs(got - float(want)) <= 2e-15 * float(want), (m, u0)
+
+    @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 223872, 10 ** 8], [1.5, 2.0, 3.0]))
+    def test_tail_integral_bracket_contains_mpmath(self, n, lam, kernel):
+        mp = pytest.importorskip("mpmath")
+        c, k0 = 0.6, 2
+        x_c = _logpower_first_convex(c, lam, k0, n, kernel)
+        for y in (x_c, 10 * x_c, 1000 * x_c):
+            lo, hi = tail_index._logpower_tail_integral(c, lam, k0, float(n), y, kernel)
+            with mp.workdps(40):
+                m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+                u0 = mp.log(mp.mpf(y) + k0 - 1)
+                if kernel is BINOMIAL:
+                    w1 = lambda p: mp.expm1(n * mp.log1p(-p))  # noqa: E731
+                else:
+                    w1 = lambda p: mp.expm1(-n * p)  # noqa: E731
+                # in u = ln j: c u^-lam (w(p) - 1) decays like e^-u, and the
+                # rest integrates exactly
+                rest = mp.quad(lambda u: m_c * u ** -m_lam * w1(m_c * mp.exp(-u) * u ** -m_lam),
+                               [u0 + s for s in (0, 1, 4, 16, 64)] + [mp.inf])
+                want = float(m_c * u0 ** (1 - m_lam) / (m_lam - 1) + rest)
+            assert lo - 2e-15 * want <= want <= hi + 2e-15 * want, y
+            assert hi - lo <= 2e-15 * want
+
+    @pytest.mark.parametrize("k0", [2, 5])
+    @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 10 ** 8], [1.5, 2.0, 3.0]))
+    def test_convexity_from_first_certified_point(self, n, lam, kernel, k0):
+        mp = pytest.importorskip("mpmath")
+        c = 0.6
+        x_c = _logpower_first_convex(c, lam, k0, n, kernel)
+        with mp.workdps(40):
+            m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+            p = lambda x: m_c / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
+            if kernel is BINOMIAL:
+                f = lambda x: p(x) * (1 - p(x)) ** n  # noqa: E731
+            else:
+                f = lambda x: p(x) * mp.exp(-n * p(x))  # noqa: E731
+            for scale in (1, 2, 100):
+                assert mp.diff(f, mp.mpf(x_c) * scale, 2) > 0
 
 
 class TestElementaryInequalities:
@@ -244,6 +326,11 @@ class TestScaledPair:
         a, b = scaled_pair(power2, n, 0.5)
         assert _brackets(tn(power2, n), a * math.sqrt(n))
         assert em_gap(power2, n).lattice_sum == b
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 6])
+    def test_logpower_members_are_certified_series(self, logpower2, n):
+        a, _ = scaled_pair(logpower2, n, 0.5)
+        assert _brackets(tn(logpower2, n), a * math.sqrt(n))
 
     def test_poisson_member_matches_mpmath(self, power2):
         mp = pytest.importorskip("mpmath")
