@@ -150,7 +150,7 @@ def classify_numeric(
     schedule = [int(n) for n in schedule]
     if len(schedule) < thresholds.min_points:
         raise ScheduleTooShort(f"need at least {thresholds.min_points} schedule points")
-    decades = math.log10(schedule[-1] / schedule[0])
+    decades = math.log10(schedule[-1]) - math.log10(schedule[0])
     if decades < thresholds.min_decades:
         raise ScheduleTooShort(
             f"schedule spans {decades:.2f} decades; need {thresholds.min_decades}"

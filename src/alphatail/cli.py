@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from . import __version__
 from .classify import (
@@ -38,21 +40,22 @@ EXIT_COMPUTE = 3
 
 
 def _parse_schedule(text: str) -> list[int]:
-    """Geometric schedule 'start:stop:xFACTOR', e.g. 16:1048576:x4."""
+    """Geometric schedule 'start:stop:xFACTOR', e.g. 16:1048576:x4, in exact
+    integers: each n is floor(previous n * FACTOR), at least previous n + 1."""
     parts = text.split(":")
     if len(parts) != 3 or not parts[2].lower().startswith("x"):
         raise SpecParseError(f"schedule must be start:stop:xFACTOR, got {text!r}")
-    start, stop = int(parts[0]), int(parts[1])
-    factor = float(parts[2][1:])
-    if start < 1 or stop < start or factor <= 1.0:
+    try:
+        start, stop, factor = int(parts[0]), int(parts[1]), Fraction(parts[2][1:])
+    except ValueError as exc:
+        raise SpecParseError(f"schedule must be start:stop:xFACTOR, got {text!r}") from exc
+    if start < 1 or stop < start or factor <= 1:
         raise SpecParseError("schedule needs start >= 1, stop >= start, factor > 1")
+    num, den = factor.as_integer_ratio()
     out, n = [], start
     while n <= stop:
-        out.append(int(n))
-        nxt = n * factor
-        n = int(nxt) if nxt == int(nxt) else math.floor(nxt)
-        if out and n <= out[-1]:
-            n = out[-1] + 1
+        out.append(n)
+        n = max(n * num // den, n + 1)
     return out
 
 
@@ -63,50 +66,46 @@ def _parse_vrange(text: str) -> list[int]:
     return [int(text)]
 
 
-def _resolve_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
+def _check_finite(value, key=None) -> None:
+    """Refuse a NaN or infinite float anywhere in nested dicts and lists."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise AlphatailError(f"non-finite value for {key!r}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, k)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_finite(v, key)
+
+
+def _emit(doc: dict, fmt: str, out_path: Optional[str], header: Sequence[str] = ()) -> None:
+    """Write one result, the only output path of every subcommand: ``doc``
+    as JSON, or its records as CSV under a ``header`` row.  Records without
+    a header (``zoo``) are written one value per line, unquoted."""
+    _check_finite(doc)
+    if fmt == "json":
+        text = json.dumps(doc, indent=2, default=str) + "\n"
+    elif header:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([rec[h] for h in header] for rec in doc["records"])
+        text = buf.getvalue()
+    else:
+        text = "".join(f"{v}\n" for rec in doc["records"] for v in rec.values())
+    if out_path is None:
+        sys.stdout.write(text)
+        return
     base = os.environ.get(ENV_OUT_DIR)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _check_finite(records: list[dict]) -> None:
-    for rec in records:
-        for key, val in rec.items():
-            if isinstance(val, float) and not math.isfinite(val):
-                raise AlphatailError(f"non-finite value for {key!r}")
-
-
-def _emit(records: list[dict], header: list[str], fmt: str, out_path: Optional[str],
-          extra: Optional[dict] = None) -> None:
-    _check_finite(records)
-    stream, owned = _resolve_out(out_path)
-    try:
-        if fmt == "json":
-            doc: dict = {"records": records}
-            if extra:
-                doc.update(extra)
-            json.dump(doc, stream, indent=2, default=str)
-            stream.write("\n")
-        else:
-            w = csv.writer(stream, lineterminator="\n")
-            w.writerow(header)
-            for rec in records:
-                w.writerow([rec[h] for h in header])
-    finally:
-        if owned:
-            stream.close()
-
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+    if base and not os.path.isabs(out_path):
+        out_path = os.path.join(base, out_path)
+    with open(out_path, "w", encoding="utf-8", newline="") as stream:
+        stream.write(text)
 
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_tn(args) -> int:
+def _cmd_tn(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
     sched = _parse_schedule(args.schedule)
     records = []
@@ -115,11 +114,10 @@ def _cmd_tn(args) -> int:
         records.append({"n": n, "t_n": iv.value, "trunc_error": iv.trunc_error,
                         "terms_used": iv.terms_used})
     # the CSV keeps its three columns; JSON records also carry terms_used
-    _emit(records, ["n", "t_n", "trunc_error"], args.format or "csv", args.out)
-    return EXIT_OK
+    _emit({"records": records}, args.format or "csv", args.out, ["n", "t_n", "trunc_error"])
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
     if args.mode == "analytic":
         verdict = classify_analytic(dist)
@@ -137,17 +135,10 @@ def _cmd_classify(args) -> int:
         "evidence": [[n, v] for n, v in verdict.evidence],
         "diagnostics": verdict.diagnostics,
     }
-    stream, owned = _resolve_out(args.out)
-    try:
-        json.dump(doc, stream, indent=2, default=str)
-        stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    _emit(doc, "json", args.out)
 
 
-def _cmd_oscillate(args) -> int:
+def _cmd_oscillate(args) -> None:
     lo, hi, points = args.cmin, args.cmax, args.grid
     if not (0.0 < lo < hi) or points < 2:
         raise InvalidParams("need 0 < cmin < cmax and grid >= 2")
@@ -155,56 +146,39 @@ def _cmd_oscillate(args) -> int:
     for i in range(points):
         c = lo + (hi - lo) * i / (points - 1)
         records.append({"c": c, "t_of_c": oscillation_t(c)})
-    _emit(records, ["c", "t_of_c"], args.format or "csv", args.out)
-    return EXIT_OK
+    _emit({"records": records}, args.format or "csv", args.out, ["c", "t_of_c"])
 
 
-def _cmd_dominates(args) -> int:
+def _cmd_dominates(args) -> None:
     q = make_distribution(parse_spec(args.q))
     p = make_distribution(parse_spec(args.p))
     report = dominates(q, p, depth=args.depth, probe_limit=args.probe_limit,
                        growth_threshold=args.growth_threshold)
     records = [{"k": k + 1, "count_in_interval": c} for k, c in enumerate(report.counts)]
-    extra = {
+    doc = {
+        "records": records,
         "verdict": report.verdict.value,
         "max_count": report.max_count,
         "complete": report.complete,
     }
-    _emit(records, ["k", "count_in_interval"], args.format or "csv", args.out, extra)
+    _emit(doc, args.format or "csv", args.out, ["k", "count_in_interval"])
     print(f"verdict: {report.verdict.value} (max_count={report.max_count})", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
-    freq = sample(dist, args.n, args.seed)
-    vs = _parse_vrange(args.v)
-    rep = estimator_report(freq, vs)
-    records = [
-        {"v": v, "Z_1v": z, "t_hat": t}
-        for v, z, t in zip(rep.v_values, rep.z1v, rep.t_hat)
-    ]
-    _emit(records, ["v", "Z_1v", "t_hat"], args.format or "csv", args.out)
-    return EXIT_OK
+    rep = estimator_report(sample(dist, args.n, args.seed), _parse_vrange(args.v))
+    records = [{"v": v, "Z_1v": z, "t_hat": t}
+               for v, z, t in zip(rep.v_values, rep.z1v, rep.t_hat)]
+    _emit({"records": records}, args.format or "csv", args.out, ["v", "Z_1v", "t_hat"])
 
 
-def _cmd_zoo(args) -> int:
-    stream, owned = _resolve_out(args.out)
-    try:
-        if (args.format or "csv") == "json":
-            json.dump({"records": [{"spec": format_spec(s)} for s in catalog()]},
-                      stream, indent=2)
-            stream.write("\n")
-        else:
-            for spec in catalog():
-                stream.write(format_spec(spec) + "\n")
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+def _cmd_zoo(args) -> None:
+    records = [{"spec": format_spec(s)} for s in catalog()]
+    _emit({"records": records}, args.format or "csv", args.out)
 
 
-def _cmd_domain_t(args) -> int:
+def _cmd_domain_t(args) -> None:
     dist = make_distribution(parse_spec(f"diffusion:stages={args.stages}"))
     records = []
     for run in dist.runs:
@@ -219,9 +193,8 @@ def _cmd_domain_t(args) -> int:
             "m_i": run.m_probe,
             "t_m_i": t_m.value,
         })
-    _emit(records, ["i", "d_i", "run_exp", "n_i", "t_n_i", "m_i", "t_m_i"],
-          args.format or "csv", args.out)
-    return EXIT_OK
+    _emit({"records": records}, args.format or "csv", args.out,
+          ["i", "d_i", "run_exp", "n_i", "t_n_i", "m_i", "t_m_i"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,14 +267,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        args.run(args)
+        return EXIT_OK
     except (InvalidParams, SpecParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except AlphatailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:
+    except (AlphatailError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

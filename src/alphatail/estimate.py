@@ -2,18 +2,17 @@
 
 ``sample`` draws letters by inverse-CDF search over cached prefix sums and is
 bit-reproducible for a given seed.  ``z1v`` implements the unbiased estimator
-of the coverage deficit: with observed counts y_k in a sample of size n,
+of the coverage deficit: with m_y the number of letters seen y times in a
+sample of size n, for any order 1 <= v <= n-1,
 
     Z_{1,v} = [(n-1-v)! / n!] * sum_k y_k * (n-y_k)! / (n-y_k-v)!
+            = (1/(n-v)) * sum_y y m_y prod_{j<v} (1 - y/(n-j)),
 
-for any order 1 <= v <= n-1 (a term vanishes as soon as n - y_k < v); the
-scaled version t_hat_v = v * Z_{1,v} estimates t_v.  This falling-factorial
-form is algebraically identical to the product form
-
-    Z_{1,v} = n^{1+v} (n-1-v)!/n! * sum_k p_hat_k * prod_{j<v} (1 - p_hat_k - j/n)
-
-but has no cancellation and makes the zero cutoff explicit.  Factorial ratios
-are exact integers up to n = 30 and log-gamma beyond.
+and t_hat_v = v * Z_{1,v} estimates t_v.  ``estimator_report`` gives every
+requested v in one NumPy pass: the log of each product is a running sum of
+``log1p`` terms, which does not cancel, taken along j with rows y or, as the
+product equals prod_{i<y} (1 - v/(n-i)), along i with rows v, whichever is
+cheaper: O(min(Y v_max, |V| y_max)) for Y distinct counts and |V| orders.
 
 ``exact_expectation`` is the brute-force oracle: it enumerates every count
 vector of a small multinomial in exact rational arithmetic, which pins the
@@ -37,10 +36,11 @@ import numpy as np
 from .errors import DepthExceeded, InvalidParams, InvalidV, SamplerLimit, TooLarge
 from .zoo import Distribution
 
-_EXACT_N_LIMIT = 30         # exact integer factorial path below, log-gamma above
 _ORACLE_MAX_N = 12
 _ORACLE_MAX_K = 6
 _MAX_CDF_ENTRIES = 1 << 24  # 128 MiB of float64 prefix sums
+_BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
+_EXP_ZERO = -746.0          # exp of anything below is exactly 0.0
 
 
 @dataclass(frozen=True)
@@ -160,27 +160,7 @@ def true_missing_mass(dist: Distribution, freq: FrequencyTable) -> float:
 
 
 def z1v(freq: FrequencyTable, v: int) -> float:
-    n = freq.n
-    if not 1 <= v <= n - 1:
-        raise InvalidV(f"v must lie in [1, n-1], got v={v} with n={n}")
-    if n <= _EXACT_N_LIMIT:
-        acc = 0
-        for y in freq.counts.values():
-            if n - y < v:
-                continue
-            ff = 1
-            for j in range(v):
-                ff *= n - y - j
-            acc += y * ff
-        return float(Fraction(acc * factorial(n - 1 - v), factorial(n)))
-    log_front = math.lgamma(n - v) - math.lgamma(n + 1)
-    total = 0.0
-    for y in freq.counts.values():
-        if n - y < v:
-            continue
-        lt = math.log(y) + math.lgamma(n - y + 1) - math.lgamma(n - y - v + 1)
-        total += math.exp(lt + log_front)
-    return total
+    return estimator_report(freq, [v]).z1v[0]
 
 
 def t_hat(freq: FrequencyTable, v: int) -> float:
@@ -189,9 +169,63 @@ def t_hat(freq: FrequencyTable, v: int) -> float:
 
 
 def estimator_report(freq: FrequencyTable, v_values: Iterable[int]) -> EstimatorReport:
+    """Z_{1,v} and t_hat_v for every v in ``v_values``, in one pass."""
+    n = freq.n
     vs = [int(v) for v in v_values]
-    zs = [z1v(freq, v) for v in vs]
+    for v in vs:
+        if not 1 <= v <= n - 1:
+            raise InvalidV(f"v must lie in [1, n-1], got v={v} with n={n}")
+    if not vs:
+        return EstimatorReport([], [], [])
+    ys, m = np.unique(np.fromiter(freq.counts.values(), np.int64), return_counts=True)
+    w = (ys * m).astype(float)
+    v_set, back = np.unique(vs, return_inverse=True)
+    total = np.zeros(len(v_set))
+    with np.errstate(under="ignore"):
+        if len(ys) * v_set[-1] <= len(v_set) * ys[-1]:
+            # rows y, the product over j < v
+            for lo, hi, prods in _products(ys, v_set, n):
+                total[lo:hi] = (prods * w[:, None]).sum(axis=0)
+        else:
+            # rows v, the product over i < y
+            for lo, hi, prods in _products(v_set, ys, n):
+                total += (prods * w[lo:hi]).sum(axis=1)
+    zs = (total / (n - v_set))[back].tolist()
     return EstimatorReport(vs, zs, [v * z for v, z in zip(vs, zs)])
+
+
+def _products(a: np.ndarray, t: np.ndarray, n: int):
+    """Yield (lo, hi, prods) per block: prods[r, c] = prod_{i < t[lo+c]}
+    (1 - a[r]/(n-i)) for the sorted ends t[lo:hi] inside the block.  Logs
+    run as a cumulative sum, with the exact rounding error of each addition
+    (TwoSum) in a second one; a zero or negative factor counts as e^-1000.
+    Blocks grow to _BLOCK_VALUES terms and stop once every row is below
+    -746, where each later product is exactly 0 in float."""
+    rows, a = len(a), a.astype(float)
+    width, cap = max(1, 4096 // rows), max(1, _BLOCK_VALUES // rows)
+    s_end, err_end = np.zeros((rows, 1)), np.zeros((rows, 1))
+    start = lo = 0
+    while start < t[-1]:
+        stop = min(start + width, int(t[-1]))
+        den = n - np.arange(start, stop, dtype=float)
+        x = a[:, None] / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log1p(-x)
+        # past one half, 1 - x in one rounding keeps the log accurate
+        r, c = np.divmod(np.flatnonzero(x > 0.5), len(den))
+        q = (den[c] - a[r]) / den[c]
+        terms[r, c] = np.log(q, out=np.full(len(q), -1e3), where=q > 0.0)
+        s = np.cumsum(np.concatenate((s_end, terms), axis=1), axis=1)
+        prev, s = s[:, :-1], s[:, 1:]
+        b = s - prev
+        err = err_end + np.cumsum((prev - (s - b)) + (terms - b), axis=1)
+        s_end, err_end = s[:, -1:], err[:, -1:]
+        hi = int(np.searchsorted(t, stop, side="right"))
+        cols = t[lo:hi] - 1 - start
+        yield lo, hi, np.exp(s[:, cols]) * np.exp(err[:, cols])
+        if s_end.max() < _EXP_ZERO:
+            return
+        start, lo, width = stop, hi, min(2 * width, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ alternate, so the last two bracket the integral.  Once ``f`` is convex on
 ``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
 sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
 lower end is added to ``value`` and the width, never less than one ulp of
-the upper end, is the ``trunc_error``.  Other infinite tails use a
+the upper end, is the ``trunc_error``; the sum stops once it reaches that
+floor, which no later term narrows.  Other infinite tails use a
 dyadic-block upper bound built from the family's tail-mass certificate,
 valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  ``eps`` is a target
 on the t_n scale; a tail that cannot certify it within ``max_terms``
@@ -341,7 +342,7 @@ def _eval_closed_form(
     """(value, trunc, terms) for sum_k p_k w(p_k) over a closed form.
 
     Blocks are summed until the omitted tail's bracket is narrower than
-    eps_t / n, and the bracket's lower end joins ``value``.  Power and
+    eps_t / n or one ulp, and its lower end joins ``value``.  Power and
     log-power tails close with their sandwich once the summand is convex;
     other tails with the dyadic upper bound alone, which bounds
     p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that reaches
@@ -370,7 +371,8 @@ def _eval_closed_form(
             tail_hi = _series_tail_bound(dist, K, n)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-        if n * width <= eps_t:
+        # no later block narrows a closed tail below its one-ulp floor
+        if n * width <= eps_t or (closed and tail_hi - tail_lo <= math.ulp(tail_hi)):
             break
         if capped:
             if not closed and K >= dist.k0_head:

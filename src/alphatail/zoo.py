@@ -80,13 +80,6 @@ _CLOSED_FORM = {
     FamilyKind.LOG_POWER,
 }
 
-_CONSTRUCTED = {
-    FamilyKind.CONGREGATED,
-    FamilyKind.PAIR_AVERAGED,
-    FamilyKind.DIFFUSION,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family identifier plus its named parameters.

@@ -99,6 +99,14 @@ class TestNumeric:
         with pytest.raises(ScheduleTooShort):
             classify_numeric(geom2, list(range(10, 30)))
 
+    def test_schedule_past_float_range(self):
+        # the span in decades is taken in logs, so an integer schedule far
+        # past the float range is accepted as tn accepts it
+        dist = make_distribution(parse_spec("diffusion:stages=1"))
+        verdict = classify_numeric(dist, [16 * 4 ** j for j in range(600)])
+        assert isinstance(verdict, DomainVerdict)
+        assert len(verdict.evidence) == 600
+
     def test_thresholds_round_trip(self):
         t = Thresholds(theta0=1e-5, band_ceiling=9.0)
         assert Thresholds.from_dict(asdict(t)) == t

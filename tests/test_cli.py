@@ -8,7 +8,7 @@ import math
 import pytest
 
 from alphatail import catalog, format_spec, parse_spec
-from alphatail.cli import main
+from alphatail.cli import _parse_schedule, main
 
 
 @pytest.fixture
@@ -55,13 +55,28 @@ class TestTn:
             assert math.isfinite(float(r["trunc_error"]))
 
     def test_bad_schedule_exit_2(self, run):
-        code, _, err = run("tn", "--dist", "geometric:a=2", "--schedule", "16-32")
-        assert code == 2
-        assert err.strip()
+        for schedule in ("16-32", "16:64:xfour"):
+            code, _, err = run("tn", "--dist", "geometric:a=2", "--schedule", schedule)
+            assert code == 2
+            assert err.strip()
 
     def test_bad_dist_exit_2(self, run):
         code, _, _ = run("tn", "--dist", "power:lambda=0.5")
         assert code == 2
+
+    def test_schedule_past_float_range(self, run):
+        code, out, _ = run("tn", "--dist", "diffusion:stages=1",
+                           "--schedule", f"16:{10 ** 309}:x4")
+        assert code == 0
+        ns = [int(r["n"]) for r in rows_of(out)]
+        assert ns == [16 * 4 ** j for j in range(len(ns))]
+        assert ns[-1] <= 10 ** 309 < 4 * ns[-1]
+
+    def test_schedule_steps_in_exact_integers(self):
+        # past 2^53 a float product would round 16 * 3^37 to a neighbour
+        assert _parse_schedule(f"16:{16 * 3 ** 37}:x3") == [16 * 3 ** j for j in range(38)]
+        assert _parse_schedule("10:40:x1.1") == [10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+                                                 20, 22, 24, 26, 28, 30, 33, 36, 39]
 
 
 class TestClassify:
@@ -80,6 +95,13 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["domain"] == "Domain0"
         assert doc["evidence"]
+
+    def test_non_finite_diagnostics_exit_3(self, run):
+        # JSON has no infinity: a non-finite diagnostic is a computation error
+        code, out, err = run("classify", "--dist", "diffusion:stages=1", "--mode", "numeric",
+                             "--schedule", f"16:{10 ** 400}:x1e40")
+        assert code == 3
+        assert out == "" and "max_upper" in err
 
 
 class TestEstimate:
@@ -192,6 +214,8 @@ class TestOutputPlumbing:
             _check_finite([{"x": float("nan")}])
         with pytest.raises(AlphatailError):
             _check_finite([{"x": float("inf")}])
+        with pytest.raises(AlphatailError):
+            _check_finite({"records": [], "d": {"ev": [(16, 1.0), (64, float("inf"))]}})
         _check_finite([{"x": 1.0, "s": "ok"}])
 
     def test_computation_error_exit_3(self, run):

@@ -51,6 +51,11 @@ def z1v_product_form(freq: FrequencyTable, v: int) -> float:
     return front * acc
 
 
+def z1v_exact(counts, n: int, v: int) -> Fraction:
+    """Z_{1,v} as a ratio of falling factorials in Python integers."""
+    return Fraction(sum(y * math.perm(n - y, v) for y in counts), math.perm(n, v + 1))
+
+
 FINITE_GRID = [
     [0.5, 0.5],
     [0.5, 0.3, 0.2],
@@ -222,7 +227,7 @@ class TestZ1v:
                 assert z1v(f, v) == pytest.approx(z1v_product_form(f, v), rel=1e-11, abs=1e-13)
 
     def test_exact_loggamma_crossover(self):
-        # same table shape just below and above the exact-integer cutoff
+        # the same table shape at an even and an odd n
         for n in (30, 31):
             counts = {i + 1: 2 for i in range(n // 2)}
             if n % 2:
@@ -232,6 +237,53 @@ class TestZ1v:
                 a = z1v(f, v)
                 b = z1v_product_form(f, v)
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+    def test_matches_exact_rational_at_scale(self, n):
+        f = sample(make_distribution(parse_spec("power:lambda=2")), n, seed=1)
+        vs = [1, 10, 100, 1000]
+        rep = estimator_report(f, vs)
+        for v, z in zip(vs, rep.z1v):
+            exact = float(z1v_exact(f.counts.values(), n, v))
+            assert abs(z1v(f, v) - exact) <= 1e-14 * exact
+            assert abs(z - exact) <= 1e-14 * exact
+
+    def test_matches_fraction_for_small_n(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 31):
+            for cap in (1, 2, 4, n):
+                counts, left, k = {}, n, 1
+                while left:
+                    y = int(rng.integers(1, min(left, cap) + 1))
+                    counts[k] = y
+                    left -= y
+                    k += 1
+                f = FrequencyTable(n, counts)
+                for v in range(1, n):
+                    exact = float(z1v_exact(counts.values(), n, v))
+                    assert abs(z1v(f, v) - exact) <= 16 * math.ulp(exact)
+
+    def test_single_v_matches_report_on_both_orientations(self):
+        # one v runs over the letters' counts y when Y * v <= y_max and over
+        # v otherwise; the full report runs over y for every v
+        n = 10 ** 4
+        f = sample(make_distribution(parse_spec("power:lambda=2")), n, seed=1)
+        distinct, y_max = len(set(f.counts.values())), max(f.counts.values())
+        vs = [1, 10, 100, 1000, 5000, n - 1]
+        assert {distinct * v <= y_max for v in vs} == {True, False}
+        rep = estimator_report(f, range(1, n))
+        for v in vs:
+            assert z1v(f, v) == pytest.approx(rep.z1v[v - 1], rel=1e-13)
+
+    def test_report_edges(self):
+        f = FrequencyTable(4, {1: 2, 2: 2})
+        empty = estimator_report(f, [])
+        assert empty.v_values == empty.z1v == empty.t_hat == []
+        for vs in ([1, 4], [0], [2, 3, 5]):
+            with pytest.raises(InvalidV):
+                estimator_report(f, vs)
+        rep = estimator_report(f, [3, 1, 3])
+        assert rep.z1v == [z1v(f, 3), z1v(f, 1), z1v(f, 3)]
 
     def test_t_hat_scaling(self):
         f = FrequencyTable(2, {1: 1, 2: 1})

@@ -192,6 +192,16 @@ class TestPowerClosure:
         assert 0.0 < tn(logpower2, 10 ** 8).trunc_error <= 1e-9
         assert tn(logpower2, 10 ** 9, max_terms=1 << 23).trunc_error > 0.0
 
+    def test_logpower_stops_at_the_width_floor(self, logpower2):
+        # at n = 3e8, eps = 1e-9 lies below n ulps of the tail: the sum stops
+        # once the closed bracket is one ulp wide instead of running to the cap
+        n = 3 * 10 ** 8
+        iv = tn(logpower2, n, eps=1e-9)
+        assert iv.terms_used < tail_index.DEFAULT_MAX_TERMS
+        for cap in (1 << 22, 1 << 24):
+            other = tn(logpower2, n, eps=1e-9, max_terms=cap)
+            assert max(iv.value, other.value) <= min(iv.upper, other.upper)
+
     @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 10 ** 8], [1.1, 1.5, 2.0, 7.0]))
     def test_convexity_starts_at_x_c(self, n, lam, kernel):
         mp = pytest.importorskip("mpmath")
