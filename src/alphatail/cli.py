@@ -38,10 +38,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTE = 3
 
+MAX_SCHEDULE_POINTS = 10_000
+
 
 def _parse_schedule(text: str) -> list[int]:
     """Geometric schedule 'start:stop:xFACTOR', e.g. 16:1048576:x4, in exact
-    integers: each n is floor(previous n * FACTOR), at least previous n + 1."""
+    integers: each n is floor(previous n * FACTOR), at least previous n + 1.
+    A schedule of more than MAX_SCHEDULE_POINTS points is refused as soon as
+    it reaches one more."""
     parts = text.split(":")
     if len(parts) != 3 or not parts[2].lower().startswith("x"):
         raise SpecParseError(f"schedule must be start:stop:xFACTOR, got {text!r}")
@@ -54,6 +58,8 @@ def _parse_schedule(text: str) -> list[int]:
     num, den = factor.as_integer_ratio()
     out, n = [], start
     while n <= stop:
+        if len(out) == MAX_SCHEDULE_POINTS:
+            raise SpecParseError(f"schedule {text!r} has more than {MAX_SCHEDULE_POINTS} points")
         out.append(n)
         n = max(n * num // den, n + 1)
     return out
@@ -206,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
-        p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
+    def common(p, formats=("csv", "json")):
+        p.add_argument("--format", choices=formats)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("tn", help="tail index along a geometric schedule")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["analytic", "numeric"], default="analytic")
     p.add_argument("--schedule", default="16:4194304:x4")
     p.add_argument("--eps", type=float, default=1e-6)
-    common(p, fmt_default="json")
+    common(p, formats=["json"])
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("oscillate", help="limiting oscillation profile t(c)")

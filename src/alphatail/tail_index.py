@@ -5,13 +5,15 @@ The central objects are the coverage deficit ``zeta_n = sum_k p_k (1-p_k)^n``
 ``t_n = n * zeta_n``.  Each evaluation returns a lower-bound ``value``
 together with a certified ``trunc_error`` so that the true quantity lies in
 ``[value, value + trunc_error]`` up to float rounding.  Closed forms are
-summed in index-ordered blocks, each with NumPy's pairwise sum, and the block
-sums with ``math.fsum``; a level table (a finite vector or a constructed
-prefix) is summed with one ``math.fsum``, so its value does not depend on
-the order of its levels and a finite vector's ``trunc_error`` is exactly 0.
-That sum runs over the levels whose term can be nonzero: those with p > 0
-in float for n up to 2**53, those with -746 < ln(n p) < ln 800 beyond.
-Every other term is exactly 0, so the value is the full table's bit for bit.
+summed in index-ordered blocks of 2^10, 2^11, ..., 2^16 values and then
+2^16 each, small enough to stay in cache, each with NumPy's pairwise sum,
+and the block sums with ``math.fsum``; a level table (a finite vector or a
+constructed prefix) is summed with one ``math.fsum``, so its value does not
+depend on the order of its levels and a finite vector's ``trunc_error`` is
+exactly 0.  That sum runs over the levels whose term can be nonzero: those
+with p > 0 in float for n up to 2**53, those with -746 < ln(n p) < ln 800
+beyond.  Every other term is exactly 0, so the value is the full table's bit
+for bit.
 
 One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
@@ -31,7 +33,9 @@ alternate, so the last two bracket the integral.  Once ``f`` is convex on
 sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
 lower end is added to ``value`` and the width, never less than one ulp of
 the upper end, is the ``trunc_error``; the sum stops once it reaches that
-floor, which no later term narrows.  Other infinite tails use a
+floor, which no later term narrows.  The sandwich does not depend on the
+head sum, so a search over block ends finds where it closes and the blocks
+before that are summed without evaluating it.  Other infinite tails use a
 dyadic-block upper bound built from the family's tail-mass certificate,
 valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  ``eps`` is a target
 on the t_n scale; a tail that cannot certify it within ``max_terms``
@@ -50,6 +54,8 @@ ever materialized as a float.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -68,6 +74,12 @@ _FLOAT_N_LIMIT = 1 << 53
 _EXP_OVERFLOW = 709.0
 _EXP_UNDERFLOW = -745.0
 _LN_800 = math.log(800.0)
+_FIRST_BLOCK = 1 << 10      # closed-form blocks double from 2^10 values
+_DOUBLINGS = 6              # six times, then stay at 2^16, which fits in cache
+_MAX_BLOCK = _FIRST_BLOCK << _DOUBLINGS
+# each end of a closed tail's bracket carries a few ulps of rounding, so near
+# its one-ulp floor the computed width moves by about 2 ulps between blocks
+_ROUNDING_ULPS = 3.0
 
 
 @dataclass(frozen=True)
@@ -127,14 +139,18 @@ class _Kernel(Enum):
     POISSON = "e^{-np}"     # its Poissonized twin
 
     def block(self, p: np.ndarray, n: float) -> np.ndarray:
-        """w on an array; (1-p)^n by exp(n log1p(-p)), with a direct-power
-        fallback for p > 0.99."""
+        """w on an array, computed in place in one new array; (1-p)^n by
+        exp(n log1p(-p)), with a direct-power fallback for p > 0.99."""
+        out = np.negative(p)
         if self is _Kernel.POISSON:
-            return np.exp(-n * p)
+            out *= n
+            return np.exp(out, out=out)
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.exp(n * np.log1p(-p))
-        big = p > 0.99
-        if np.any(big):
+            np.log1p(out, out=out)
+            out *= n
+            np.exp(out, out=out)
+        if p.max() > 0.99:
+            big = p > 0.99
             out[big] = np.power(1.0 - p[big], n)
         return out
 
@@ -332,6 +348,23 @@ def _sandwich(dist: Distribution, n: float, kernel: _Kernel) -> Optional[_Sandwi
 # Core evaluators
 # ---------------------------------------------------------------------------
 
+def _block_end(i: int) -> int:
+    """The index K that ends block i = 0, 1, ...: blocks hold 2^10, 2^11, ...,
+    2^16 values (K = 130,048 after those seven), then 2^16 values each."""
+    d = min(i, _DOUBLINGS)
+    return _FIRST_BLOCK * ((2 << d) - 1) + (i - d) * _MAX_BLOCK
+
+
+def _first_block(i: int, max_terms: int, meets: Callable[[int], bool]) -> int:
+    """The first block from i on that meets, or one that ends at
+    ``max_terms`` or past it, if ``meets`` holds from some block on: steps
+    of 1, 2, 4, ... blocks, then bisection inside the last step."""
+    lo, step = i - 1, 1
+    while _block_end(lo + step) < max_terms and not meets(lo + step):
+        lo, step = lo + step, 2 * step
+    return lo + 1 + bisect.bisect_left(range(lo + 1, lo + step), True, key=meets)
+
+
 def _eval_closed_form(
     dist: Distribution,
     n: float,
@@ -341,38 +374,63 @@ def _eval_closed_form(
 ) -> tuple[float, float, int]:
     """(value, trunc, terms) for sum_k p_k w(p_k) over a closed form.
 
-    Blocks are summed until the omitted tail's bracket is narrower than
-    eps_t / n or one ulp, and its lower end joins ``value``.  Power and
-    log-power tails close with their sandwich once the summand is convex;
-    other tails with the dyadic upper bound alone, which bounds
-    p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that reaches
-    ``max_terms`` unmet before it is convex takes the lower bound
+    Blocks (see ``_block_end``) are summed until the omitted tail's bracket
+    is narrower than eps_t / n or one ulp, and its lower end joins
+    ``value``.  Power and log-power tails close with their sandwich once the
+    summand is convex; other tails with the dyadic upper bound alone, which
+    bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that
+    reaches ``max_terms`` unmet before it is convex takes the lower bound
     w(p_{K+1}) times the certified lower tail mass, sound because
     p_k <= p_{K+1} beyond K.
+
+    The sandwich does not depend on the head sum.  Once the summand is
+    convex at a block end, ``_first_block`` searches the remaining block
+    ends (up to ``max_terms``) for the first one where the sandwich comes
+    within ``_ROUNDING_ULPS`` of closing, and the blocks up to it are summed
+    without evaluating the sandwich.  The slack keeps the search at or
+    before the first block end that closes, although near the one-ulp floor
+    rounding moves the computed width up and down from one block end to the
+    next.  From there every block end is checked again, so the stop is the
+    sandwich's own at the block end reached and never rests on the search.
     """
+    def closes(lo: float, hi: float, slack: float = 0.0) -> bool:
+        """Whether [lo, hi], less ``slack`` ulps, meets eps_t / n or the
+        one-ulp floor, which no later block narrows."""
+        w = hi - lo - slack * math.ulp(hi)
+        return n * max(w, math.ulp(hi)) <= eps_t or w <= math.ulp(hi)
+
+    def nearly_closes(i: int) -> bool:
+        return closes(*bracket(min(_block_end(i), max_terms)), _ROUNDING_ULPS)
+
     sums: list[float] = []
     sandwich = _sandwich(dist, n, kernel)
-    k = 1
-    chunk = 1 << 10
+    if sandwich is not None:
+        # the search for the closing block and the loop share evaluations
+        bracket = functools.cache(lambda K: sandwich.bracket(n, K, kernel))
+    i = K = 0
+    target = None  # the block end the search found, once the summand is convex
     tail_lo, tail_hi = 0.0, math.inf
     while True:
-        hi = min(k + chunk, max_terms + 1)
-        lp = dist.log_prob_block(k, hi)
+        hi = min(_block_end(i), max_terms)
         with np.errstate(under="ignore"):
-            p = np.exp(lp)
-            sums.append(float((p * kernel.block(p, n)).sum()))
-        k = hi
-        K = k - 1
+            p = dist.log_prob_block(K + 1, hi + 1)
+            np.exp(p, out=p)
+            w = kernel.block(p, n)
+            w *= p
+            sums.append(float(w.sum()))
+        K = hi
+        i += 1
+        capped = K >= max_terms
+        if target is not None and K < target:
+            continue
         closed = sandwich is not None and sandwich.convex(K + 0.5)
-        capped = k > max_terms
         if closed:
-            tail_lo, tail_hi = sandwich.bracket(n, K, kernel)
+            tail_lo, tail_hi = bracket(K)
         elif K >= dist.k0_head and (capped or sandwich is None):
             tail_hi = _series_tail_bound(dist, K, n)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-        # no later block narrows a closed tail below its one-ulp floor
-        if n * width <= eps_t or (closed and tail_hi - tail_lo <= math.ulp(tail_hi)):
+        if (closed and closes(tail_lo, tail_hi)) or n * width <= eps_t:
             break
         if capped:
             if not closed and K >= dist.k0_head:
@@ -380,7 +438,8 @@ def _eval_closed_form(
                 tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
                 width = max(tail_hi - tail_lo, math.ulp(tail_hi))
             break
-        chunk = min(chunk * 2, 1 << 21)
+        if closed and target is None:
+            target = min(_block_end(_first_block(i, max_terms, nearly_closes)), max_terms)
     return math.fsum(sums) + tail_lo, width, K
 
 

@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from alphatail import catalog, format_spec, parse_spec
-from alphatail.cli import _parse_schedule, main
+from alphatail import SpecParseError, catalog, format_spec, parse_spec
+from alphatail.cli import MAX_SCHEDULE_POINTS, _parse_schedule, main
 
 
 @pytest.fixture
@@ -78,8 +79,32 @@ class TestTn:
         assert _parse_schedule("10:40:x1.1") == [10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
                                                  20, 22, 24, 26, 28, 30, 33, 36, 39]
 
+    def test_schedule_point_cap(self, run):
+        assert len(_parse_schedule("1:10000:x1.0000001")) == MAX_SCHEDULE_POINTS
+        with pytest.raises(SpecParseError):
+            _parse_schedule("1:10001:x1.0000001")
+        # refused at point 10,001, not after building all 999,985
+        tracemalloc.start()
+        try:
+            code, out, err = run("tn", "--dist", "geometric:a=2",
+                                 "--schedule", "16:1000000:x1.0000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == "" and "10000 points" in err
+        assert peak < 2 ** 20
+
 
 class TestClassify:
+    def test_csv_format_refused(self, run):
+        # classify writes JSON only, so --format csv is refused, not ignored
+        code, out, err = run("classify", "--dist", "geometric:a=2", "--format", "csv")
+        assert code == 2
+        assert out == "" and "invalid choice" in err
+        code, out, _ = run("classify", "--dist", "geometric:a=2", "--format", "json")
+        assert code == 0 and json.loads(out)["domain"]
+
     def test_analytic_json(self, run):
         code, out, _ = run("classify", "--dist", "power:lambda=2", "--mode", "analytic")
         assert code == 0

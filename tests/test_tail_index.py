@@ -1,7 +1,9 @@
 """Series evaluation, truncation certificates, oscillation and gap machinery."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy import special
 
 from alphatail import tail_index
 from alphatail import (
+    Distribution,
     FamilyKind,
     FamilySpec,
     FiniteSupport,
@@ -300,6 +303,91 @@ class TestLogPowerClosure:
                 f = lambda x: p(x) * mp.exp(-n * p(x))  # noqa: E731
             for scale in (1, 2, 100):
                 assert mp.diff(f, mp.mpf(x_c) * scale, 2) > 0
+
+
+def _block_ends(terms: int) -> list[int]:
+    """The block ends of the closed-form loop up to ``terms``: blocks of
+    2^10, 2^11, ..., 2^16 values, then 2^16 values each."""
+    ends = [0]
+    while ends[-1] < terms:
+        ends.append(ends[-1] + (1 << 10 << min(len(ends) - 1, 6)))
+    return ends[1:]
+
+
+class TestClosedFormBlocks:
+    def test_blocks_stay_at_most_2_16_values(self, logpower2, monkeypatch):
+        sizes = []
+        log_prob_block = Distribution.log_prob_block
+
+        def recording(self, start, stop):
+            sizes.append(stop - start)
+            return log_prob_block(self, start, stop)
+
+        monkeypatch.setattr(Distribution, "log_prob_block", recording)
+        power15 = make_distribution(parse_spec("power:lambda=1.5"))
+        for dist in (logpower2, power15):
+            sizes.clear()
+            iv = tn(dist, 10 ** 8)
+            assert max(sizes) == 1 << 16
+            assert list(itertools.accumulate(sizes)) == _block_ends(iv.terms_used)
+
+    def test_logpower_at_1e8(self, logpower2):
+        # blocks that grew to 2^21 values overshot to 6,290,432 terms
+        iv = tn(logpower2, 10 ** 8)
+        assert 0.0 < iv.trunc_error <= 1e-9
+        assert iv.terms_used <= 3_600_000
+        assert _brackets(iv, float(LOGPOWER_REFS[-1][1]))
+
+    @pytest.mark.parametrize("spec_text, n", [
+        ("logpower:lambda=2,k0=2", 1000),
+        ("logpower:lambda=2,k0=2", 223872),
+        ("logpower:lambda=2,k0=2", 89125094),
+        ("logpower:lambda=2,k0=2", 10 ** 8),
+        ("power:lambda=1.5", 10 ** 8),
+    ])
+    def test_stops_at_the_first_closing_block(self, spec_text, n):
+        # the search for the closing block skips bracket evaluations, yet no
+        # earlier block end closes: near the one-ulp floor rounding moves
+        # the computed width up and down between block ends
+        dist = make_distribution(parse_spec(spec_text))
+        eps = 1e-9
+        sandwich = tail_index._sandwich(dist, float(n), BINOMIAL)
+
+        def closes(K):
+            lo, hi = sandwich.bracket(float(n), K, BINOMIAL)
+            return n * max(hi - lo, math.ulp(hi)) <= eps or hi - lo <= math.ulp(hi)
+
+        iv = tn(dist, n, eps)
+        ends = _block_ends(iv.terms_used)
+        assert ends[-1] == iv.terms_used and closes(iv.terms_used)
+        earlier = [K for K in ends[:-1] if sandwich.convex(K + 0.5)]
+        assert earlier and not any(closes(K) for K in earlier)
+
+    def test_memory_stays_below_16_mib(self, logpower2):
+        # blocks that grew to 2^21 values peaked at 112 MiB, in 16 MiB arrays
+        tracemalloc.start()
+        try:
+            tn(logpower2, 10 ** 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_direct_power_above_0_99(self):
+        mp = pytest.importorskip("mpmath")
+        p = np.array([0.995, 0.5, 0.005])
+        for n in (10.0, 100.0):
+            w = BINOMIAL.block(p, n)
+            with mp.workdps(30):
+                want = [(1 - mp.mpf(float(q))) ** n for q in p]
+            # exp(n log1p(-p)) is 4e-14 off at p = 0.995, n = 100
+            assert abs(w[0] - float(want[0])) <= 1e-15 * float(want[0])
+            assert all(abs(got - float(x)) <= 1e-13 * float(x) for got, x in zip(w[1:], want[1:]))
+        dist = make_distribution(parse_spec("finite:p=0.995;0.005"))
+        for n in (1, 10, 100, 1000):
+            with mp.workdps(30):
+                want = n * sum(mp.mpf(q) * (1 - mp.mpf(q)) ** n for q in (0.995, 0.005))
+            assert tn(dist, n).value == pytest.approx(float(want), rel=1e-13)
 
 
 class TestElementaryInequalities:
