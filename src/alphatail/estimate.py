@@ -1,9 +1,16 @@
 """Sampling and unbiased estimation of the tail index from iid data.
 
-``sample`` draws letters by inverse-CDF search over cached prefix sums and is
-bit-reproducible for a given seed.  ``z1v`` implements the unbiased estimator
-of the coverage deficit: with m_y the number of letters seen y times in a
-sample of size n, for any order 1 <= v <= n-1,
+``sample`` draws n uniforms and maps them through the prefix sums of p_k
+(inverse CDF); it is bit-reproducible for a given seed.  With m CDF entries,
+m <= n counts each letter on the sorted draws, as the draws below its entry
+minus those below the previous one (m searches into n); m > n, heavy tails at
+moderate n, searches every draw in the CDF (n searches into m).  Both count
+the draws in [cdf[k-2], cdf[k-1]) for letter k.  A sample holds at most
+_MAX_SAMPLE draws.
+
+``z1v`` implements the unbiased estimator of the coverage deficit: with m_y
+the number of letters seen y times in a sample of size n, for any order
+1 <= v <= n-1,
 
     Z_{1,v} = [(n-1-v)! / n!] * sum_k y_k * (n-y_k)! / (n-y_k-v)!
             = (1/(n-v)) * sum_y y m_y prod_{j<v} (1 - y/(n-j)),
@@ -39,6 +46,7 @@ from .zoo import Distribution
 _ORACLE_MAX_N = 12
 _ORACLE_MAX_K = 6
 _MAX_CDF_ENTRIES = 1 << 24  # 128 MiB of float64 prefix sums
+_MAX_SAMPLE = 1 << 27       # 1 GiB of float64 draws
 _BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
 _EXP_ZERO = -746.0          # exp of anything below is exactly 0.0
 
@@ -95,16 +103,29 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
     """Draw n iid letters; deterministic for a given 64-bit seed."""
     if n < 1:
         raise InvalidParams("sample size must be >= 1")
+    if n > _MAX_SAMPLE:
+        raise SamplerLimit(f"sample size {n} exceeds the cap of {_MAX_SAMPLE} draws")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     u_max = float(u.max())
     cdf = _grow_cdf(dist, u_max)
-    letters = np.searchsorted(cdf, u, side="right") + 1
-    if u_max >= cdf[-1]:
-        # a draw past the end of a table with no mass beyond is rounding dust
-        letters = np.minimum(letters, len(cdf))
-    ks, ys = np.unique(letters, return_counts=True)
-    return FrequencyTable(n, {int(k): int(y) for k, y in zip(ks, ys)})
+    # letter k takes the draws in [cdf[k-2], cdf[k-1]); a draw past the end
+    # of a table with no mass beyond is rounding dust and joins its last letter
+    if len(cdf) <= n:
+        # m searches into the sorted sample: the draws below each CDF entry
+        u.sort()
+        below = np.searchsorted(u, cdf, side="left")
+        below[-1] = n
+        counts = np.diff(below, prepend=0)
+        seen = np.flatnonzero(counts)
+        ks, ys = seen + 1, counts[seen]
+    else:
+        # a CDF longer than the sample: n searches into the CDF are cheaper
+        letters = np.searchsorted(cdf, u, side="right") + 1
+        if u_max >= cdf[-1]:
+            letters = np.minimum(letters, len(cdf))
+        ks, ys = np.unique(letters, return_counts=True)
+    return FrequencyTable(n, dict(zip(ks.tolist(), ys.tolist())))
 
 
 def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:

@@ -159,8 +159,12 @@ def _log_weight_block(kind: FamilyKind, p: dict, ks: np.ndarray) -> np.ndarray:
     if kind is FamilyKind.POWER:
         return -p["lambda"] * np.log(ks)
     if kind is FamilyKind.LOG_POWER:
-        js = ks + (p["k0"] - 1)
-        return -(np.log(js) + p["lambda"] * np.log(np.log(js)))
+        # -(ln j + lambda ln ln j), with ln j taken once and worked in place
+        lj = np.log(ks + (p["k0"] - 1))
+        out = np.log(lj)
+        out *= p["lambda"]
+        out += lj
+        return np.negative(out, out=out)
     raise InvalidParams(f"no closed form for {kind}")
 
 
@@ -418,7 +422,9 @@ class Distribution:
             idx = np.searchsorted(self._cum_counts, np.arange(start, stop), side="left")
             return LN2 * self._level_log2[idx]
         ks = np.arange(start, stop, dtype=np.float64)
-        return math.log(self.norm_constant) + _log_weight_block(self.kind, self.spec.params, ks)
+        out = _log_weight_block(self.kind, self.spec.params, ks)
+        out += math.log(self.norm_constant)
+        return out
 
     # -- tail certification ----------------------------------------------------
 

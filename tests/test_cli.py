@@ -243,6 +243,19 @@ class TestOutputPlumbing:
             _check_finite({"records": [], "d": {"ev": [(16, 1.0), (64, float("inf"))]}})
         _check_finite([{"x": 1.0, "s": "ok"}])
 
+    def test_sample_size_cap_exit_3(self, run):
+        tracemalloc.start()
+        try:
+            code, out, err = run("estimate", "--dist", "geometric:a=2",
+                                 "--n", "10000000000000", "--seed", "1", "--v", "1:2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert peak < 1 << 20
+
     def test_computation_error_exit_3(self, run):
         # sampling past a shallow constructed prefix is a computation error
         code, _, err = run("estimate", "--dist", "pairavg:base=(geometric:a=2),depth=2",

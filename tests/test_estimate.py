@@ -1,6 +1,8 @@
 """Sampling, the unbiased estimator, and the exact enumeration oracle."""
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -19,9 +21,11 @@ from alphatail import (
     SamplerLimit,
     Statistic,
     TooLarge,
+    catalog,
     estimator_report,
     exact_expectation,
     exact_zeta,
+    format_spec,
     make_distribution,
     parse_spec,
     sample,
@@ -49,6 +53,25 @@ def z1v_product_form(freq: FrequencyTable, v: int) -> float:
             prod *= 1.0 - ph - j / n
         acc += prod
     return front * acc
+
+
+def sample_by_lookup(dist, n: int, seed: int) -> FrequencyTable:
+    """The sampler's per-draw form: search every draw in the CDF, clamp draws
+    past the end of a table onto its last letter, and count with np.unique;
+    kept as a cross-check of counting on the sorted sample."""
+    u = np.random.default_rng(seed).random(n)
+    u_max = float(u.max())
+    cdf = estimate._grow_cdf(dist, u_max)
+    letters = np.searchsorted(cdf, u, side="right") + 1
+    if u_max >= cdf[-1]:
+        letters = np.minimum(letters, len(cdf))
+    ks, ys = np.unique(letters, return_counts=True)
+    return FrequencyTable(n, {int(k): int(y) for k, y in zip(ks, ys)})
+
+
+def assert_same_sample(got: FrequencyTable, want: FrequencyTable):
+    assert got == want
+    assert list(got.counts) == list(want.counts)  # key order too
 
 
 def z1v_exact(counts, n: int, v: int) -> Fraction:
@@ -163,6 +186,88 @@ class TestSampling:
         assert d.tail_mass_lower(1000) == 0.0
         with pytest.raises(SamplerLimit):
             estimate._grow_cdf(d, 1.0 - 1e-4)
+
+    @pytest.mark.parametrize("spec_text", [format_spec(s) for s in catalog()])
+    def test_counts_match_per_draw_lookup(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        for n in (1, 2, 64, 10 ** 3, 10 ** 5):
+            for seed in range(1, 21):
+                try:
+                    want = sample_by_lookup(dist, n, seed)
+                except SamplerLimit:
+                    with pytest.raises(SamplerLimit):
+                        sample(dist, n, seed)
+                    continue
+                assert_same_sample(sample(dist, n, seed), want)
+
+    @pytest.mark.parametrize("spec_text, n, seed, longer", [
+        ("power:lambda=2", 100, 5, True),   # 960 CDF entries
+        ("power:lambda=2", 100, 1, False),  # 64
+        ("power:lambda=2", 10 ** 4, 2, True),
+        ("power:lambda=2", 10 ** 4, 4, False),
+        ("geometric:a=2", 1, 1, True),
+        ("geometric:a=2", 10 ** 4, 1, False),
+    ])
+    def test_both_counting_paths(self, spec_text, n, seed, longer):
+        dist = make_distribution(parse_spec(spec_text))
+        u_max = float(np.random.default_rng(seed).random(n).max())
+        assert (len(estimate._grow_cdf(dist, u_max)) > n) == longer
+        assert_same_sample(sample(dist, n, seed), sample_by_lookup(dist, n, seed))
+
+    @pytest.mark.parametrize("n", [1, 10 ** 3])
+    def test_draws_past_a_table_end_join_its_last_letter(self, monkeypatch, n):
+        # without its last entry the table ends at 0.8, so every draw above
+        # lands past cdf[-1]; one draw against a 2-entry CDF takes the lookup
+        d = finite([0.5, 0.3, 0.2])
+        grow = estimate._grow_cdf
+        monkeypatch.setattr(estimate, "_grow_cdf", lambda dist, u_max: grow(dist, u_max)[:-1])
+        clamped = 0
+        for seed in range(1, 21):
+            u = np.random.default_rng(seed).random(n)
+            clamped += int((u >= 0.8).sum())
+            f = sample(d, n, seed)
+            assert set(f.counts) <= {1, 2}
+            assert_same_sample(f, sample_by_lookup(d, n, seed))
+        assert clamped > 0
+
+    @pytest.mark.parametrize("n, picks", [(10 ** 3, [10, 500, 999]), (3, [0, 1, 2])])
+    def test_draw_equal_to_a_cdf_entry_takes_the_next_letter(self, monkeypatch, n, picks):
+        # CDF entries placed on draws themselves: sorted counting with 3 of
+        # 1000 draws, and the per-draw lookup with 4 entries for 3 draws
+        u = np.sort(np.random.default_rng(9).random(n))
+        cdf = np.append(u[picks], 1.0)
+        monkeypatch.setattr(estimate, "_grow_cdf", lambda dist, u_max: cdf)
+        f = sample(finite([0.25] * 4), n, seed=9)
+        assert_same_sample(f, sample_by_lookup(finite([0.25] * 4), n, seed=9))
+        assert f.counts.get(1, 0) == picks[0]
+
+    @pytest.mark.parametrize("spec_text, n, seed, digest", [
+        ("geometric:a=2", 10 ** 5, 1,
+         "1261744ac130cbbf57ae374d52f1344a68221357230f8d65bc97d45f47a3d705"),
+        ("power:lambda=2", 100, 7,
+         "3223360f460e04849d5c8b7abfef291c24140d6ac5aba6294232fa63dc5588e3"),
+        ("diffusion:stages=8", 10 ** 3, 3,
+         "b26289038bc13c4b65475ae64c1a6977a30a0eac6b7f840c37c3f6051a82263b"),
+        ("pairavg:base=(geometric:a=2)", 64, 20,
+         "98baef6f2efc8a90975c638ef83bc4ec32d1653ba79cd04172e40614bbc74d3b"),
+    ])
+    def test_seeded_samples_are_pinned(self, spec_text, n, seed, digest):
+        f = sample(make_distribution(parse_spec(spec_text)), n, seed)
+        assert hashlib.sha256(repr(sorted(f.counts.items())).encode()).hexdigest() == digest
+
+    def test_sample_size_cap(self, geom2, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SamplerLimit):
+                sample(geom2, 10 ** 13, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(estimate, "_MAX_SAMPLE", 100)
+        assert sample(geom2, 100, seed=1).n == 100
+        with pytest.raises(SamplerLimit):
+            sample(geom2, 101, seed=1)
 
 
 class TestTuring:

@@ -375,3 +375,18 @@ def test_immutability_of_spec():
     spec = parse_spec("geometric:a=2")
     with pytest.raises(AttributeError):
         spec.kind = FamilyKind.POWER
+
+
+def test_logpower_block_matches_two_log_formula():
+    # ln j is taken once and the sum worked in place; addition commutes
+    # exactly, so the floats are those of the formula as written
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        lam = float(rng.uniform(1.05, 6.0))
+        k0 = int(rng.integers(2, 50))
+        start = int(rng.integers(1, 1 << 30))
+        stop = start + int(rng.integers(1, 5000))
+        dist = make_distribution(parse_spec(f"logpower:lambda={lam!r},k0={k0}"))
+        js = np.arange(start, stop, dtype=np.float64) + (k0 - 1)
+        want = math.log(dist.norm_constant) - (np.log(js) + lam * np.log(np.log(js)))
+        assert np.array_equal(dist.log_prob_block(start, stop), want)
