@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .dominance import DominanceVerdict, dominates
 from .errors import FiniteSupport, InvalidParams, ScheduleTooShort
-from .tail_index import tn
+from .tail_index import IndexValue, evaluate_series, tn
 from .zoo import Distribution, FamilyKind
 
 _E_INV = math.exp(-1.0)
@@ -133,6 +133,14 @@ def _fit_slope(pairs: Sequence[tuple[int, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in pts) / sxx
 
 
+def _tn_at(dist: Distribution, ns: Sequence[int], eps: float, max_terms: int) -> list[IndexValue]:
+    """t_n at each n of ns, in their order, from one schedule evaluation of
+    their distinct values."""
+    distinct = sorted(set(ns))
+    at = dict(zip(distinct, evaluate_series(dist, distinct, eps, max_terms).points))
+    return [at[n] for n in ns]
+
+
 def classify_numeric(
     dist: Distribution,
     schedule: Sequence[int],
@@ -155,7 +163,7 @@ def classify_numeric(
         raise ScheduleTooShort(
             f"schedule spans {decades:.2f} decades; need {thresholds.min_decades}"
         )
-    points = [tn(dist, n, eps, max_terms) for n in schedule]
+    points = _tn_at(dist, schedule, eps, max_terms)
     evidence = [(p.n, p.value) for p in points]
     half = len(points) // 2
     tail_pts = points[half:]
@@ -188,9 +196,9 @@ def classify_numeric(
 
     # Transient: caller-supplied witness subsequences
     if transient_probes is not None:
-        growing_ns, bounded_ns = transient_probes
-        gvals = [tn(dist, int(n), eps, max_terms) for n in growing_ns]
-        bvals = [tn(dist, int(n), eps, max_terms) for n in bounded_ns]
+        growing_ns, bounded_ns = ([int(n) for n in ns] for ns in transient_probes)
+        probes = _tn_at(dist, growing_ns + bounded_ns, eps, max_terms)
+        gvals, bvals = probes[:len(growing_ns)], probes[len(growing_ns):]
         diagnostics["probe_growing"] = [(v.n, v.value) for v in gvals]
         diagnostics["probe_bounded"] = [(v.n, v.value) for v in bvals]
         g_ok = (len(gvals) >= 3

@@ -29,7 +29,7 @@ from .classify import (
 from .dominance import DEFAULT_DEPTH, DEFAULT_PROBE_LIMIT, dominates
 from .errors import AlphatailError, InvalidParams, SpecParseError
 from .estimate import estimator_report, sample
-from .tail_index import DEFAULT_EPS, oscillation_t, tn
+from .tail_index import DEFAULT_EPS, evaluate_series, oscillation_t
 from .zoo import FamilyKind, catalog, format_spec, make_distribution, parse_spec
 
 ENV_OUT_DIR = "ALPHATAIL_OUT_DIR"
@@ -113,12 +113,9 @@ def _emit(doc: dict, fmt: str, out_path: Optional[str], header: Sequence[str] = 
 
 def _cmd_tn(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
-    sched = _parse_schedule(args.schedule)
-    records = []
-    for n in sched:
-        iv = tn(dist, n, args.eps)
-        records.append({"n": n, "t_n": iv.value, "trunc_error": iv.trunc_error,
-                        "terms_used": iv.terms_used})
+    series = evaluate_series(dist, _parse_schedule(args.schedule), args.eps)
+    records = [{"n": iv.n, "t_n": iv.value, "trunc_error": iv.trunc_error,
+                "terms_used": iv.terms_used} for iv in series.points]
     # the CSV keeps its three columns; JSON records also carry terms_used
     _emit({"records": records}, args.format or "csv", args.out, ["n", "t_n", "trunc_error"])
 
@@ -186,19 +183,17 @@ def _cmd_zoo(args) -> None:
 
 def _cmd_domain_t(args) -> None:
     dist = make_distribution(parse_spec(f"diffusion:stages={args.stages}"))
-    records = []
-    for run in dist.runs:
-        t_n = tn(dist, run.n_probe)
-        t_m = tn(dist, run.m_probe)
-        records.append({
-            "i": run.stage,
-            "d_i": run.d,
-            "run_exp": run.run_exponent,
-            "n_i": run.n_probe,
-            "t_n_i": t_n.value,
-            "m_i": run.m_probe,
-            "t_m_i": t_m.value,
-        })
+    ns = sorted({n for run in dist.runs for n in (run.n_probe, run.m_probe)})
+    t = dict(zip(ns, (iv.value for iv in evaluate_series(dist, ns).points)))
+    records = [{
+        "i": run.stage,
+        "d_i": run.d,
+        "run_exp": run.run_exponent,
+        "n_i": run.n_probe,
+        "t_n_i": t[run.n_probe],
+        "m_i": run.m_probe,
+        "t_m_i": t[run.m_probe],
+    } for run in dist.runs]
     _emit({"records": records}, args.format or "csv", args.out,
           ["i", "d_i", "run_exp", "n_i", "t_n_i", "m_i", "t_m_i"])
 

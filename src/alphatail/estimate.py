@@ -48,6 +48,7 @@ _ORACLE_MAX_K = 6
 _MAX_CDF_ENTRIES = 1 << 24  # 128 MiB of float64 prefix sums
 _MAX_SAMPLE = 1 << 27       # 1 GiB of float64 draws
 _BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
+_MAX_CDF_BLOCK = 1 << 16    # CDF blocks double from 64 values up to this
 _EXP_ZERO = -746.0          # exp of anything below is exactly 0.0
 
 
@@ -129,11 +130,13 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
 
 
 def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
-    """Prefix sums of p_k in doubling blocks, up to the first that exceeds
-    u_max or the end of a level table; at most _MAX_CDF_ENTRIES entries,
-    refused up front when the certified tail mass beyond the cap already
-    exceeds 1 - u_max.  A table that ends below u_max must hold all the
-    mass; otherwise the draw needs letters it does not have.
+    """Prefix sums of p_k in blocks that double from 64 values up to
+    _MAX_CDF_BLOCK, up to the first block that exceeds u_max or the end of a
+    level table, so the CDF runs less than one block past the letter it
+    needs; at most _MAX_CDF_ENTRIES entries, refused up front when the
+    certified tail mass beyond the cap already exceeds 1 - u_max.  A table
+    that ends below u_max must hold all the mass; otherwise the draw needs
+    letters it does not have.
 
     Each block is summed on from the running total, which gives the same
     floats as one cumsum over the whole prefix."""
@@ -166,7 +169,7 @@ def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
             )
         reached = top
         start = stop
-        block *= 2
+        block = min(2 * block, _MAX_CDF_BLOCK)
 
 
 def turing(freq: FrequencyTable) -> float:

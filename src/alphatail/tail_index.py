@@ -15,6 +15,13 @@ with p > 0 in float for n up to 2**53, those with -746 < ln(n p) < ln 800
 beyond.  Every other term is exactly 0, so the value is the full table's bit
 for bit.
 
+A schedule of n is evaluated in two steps.  Each n first finds where its
+head stops, from the tail certificates alone; then one sweep over the
+blocks, up to the largest stop, sums the head of every n.  A block's p and
+log1p(-p) do not depend on n, so they are computed once for all the n whose
+head reaches the block, as a level table's are once for all n.  Every
+result is bit for bit that of its n evaluated on its own.
+
 One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
 ``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
@@ -33,11 +40,11 @@ alternate, so the last two bracket the integral.  Once ``f`` is convex on
 sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
 lower end is added to ``value`` and the width, never less than one ulp of
 the upper end, is the ``trunc_error``; the sum stops once it reaches that
-floor, which no later term narrows.  The sandwich does not depend on the
-head sum, so a search over block ends finds where it closes and the blocks
-before that are summed without evaluating it.  Other infinite tails use a
+floor, which no later term narrows.  Other infinite tails use a
 dyadic-block upper bound built from the family's tail-mass certificate,
-valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  ``eps`` is a target
+valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound reads
+the head sum, so the stop is found before any block is summed, with a
+search over block ends for where the sandwich closes.  ``eps`` is a target
 on the t_n scale; a tail that cannot certify it within ``max_terms``
 summands stops at the cap.  If the summand is not yet convex there (a
 small ``max_terms``; for ``logpower:lambda=2,k0=2`` under the default cap,
@@ -138,26 +145,36 @@ class _Kernel(Enum):
     BINOMIAL = "(1-p)^n"    # Turing's zeta_n
     POISSON = "e^{-np}"     # its Poissonized twin
 
-    def block(self, p: np.ndarray, n: float) -> np.ndarray:
-        """w on an array, computed in place in one new array; (1-p)^n by
-        exp(n log1p(-p)), with a direct-power fallback for p > 0.99."""
-        out = np.negative(p)
+    def log_weight(self, p: np.ndarray) -> tuple[np.ndarray, Optional[tuple]]:
+        """(L, big), with which ``_terms`` gives w(p) = exp(n L) at any n, in
+        one new array: L = log1p(-p) for (1-p)^n and -p for e^{-np}.  For
+        (1-p)^n with some p > 0.99, big holds their mask and 1 - p, where w
+        is the direct power (1-p)^n instead; otherwise big is None."""
+        L = np.negative(p)
         if self is _Kernel.POISSON:
-            out *= n
-            return np.exp(out, out=out)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.log1p(out, out=out)
-            out *= n
-            np.exp(out, out=out)
+            return L, None
+        np.log1p(L, out=L)
         if p.max() > 0.99:
-            big = p > 0.99
-            out[big] = np.power(1.0 - p[big], n)
-        return out
+            mask = p > 0.99
+            return L, (mask, 1.0 - p[mask])
+        return L, None
 
     def at(self, p: float, n: float) -> float:
         if self is _Kernel.BINOMIAL:
             return math.exp(n * math.log1p(-p))
         return math.exp(-n * p)
+
+
+def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | float,
+           out: np.ndarray) -> np.ndarray:
+    """factor * w(p) at n, from ``_Kernel.log_weight``'s (L, big), into
+    ``out``, which may be L itself when no other n needs it."""
+    w = np.multiply(L, n, out=out)
+    np.exp(w, out=w)
+    if big is not None:
+        w[big[0]] = np.power(big[1], n)
+    w *= factor
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +382,28 @@ def _first_block(i: int, max_terms: int, meets: Callable[[int], bool]) -> int:
     return lo + 1 + bisect.bisect_left(range(lo + 1, lo + step), True, key=meets)
 
 
-def _eval_closed_form(
-    dist: Distribution,
-    n: float,
-    eps_t: float,
-    max_terms: int,
-    kernel: _Kernel,
-) -> tuple[float, float, int]:
-    """(value, trunc, terms) for sum_k p_k w(p_k) over a closed form.
+def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
+          kernel: _Kernel) -> tuple[int, float, float]:
+    """(K, tail_lo, width): where the head of sum_k p_k w(p_k) over a closed
+    form stops, and the lower end and width of the omitted tail's bracket.
 
-    Blocks (see ``_block_end``) are summed until the omitted tail's bracket
-    is narrower than eps_t / n or one ulp, and its lower end joins
-    ``value``.  Power and log-power tails close with their sandwich once the
-    summand is convex; other tails with the dyadic upper bound alone, which
-    bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that
-    reaches ``max_terms`` unmet before it is convex takes the lower bound
-    w(p_{K+1}) times the certified lower tail mass, sound because
-    p_k <= p_{K+1} beyond K.
+    The head is summed in blocks (see ``_block_end``) up to the first block
+    end K where the bracket is narrower than eps_t / n or one ulp.  Power
+    and log-power tails close with their sandwich once the summand is
+    convex; other tails with the dyadic upper bound alone, which bounds
+    p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that reaches
+    ``max_terms`` unmet before it is convex takes the lower bound w(p_{K+1})
+    times the certified lower tail mass, sound because p_k <= p_{K+1}
+    beyond K.  No rule reads the head sum, so K is found from the
+    certificates alone.
 
-    The sandwich does not depend on the head sum.  Once the summand is
-    convex at a block end, ``_first_block`` searches the remaining block
-    ends (up to ``max_terms``) for the first one where the sandwich comes
-    within ``_ROUNDING_ULPS`` of closing, and the blocks up to it are summed
-    without evaluating the sandwich.  The slack keeps the search at or
-    before the first block end that closes, although near the one-ulp floor
-    rounding moves the computed width up and down from one block end to the
-    next.  From there every block end is checked again, so the stop is the
+    Once the summand is convex at a block end, ``_first_block`` searches the
+    remaining block ends (up to ``max_terms``) for the first one where the
+    sandwich comes within ``_ROUNDING_ULPS`` of closing, and the block ends
+    before it are not tested.  The slack keeps the search at or before the
+    first block end that closes, although near the one-ulp floor rounding
+    moves the computed width up and down from one block end to the next.
+    From there every block end is tested again, so the stop is the
     sandwich's own at the block end reached and never rests on the search.
     """
     def closes(lo: float, hi: float, slack: float = 0.0) -> bool:
@@ -402,27 +415,17 @@ def _eval_closed_form(
     def nearly_closes(i: int) -> bool:
         return closes(*bracket(min(_block_end(i), max_terms)), _ROUNDING_ULPS)
 
-    sums: list[float] = []
     sandwich = _sandwich(dist, n, kernel)
     if sandwich is not None:
-        # the search for the closing block and the loop share evaluations
+        # the search for the closing block and the stop test share evaluations
         bracket = functools.cache(lambda K: sandwich.bracket(n, K, kernel))
-    i = K = 0
-    target = None  # the block end the search found, once the summand is convex
+    i = 0
+    searched = False
     tail_lo, tail_hi = 0.0, math.inf
     while True:
-        hi = min(_block_end(i), max_terms)
-        with np.errstate(under="ignore"):
-            p = dist.log_prob_block(K + 1, hi + 1)
-            np.exp(p, out=p)
-            w = kernel.block(p, n)
-            w *= p
-            sums.append(float(w.sum()))
-        K = hi
+        K = min(_block_end(i), max_terms)
         i += 1
         capped = K >= max_terms
-        if target is not None and K < target:
-            continue
         closed = sandwich is not None and sandwich.convex(K + 0.5)
         if closed:
             tail_lo, tail_hi = bracket(K)
@@ -431,16 +434,49 @@ def _eval_closed_form(
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
         if (closed and closes(tail_lo, tail_hi)) or n * width <= eps_t:
-            break
+            return K, tail_lo, width
         if capped:
             if not closed and K >= dist.k0_head:
                 p1 = math.exp(dist.log_prob(K + 1))
                 tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
                 width = max(tail_hi - tail_lo, math.ulp(tail_hi))
+            return K, tail_lo, width
+        if closed and not searched:
+            searched = True
+            i = _first_block(i, max_terms, nearly_closes)
+
+
+def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, float, float]],
+           max_terms: int, kernel: _Kernel) -> list[tuple[float, float, int]]:
+    """(value, trunc, terms) at every n of ns from its stop (K, tail_lo,
+    width): the head sum_{k<=K} p_k w(p_k) plus tail_lo, summed for all of
+    ns in one sweep over the blocks up to the largest K.
+
+    Each block's p = exp(log p), and its L and p > 0.99 test (see
+    ``_Kernel.log_weight``), are computed once for every n whose K reaches
+    the block.  A block's terms are summed with NumPy's pairwise sum and the
+    block sums of each n with ``math.fsum``, as one n on its own does, so
+    every value is bit for bit that of its own evaluation.  The sweep holds
+    one block's arrays, whatever the number of n.
+    """
+    sums: list[list[float]] = [[] for _ in ns]
+    live = range(len(ns))
+    i = K = 0
+    while True:
+        # the n whose K lies past this block's start; K is a block end
+        live = [j for j in live if stops[j][0] > K]
+        if not live:
             break
-        if closed and target is None:
-            target = min(_block_end(_first_block(i, max_terms, nearly_closes)), max_terms)
-    return math.fsum(sums) + tail_lo, width, K
+        hi = min(_block_end(i), max_terms)
+        p = dist.log_prob_block(K + 1, hi + 1)
+        np.exp(p, out=p)
+        L, big = kernel.log_weight(p)
+        out = L if len(live) == 1 else np.empty_like(L)
+        for j in live:
+            sums[j].append(float(_terms(L, big, ns[j], p, out).sum()))
+        K = hi
+        i += 1
+    return [(math.fsum(s) + lo, width, K) for s, (K, lo, width) in zip(sums, stops)]
 
 
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
@@ -475,6 +511,34 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     return value, trunc, dist.prefix_length
 
 
+# one floating-point error state per evaluation: exp underflows to 0 far down
+# a tail, log1p(-1) is -inf for a letter of probability 1
+@np.errstate(under="ignore", divide="ignore", over="ignore")
+def _series_points(
+    dist: Distribution,
+    ns: Sequence[float],
+    eps_t: float,
+    max_terms: int,
+    kernel: _Kernel,
+) -> list[tuple[float, float, int]]:
+    """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale at every
+    n of ns, all within the float-exact range: a closed form's blocks, or a
+    level table's L (see ``_Kernel.log_weight``), are shared by all of ns,
+    and each result is bit for bit that of its n on its own."""
+    if not ns:
+        return []
+    if dist.prefix_length is None:
+        return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns],
+                      max_terms, kernel)
+    p, counts = dist.positive_levels()
+    L, big = kernel.log_weight(p)
+    out = L if len(ns) == 1 else np.empty_like(L)
+    factor = counts * p
+    trunc = dist.tail_mass_bound(dist.prefix_length)
+    return [(math.fsum(_terms(L, big, n, factor, out).tolist()), trunc, dist.prefix_length)
+            for n in ns]
+
+
 def _series(
     dist: Distribution,
     n: int,
@@ -483,20 +547,13 @@ def _series(
     kernel: _Kernel,
 ) -> tuple[float, float, int]:
     """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale: the one
-    dispatch over huge n (past 2**53, for (1-p)^n), level tables and closed
-    forms."""
+    dispatch over huge n (past 2**53, for (1-p)^n) and ``_series_points``."""
     if n > _FLOAT_N_LIMIT and kernel is _Kernel.BINOMIAL:
         t, trunc_t, terms = _eval_t_large(dist, n)
         ln_n = math.log(n)
         return (math.exp(math.log(t) - ln_n) if t > 0.0 else 0.0,
                 math.exp(math.log(trunc_t) - ln_n) if trunc_t > 0.0 else 0.0, terms)
-    nf = float(n)
-    if dist.prefix_length is None:
-        return _eval_closed_form(dist, nf, eps_t, max_terms, kernel)
-    p, counts = dist.positive_levels()
-    with np.errstate(under="ignore"):
-        value = math.fsum((counts * p * kernel.block(p, nf)).tolist())
-    return value, dist.tail_mass_bound(dist.prefix_length), dist.prefix_length
+    return _series_points(dist, [float(n)], eps_t, max_terms, kernel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +602,26 @@ def evaluate_series(
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> IndexSeries:
-    """t_n along a strictly increasing schedule of sample sizes."""
-    points = [tn(dist, int(n), eps, max_terms) for n in schedule]
-    return IndexSeries(list(int(n) for n in schedule), points)
+    """t_n along a strictly increasing schedule of sample sizes, every point
+    bit for bit ``tn``'s.  The points in the float-exact range are evaluated
+    together: each stops where its own certificate closes, and one sweep
+    sums a closed form's blocks for all of them, or one pass a level table's
+    levels.  Points past 2**53 are evaluated one at a time."""
+    ns = [int(n) for n in schedule]
+    if any(n < 1 for n in ns):
+        raise InvalidParams("n must be >= 1")
+    floats = [n for n in ns if n <= _FLOAT_N_LIMIT]
+    if floats and eps <= 0.0:
+        raise InvalidParams("eps must be positive")
+    zetas = iter(_series_points(dist, [float(n) for n in floats], eps, max_terms, _Kernel.BINOMIAL))
+    points = []
+    for n in ns:
+        if n > _FLOAT_N_LIMIT:
+            points.append(IndexValue(n, *_eval_t_large(dist, n)))
+        else:
+            value, trunc, terms = next(zetas)
+            points.append(IndexValue(n, n * value, n * trunc, terms))
+    return IndexSeries(ns, points)
 
 
 def scaled_pair(

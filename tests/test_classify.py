@@ -107,6 +107,17 @@ class TestNumeric:
         assert isinstance(verdict, DomainVerdict)
         assert len(verdict.evidence) == 600
 
+    def test_points_equal_single_evaluations(self):
+        # an unsorted schedule with a duplicate is evaluated as given, each
+        # point bit for bit its own tn
+        dist = make_distribution(parse_spec("power:lambda=1.5"))
+        sched = [5623, 22387211, 89125, 354813, 5623, 1412538, 5623413, 22387, 89125094]
+        verdict = classify_numeric(dist, sched)
+        points = [tn(dist, n, 1e-6, 1 << 22) for n in sched]
+        assert verdict.evidence == [(p.n, p.value) for p in points]
+        assert verdict.diagnostics["max_upper"] == max(p.upper for p in points)
+        assert verdict.diagnostics["final_upper"] == points[-1].upper
+
     def test_thresholds_round_trip(self):
         t = Thresholds(theta0=1e-5, band_ceiling=9.0)
         assert Thresholds.from_dict(asdict(t)) == t
@@ -121,6 +132,15 @@ class TestTransient:
         bounded = verdict.diagnostics["probe_bounded"]
         assert all(b[1] > a[1] for a, b in zip(growing, growing[1:]))
         assert max(v for _, v in bounded) < 4.0
+
+    def test_probes_equal_single_evaluations(self, diffusion14):
+        # the probes reach far past 2^53; one bounded probe is repeated
+        growing, bounded = diffusion_transient_probes(diffusion14)
+        bounded = bounded[::-1] + bounded[:1]
+        verdict = classify_numeric(diffusion14, SCHEDULE, transient_probes=(growing, bounded))
+        assert verdict.domain is Domain.TRANSIENT
+        for key, ns in (("probe_growing", growing), ("probe_bounded", bounded)):
+            assert verdict.diagnostics[key] == [(n, tn(diffusion14, n, 1e-6, 1 << 22).value) for n in ns]
 
     def test_growing_probe_lower_bound(self, diffusion14):
         """Along run-start reciprocals the run alone forces

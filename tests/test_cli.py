@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes, output modes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from alphatail import SpecParseError, catalog, format_spec, parse_spec
+from alphatail import SpecParseError, catalog, format_spec, make_distribution, parse_spec, tn
 from alphatail.cli import MAX_SCHEDULE_POINTS, _parse_schedule, main
 
 
@@ -48,6 +49,15 @@ class TestTn:
         assert [int(r["n"]) for r in csv_rows] == [r["n"] for r in doc["records"]]
         assert [float(r["t_n"]) for r in csv_rows] == [r["t_n"] for r in doc["records"]]
         assert all(isinstance(r["terms_used"], int) and r["terms_used"] > 0 for r in doc["records"])
+
+    def test_json_schedule_is_pinned(self, run):
+        # the output of one tn call per point, before the points of a
+        # schedule were evaluated together
+        code, out, _ = run("tn", "--dist", "power:lambda=1.5",
+                           "--schedule", "1000:100000000:x3/2", "--format", "json")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "a491a4caaf33e15f33e269502705f034f61c585e3c840189479b4c927c7ab297")
 
     def test_values_are_finite(self, run):
         _, out, _ = run("tn", "--dist", "power:lambda=2", "--schedule", "16:4096:x4")
@@ -209,6 +219,14 @@ class TestDomainT:
         tm_vals = [float(r["t_m_i"]) for r in rows]
         assert all(b > a for a, b in zip(tn_vals, tn_vals[1:]))
         assert max(tm_vals) < 4.0
+
+    def test_run_table_equals_single_evaluations(self, run):
+        code, out, _ = run("domain-t", "--stages", "8", "--format", "json")
+        assert code == 0
+        dist = make_distribution(parse_spec("diffusion:stages=8"))
+        for r in json.loads(out)["records"]:
+            assert r["t_n_i"] == tn(dist, r["n_i"]).value
+            assert r["t_m_i"] == tn(dist, r["m_i"]).value
 
 
 class TestOutputPlumbing:

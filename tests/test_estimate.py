@@ -158,6 +158,17 @@ class TestSampling:
         assert len(cdf) > 4096  # seven blocks
         assert np.array_equal(cdf, ref)
 
+    def test_grown_cdf_stops_within_one_capped_block(self):
+        # blocks that kept doubling built 4,194,240 entries for ~3.04e6 letters
+        d = make_distribution(parse_spec("power:lambda=2"))
+        u_max = 1.0 - 2e-7
+        cdf = estimate._grow_cdf(d, u_max)
+        needed = int(np.searchsorted(cdf, u_max, side="right")) + 1
+        assert needed <= len(cdf) < needed + (1 << 16)
+        with np.errstate(under="ignore"):
+            ref = np.cumsum(np.exp(d.log_prob_block(1, len(cdf) + 1)))
+        assert np.array_equal(cdf, ref)
+
     def test_draw_beyond_prefix_raises(self):
         # a two-pair prefix only covers 93.75% of the mass, so a large
         # sample is certain to need letters the construction never built

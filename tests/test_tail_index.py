@@ -1,5 +1,6 @@
 """Series evaluation, truncation certificates, oscillation and gap machinery."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from alphatail import tail_index
+from alphatail.cli import _parse_schedule
 from alphatail import (
     Distribution,
     FamilyKind,
     FamilySpec,
     FiniteSupport,
+    IndexValue,
     InvalidParams,
     catalog,
     em_gap,
@@ -377,7 +380,8 @@ class TestClosedFormBlocks:
         mp = pytest.importorskip("mpmath")
         p = np.array([0.995, 0.5, 0.005])
         for n in (10.0, 100.0):
-            w = BINOMIAL.block(p, n)
+            L, big = BINOMIAL.log_weight(p)
+            w = tail_index._terms(L, big, n, 1.0, L)
             with mp.workdps(30):
                 want = [(1 - mp.mpf(float(q))) ** n for q in p]
             # exp(n log1p(-p)) is 4e-14 off at p = 0.995, n = 100
@@ -573,6 +577,85 @@ class TestSeries:
     def test_schedule_must_increase(self, geom2):
         with pytest.raises(InvalidParams):
             evaluate_series(geom2, [16, 16, 32])
+
+
+def _digest(points) -> str:
+    """sha256 of one "n value trunc_error terms_used" line per point, the
+    floats in hex."""
+    text = "\n".join(f"{iv.n} {iv.value.hex()} {iv.trunc_error.hex()} {iv.terms_used}"
+                     for iv in points)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Schedules with their points' digest and summed terms_used, computed one
+# point at a time with ``tn`` before schedules were evaluated in one sweep:
+# the benchmark's thick-tail verdict schedules for seeds 1 and 201
+# (eps 1e-6, max_terms 2^22), and the CLI schedule 1000:100000000:x3/2
+# (29 points, eps 1e-9, the default cap).
+CLI_SCHEDULE = _parse_schedule("1000:100000000:x3/2")
+PINNED_SCHEDULES = [pytest.param(*row, id=row_id) for row_id, row in [
+    ("power2-seed1", ("power:lambda=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
+     1e-6, 1 << 22, "2019b0529f4a0a895400c84508434e84580b5217fb24ee5c41014fb38d01008c", 83968)),
+    ("power1.5-seed1", ("power:lambda=1.5", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
+     1e-6, 1 << 22, "45ee87d01edbe696abae3c46ed3305480e20c3addb06eea0ee0bf9f3bc046649", 364544)),
+    ("logpower-seed1", ("logpower:lambda=2,k0=2", [3981, 15849, 63096, 251189, 1000000, 3981072, 15848932, 63095734],
+     1e-6, 1 << 22, "9cce87786d30119414b4f3f574a71cf6d55ebd893ed6df3d50c3f6a82b846549", 659456)),
+    ("power2-seed201", ("power:lambda=2", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
+     1e-6, 1 << 22, "416fdd4b551d2cf0b6bcf62bf590a41ad00125e9802c7afa0c08af1a810a73ed", 83968)),
+    ("power1.5-seed201", ("power:lambda=1.5", [2512, 10000, 39811, 158489, 630957, 2511886, 10000000, 39810717],
+     1e-6, 1 << 22, "da707af9d0ce93362070ba8abfeff2a13382a762f1fba622a82a7fb9d6fbd447", 290816)),
+    ("logpower-seed201", ("logpower:lambda=2,k0=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
+     1e-6, 1 << 22, "6899b6b2e4faadb72f9ec9085ef91f35bebeaddb41286dece8dfc2d8a9594f2f", 856064)),
+    ("power1.5-cli", ("power:lambda=1.5", CLI_SCHEDULE, 1e-9, 1 << 24,
+     "3c7f511870afd301aea85d77d298c65527b0b51afbc9c2cf34dba047f9e6a8d6", 14486528)),
+    ("logpower-cli", ("logpower:lambda=2,k0=2", CLI_SCHEDULE, 1e-9, 1 << 24,
+     "9cedb7c9fcac00b099c1084422cc9e203dd14bd8e0584132ed2b585354afc2f0", 27102208)),
+]]
+# unsorted, with duplicates, from the first block to far past the convex onset
+MIXED_NS = [7, 3, 10 ** 6, 3, 250, 3 * 10 ** 7, 40_000, 7]
+
+
+class TestScheduleSweep:
+    @pytest.mark.parametrize("spec_text, schedule, eps, max_terms, digest, terms", PINNED_SCHEDULES)
+    def test_pinned_points(self, spec_text, schedule, eps, max_terms, digest, terms):
+        dist = make_distribution(parse_spec(spec_text))
+        points = evaluate_series(dist, schedule, eps, max_terms).points
+        assert sum(iv.terms_used for iv in points) == terms
+        assert _digest(points) == digest
+
+    @pytest.mark.parametrize("spec_text", [format_spec(s) for s in catalog()])
+    def test_schedule_equals_single_points(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        args = (1e-9, tail_index.DEFAULT_MAX_TERMS)
+        swept = {kernel: tail_index._series_points(dist, [float(n) for n in MIXED_NS], *args, kernel)
+                 for kernel in (BINOMIAL, POISSON)}
+        for kernel, points in swept.items():
+            assert points == [tail_index._series(dist, n, *args, kernel) for n in MIXED_NS]
+        for n, zb, zp in zip(MIXED_NS, swept[BINOMIAL], swept[POISSON]):
+            factor = float(n) ** 0.5
+            assert scaled_pair(dist, n, 0.5) == (factor * zb[0], factor * zp[0])
+            assert zeta1(dist, n) == IndexValue(n, *zb)
+        ns = sorted(set(MIXED_NS))
+        assert evaluate_series(dist, ns).points == [tn(dist, n) for n in ns]
+
+    def test_huge_n_mixed_in(self, diffusion14):
+        probes = [r.n_probe for r in diffusion14.runs] + [r.m_probe for r in diffusion14.runs]
+        ns = sorted(set(probes + [16 * 4 ** j for j in range(12)]))
+        assert any(n > 2 ** 53 for n in ns) and any(n <= 2 ** 53 for n in ns)
+        assert evaluate_series(diffusion14, ns).points == [tn(diffusion14, n) for n in ns]
+
+    def test_memory_of_one_block(self):
+        # the sweep holds one block's p, L and scratch, however many points
+        dist = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
+        peaks = []
+        for run in (lambda: tn(dist, CLI_SCHEDULE[-1]), lambda: evaluate_series(dist, CLI_SCHEDULE)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * 2 ** 20
 
 
 class TestHugeN:
