@@ -27,7 +27,7 @@ from .classify import (
     diffusion_transient_probes,
 )
 from .dominance import DEFAULT_DEPTH, DEFAULT_PROBE_LIMIT, dominates
-from .errors import AlphatailError, InvalidParams, SpecParseError
+from .errors import AlphatailError, InvalidParams, InvalidV, SpecParseError
 from .estimate import estimator_report, sample
 from .tail_index import DEFAULT_EPS, evaluate_series, oscillation_t
 from .zoo import FamilyKind, catalog, format_spec, make_distribution, parse_spec
@@ -65,11 +65,19 @@ def _parse_schedule(text: str) -> list[int]:
     return out
 
 
-def _parse_vrange(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_vrange(text: str, n: int) -> range:
+    """Estimator orders from 'v' or the inclusive range 'lo:hi', checked to
+    be nonempty and inside [1, n-1] before any order is built."""
+    lo, sep, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise InvalidParams(f"v must be an integer or a range lo:hi, got {text!r}") from None
+    if lo > hi:
+        raise InvalidParams(f"v range {text!r} is empty")
+    if lo < 1 or hi > n - 1:
+        raise InvalidV(f"v must lie in [1, n-1], got {text!r} with n={n}")
+    return range(lo, hi + 1)
 
 
 def _check_finite(value, key=None) -> None:
@@ -170,7 +178,8 @@ def _cmd_dominates(args) -> None:
 
 def _cmd_estimate(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
-    rep = estimator_report(sample(dist, args.n, args.seed), _parse_vrange(args.v))
+    vs = _parse_vrange(args.v, args.n)
+    rep = estimator_report(sample(dist, args.n, args.seed), vs)
     records = [{"v": v, "Z_1v": z, "t_hat": t}
                for v, z, t in zip(rep.v_values, rep.z1v, rep.t_hat)]
     _emit({"records": records}, args.format or "csv", args.out, ["v", "Z_1v", "t_hat"])

@@ -1,12 +1,12 @@
 """Sampling and unbiased estimation of the tail index from iid data.
 
 ``sample`` draws n uniforms and maps them through the prefix sums of p_k
-(inverse CDF); it is bit-reproducible for a given seed.  With m CDF entries,
-m <= n counts each letter on the sorted draws, as the draws below its entry
-minus those below the previous one (m searches into n); m > n, heavy tails at
-moderate n, searches every draw in the CDF (n searches into m).  Both count
-the draws in [cdf[k-2], cdf[k-1]) for letter k.  A sample holds at most
-_MAX_SAMPLE draws.
+(inverse CDF); it is bit-reproducible for a given seed.  It sorts the draws
+once and counts them one CDF block at a time: letter k takes the draws in
+[cdf[k-2], cdf[k-1]), the draws below its entry minus those below the
+previous one (one search into the sorted sample per CDF entry).  Only one
+block of the CDF is held at a time, however far the tail reaches.  A sample
+holds at most _MAX_SAMPLE draws.
 
 ``z1v`` implements the unbiased estimator of the coverage deficit: with m_y
 the number of letters seen y times in a sample of size n, for any order
@@ -45,7 +45,7 @@ from .zoo import Distribution
 
 _ORACLE_MAX_N = 12
 _ORACLE_MAX_K = 6
-_MAX_CDF_ENTRIES = 1 << 24  # 128 MiB of float64 prefix sums
+_MAX_CDF_ENTRIES = 1 << 24  # letters one sample may sum p_k over
 _MAX_SAMPLE = 1 << 27       # 1 GiB of float64 draws
 _BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
 _MAX_CDF_BLOCK = 1 << 16    # CDF blocks double from 64 values up to this
@@ -83,7 +83,19 @@ class FrequencyTable:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["k", "y"]:
             raise InvalidParams("frequency CSV must start with header 'k,y'")
-        counts = {int(k): int(y) for k, y in rows[1:]}
+        counts = {}
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                k, y = (int(x) for x in row)
+            except ValueError:
+                raise InvalidParams(f"line {line}: expected two integers k,y, got {row!r}") from None
+            if k < 1:
+                raise InvalidParams(f"line {line}: letter {k} is not >= 1")
+            if k in counts:
+                raise InvalidParams(f"line {line}: letter {k} repeats")
+            counts[k] = y
+        if not counts:
+            raise InvalidParams("frequency CSV has no rows; a sample holds at least one draw")
         return cls(sum(counts.values()), counts)
 
 
@@ -106,37 +118,34 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
         raise InvalidParams("sample size must be >= 1")
     if n > _MAX_SAMPLE:
         raise SamplerLimit(f"sample size {n} exceeds the cap of {_MAX_SAMPLE} draws")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    u_max = float(u.max())
-    cdf = _grow_cdf(dist, u_max)
-    # letter k takes the draws in [cdf[k-2], cdf[k-1]); a draw past the end
-    # of a table with no mass beyond is rounding dust and joins its last letter
-    if len(cdf) <= n:
-        # m searches into the sorted sample: the draws below each CDF entry
-        u.sort()
-        below = np.searchsorted(u, cdf, side="left")
-        below[-1] = n
-        counts = np.diff(below, prepend=0)
-        seen = np.flatnonzero(counts)
-        ks, ys = seen + 1, counts[seen]
-    else:
-        # a CDF longer than the sample: n searches into the CDF are cheaper
-        letters = np.searchsorted(cdf, u, side="right") + 1
-        if u_max >= cdf[-1]:
-            letters = np.minimum(letters, len(cdf))
-        ks, ys = np.unique(letters, return_counts=True)
-    return FrequencyTable(n, dict(zip(ks.tolist(), ys.tolist())))
+    u = np.random.default_rng(seed).random(n)
+    u.sort()
+    # letter k takes the draws in [cdf[k-2], cdf[k-1]): the draws below its
+    # entry minus those below the previous one
+    counts: dict = {}
+    below = 0
+    for start, cdf in _cdf_blocks(dist, float(u[-1])):
+        ends = np.concatenate(([below], np.searchsorted(u, cdf, side="left")))
+        ys = ends[1:] - ends[:-1]
+        seen = np.flatnonzero(ys)
+        counts.update(zip((seen + start).tolist(), ys[seen].tolist()))
+        below = int(ends[-1])
+    if below < n:
+        # a draw past the end of a table with no mass beyond is rounding
+        # dust and joins its last letter
+        last = start + len(cdf) - 1
+        counts[last] = counts.get(last, 0) + n - below
+    return FrequencyTable(n, counts)
 
 
-def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
-    """Prefix sums of p_k in blocks that double from 64 values up to
-    _MAX_CDF_BLOCK, up to the first block that exceeds u_max or the end of a
-    level table, so the CDF runs less than one block past the letter it
-    needs; at most _MAX_CDF_ENTRIES entries, refused up front when the
-    certified tail mass beyond the cap already exceeds 1 - u_max.  A table
-    that ends below u_max must hold all the mass; otherwise the draw needs
-    letters it does not have.
+def _cdf_blocks(dist: Distribution, u_max: float):
+    """Yield (first letter, prefix sums of p_k) in blocks that double from 64
+    values up to _MAX_CDF_BLOCK, up to the first block that exceeds u_max or
+    the end of a level table, so the CDF runs less than one block past the
+    letter it needs; at most _MAX_CDF_ENTRIES letters, refused up front when
+    the certified tail mass beyond the cap already exceeds 1 - u_max.  A
+    table that ends below u_max must hold all the mass; otherwise the draw
+    needs letters it does not have.
 
     Each block is summed on from the running total, which gives the same
     floats as one cumsum over the whole prefix."""
@@ -144,7 +153,6 @@ def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
         raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
     end = dist.prefix_length or math.inf    # last letter of a level table
     block = 64
-    parts: list[np.ndarray] = []
     start = 1
     reached = 0.0
     while True:
@@ -153,14 +161,15 @@ def _grow_cdf(dist: Distribution, u_max: float) -> np.ndarray:
         stop = min(start + block, end + 1, _MAX_CDF_ENTRIES + 1)
         with np.errstate(under="ignore"):
             p = np.exp(dist.log_prob_block(start, stop))
-        parts.append(np.cumsum(np.concatenate(([reached], p)))[1:])
-        top = float(parts[-1][-1])
+        cdf = np.cumsum(np.concatenate(([reached], p)))[1:]
+        yield start, cdf
+        top = float(cdf[-1])
         if top > u_max:
-            return np.concatenate(parts)
+            return
         if stop > end:
             if dist.support_size() is None:
                 raise DepthExceeded("a draw landed beyond the constructed family's prefix")
-            return np.concatenate(parts)
+            return
         if top <= reached and end == math.inf:
             # later blocks of a closed form hold smaller values, which round
             # away as well; a table ends by itself

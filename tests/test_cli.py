@@ -158,6 +158,26 @@ class TestEstimate:
         rows = rows_of(out)
         assert len(rows) == 1 and rows[0]["v"] == "3"
 
+    @pytest.mark.parametrize("v", ["abc", "5:3", "1:x", "1:2:3", ":4", "4:", "0", "1:100"])
+    def test_bad_v_exit_2(self, run, v):
+        code, out, err = run("estimate", "--dist", "geometric:a=2", "--n", "100", "--v", v)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_v_range_checked_before_it_is_built(self, run):
+        # two million orders against n = 100 are refused without a list of them
+        tracemalloc.start()
+        try:
+            code, out, err = run("estimate", "--dist", "geometric:a=2", "--n", "100",
+                                 "--v", "1:2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert peak < 4 << 20
+
 
 class TestDominates:
     def test_schema_and_verdict(self, run):

@@ -55,18 +55,36 @@ def z1v_product_form(freq: FrequencyTable, v: int) -> float:
     return front * acc
 
 
+def grown_cdf(dist, u_max: float) -> np.ndarray:
+    """The sampler's CDF blocks for a largest draw u_max, concatenated."""
+    return np.concatenate([cdf for _, cdf in estimate._cdf_blocks(dist, u_max)])
+
+
 def sample_by_lookup(dist, n: int, seed: int) -> FrequencyTable:
-    """The sampler's per-draw form: search every draw in the CDF, clamp draws
-    past the end of a table onto its last letter, and count with np.unique;
-    kept as a cross-check of counting on the sorted sample."""
+    """The sampler's per-draw form: search every draw in the concatenated CDF
+    blocks, clamp draws past the end of a table onto its last letter, and
+    count with np.unique; kept as the reference for counting the sorted
+    sample block by block."""
     u = np.random.default_rng(seed).random(n)
     u_max = float(u.max())
-    cdf = estimate._grow_cdf(dist, u_max)
+    cdf = grown_cdf(dist, u_max)
     letters = np.searchsorted(cdf, u, side="right") + 1
     if u_max >= cdf[-1]:
         letters = np.minimum(letters, len(cdf))
     ks, ys = np.unique(letters, return_counts=True)
     return FrequencyTable(n, {int(k): int(y) for k, y in zip(ks, ys)})
+
+
+def drop_table_end(monkeypatch):
+    """Make the sampler's CDF end one entry early, as a table whose float
+    sum rounds below the largest draw would."""
+    blocks = estimate._cdf_blocks
+
+    def short_table(dist, u_max):
+        *head, (start, cdf) = blocks(dist, u_max)
+        return iter([*head, (start, cdf[:-1])])
+
+    monkeypatch.setattr(estimate, "_cdf_blocks", short_table)
 
 
 def assert_same_sample(got: FrequencyTable, want: FrequencyTable):
@@ -108,6 +126,15 @@ class TestFrequencyTable:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(InvalidParams):
             FrequencyTable.from_csv("a,b\n1,2\n")
+
+    @pytest.mark.parametrize("text", [
+        "k,y\n1,2\n1,3\n", "k,y\n0,2\n", "k,y\n-4,2\n",
+        "k,y\n1\n", "k,y\n1,x\n", "k,y\n1,2,3\n", "k,y\n",
+    ], ids=["repeated-letter", "letter-0", "letter-minus-4", "one-field", "not-an-integer",
+            "three-fields", "no-rows"])
+    def test_csv_rejects_bad_rows(self, text):
+        with pytest.raises(InvalidParams):
+            FrequencyTable.from_csv(text)
 
 
 class TestSampling:
@@ -152,7 +179,7 @@ class TestSampling:
 
     def test_grown_cdf_is_one_cumsum(self):
         d = make_distribution(parse_spec("power:lambda=2"))
-        cdf = estimate._grow_cdf(d, 1.0 - 1e-4)
+        cdf = grown_cdf(d, 1.0 - 1e-4)
         with np.errstate(under="ignore"):
             ref = np.cumsum(np.exp(d.log_prob_block(1, len(cdf) + 1)))
         assert len(cdf) > 4096  # seven blocks
@@ -162,7 +189,7 @@ class TestSampling:
         # blocks that kept doubling built 4,194,240 entries for ~3.04e6 letters
         d = make_distribution(parse_spec("power:lambda=2"))
         u_max = 1.0 - 2e-7
-        cdf = estimate._grow_cdf(d, u_max)
+        cdf = grown_cdf(d, u_max)
         needed = int(np.searchsorted(cdf, u_max, side="right")) + 1
         assert needed <= len(cdf) < needed + (1 << 16)
         with np.errstate(under="ignore"):
@@ -182,7 +209,7 @@ class TestSampling:
         # largest draw 1 - 2^-53 would otherwise be searched for forever
         d = make_distribution(parse_spec("geometric:a=3"))
         with pytest.raises(SamplerLimit):
-            estimate._grow_cdf(d, 1.0 - 2.0 ** -53)
+            grown_cdf(d, 1.0 - 2.0 ** -53)
 
     def test_heavy_draw_refused_before_growing(self):
         # log-power keeps ~3% of its mass beyond 2^24 letters
@@ -196,7 +223,18 @@ class TestSampling:
         d = make_distribution(parse_spec("pairavg:base=(power:lambda=2),depth=4096"))
         assert d.tail_mass_lower(1000) == 0.0
         with pytest.raises(SamplerLimit):
-            estimate._grow_cdf(d, 1.0 - 1e-4)
+            grown_cdf(d, 1.0 - 1e-4)
+
+    def test_heavy_tail_sample_memory(self):
+        # one CDF block is held at a time, not the 4.5e6 letters it reaches
+        d = make_distribution(parse_spec("power:lambda=2"))
+        tracemalloc.start()
+        try:
+            sample(d, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
     @pytest.mark.parametrize("spec_text", [format_spec(s) for s in catalog()])
     def test_counts_match_per_draw_lookup(self, spec_text):
@@ -220,18 +258,18 @@ class TestSampling:
         ("geometric:a=2", 10 ** 4, 1, False),
     ])
     def test_both_counting_paths(self, spec_text, n, seed, longer):
+        # a CDF longer than the sample and one shorter count alike
         dist = make_distribution(parse_spec(spec_text))
         u_max = float(np.random.default_rng(seed).random(n).max())
-        assert (len(estimate._grow_cdf(dist, u_max)) > n) == longer
+        assert (len(grown_cdf(dist, u_max)) > n) == longer
         assert_same_sample(sample(dist, n, seed), sample_by_lookup(dist, n, seed))
 
     @pytest.mark.parametrize("n", [1, 10 ** 3])
     def test_draws_past_a_table_end_join_its_last_letter(self, monkeypatch, n):
         # without its last entry the table ends at 0.8, so every draw above
-        # lands past cdf[-1]; one draw against a 2-entry CDF takes the lookup
+        # lands past cdf[-1]; n = 1 puts one draw against a 2-entry table
         d = finite([0.5, 0.3, 0.2])
-        grow = estimate._grow_cdf
-        monkeypatch.setattr(estimate, "_grow_cdf", lambda dist, u_max: grow(dist, u_max)[:-1])
+        drop_table_end(monkeypatch)
         clamped = 0
         for seed in range(1, 21):
             u = np.random.default_rng(seed).random(n)
@@ -241,13 +279,22 @@ class TestSampling:
             assert_same_sample(f, sample_by_lookup(d, n, seed))
         assert clamped > 0
 
+    def test_table_end_in_a_later_block(self, monkeypatch):
+        # 100 letters take blocks of 64 and 36; the draws past the shortened
+        # table join letter 99, counted from the last block's first letter
+        d = finite([0.01] * 100)
+        drop_table_end(monkeypatch)
+        f = sample(d, 10 ** 3, seed=3)
+        assert max(f.counts) == 99
+        assert_same_sample(f, sample_by_lookup(d, 10 ** 3, seed=3))
+
     @pytest.mark.parametrize("n, picks", [(10 ** 3, [10, 500, 999]), (3, [0, 1, 2])])
     def test_draw_equal_to_a_cdf_entry_takes_the_next_letter(self, monkeypatch, n, picks):
-        # CDF entries placed on draws themselves: sorted counting with 3 of
-        # 1000 draws, and the per-draw lookup with 4 entries for 3 draws
+        # CDF entries placed on draws themselves: 3 of 1000 draws, and all
+        # 3 draws against 4 entries
         u = np.sort(np.random.default_rng(9).random(n))
         cdf = np.append(u[picks], 1.0)
-        monkeypatch.setattr(estimate, "_grow_cdf", lambda dist, u_max: cdf)
+        monkeypatch.setattr(estimate, "_cdf_blocks", lambda dist, u_max: iter([(1, cdf)]))
         f = sample(finite([0.25] * 4), n, seed=9)
         assert_same_sample(f, sample_by_lookup(finite([0.25] * 4), n, seed=9))
         assert f.counts.get(1, 0) == picks[0]
