@@ -80,23 +80,40 @@ def _parse_vrange(text: str, n: int) -> range:
     return range(lo, hi + 1)
 
 
-def _check_finite(value, key=None) -> None:
-    """Refuse a NaN or infinite float anywhere in nested dicts and lists."""
+def _exact_text(n: int) -> str:
+    """An int too long for Python to print in decimal, written exactly:
+    2^e, 2^e-1 (the forms of the diffusion probe indices) or hex."""
+    e = n.bit_length()
+    if n == 1 << (e - 1):
+        return f"2^{e - 1}"
+    if n == (1 << e) - 1:
+        return f"2^{e}-1"
+    return hex(n)
+
+
+def _printable(value, key=None):
+    """``value`` with every int that Python cannot print in decimal written
+    as ``_exact_text``; refuses a NaN or infinite float anywhere in nested
+    dicts and lists."""
     if isinstance(value, float) and not math.isfinite(value):
         raise AlphatailError(f"non-finite value for {key!r}")
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return _exact_text(value)
     if isinstance(value, dict):
-        for k, v in value.items():
-            _check_finite(v, k)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _check_finite(v, key)
+        return {k: _printable(v, k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_printable(v, key) for v in value]
+    return value
 
 
 def _emit(doc: dict, fmt: str, out_path: Optional[str], header: Sequence[str] = ()) -> None:
     """Write one result, the only output path of every subcommand: ``doc``
     as JSON, or its records as CSV under a ``header`` row.  Records without
     a header (``zoo``) are written one value per line, unquoted."""
-    _check_finite(doc)
+    doc = _printable(doc)
     if fmt == "json":
         text = json.dumps(doc, indent=2, default=str) + "\n"
     elif header:

@@ -12,8 +12,9 @@ constructed prefix) is summed with one ``math.fsum``, so its value does not
 depend on the order of its levels and a finite vector's ``trunc_error`` is
 exactly 0.  That sum runs over the levels whose term can be nonzero: those
 with p > 0 in float for n up to 2**53, those with -746 < ln(n p) < ln 800
-beyond.  Every other term is exactly 0, so the value is the full table's bit
-for bit.
+beyond, one slice of the levels in non-increasing order of p, found by
+binary search.  Every other term is exactly 0, so the value is the full
+table's bit for bit.
 
 A schedule of n is evaluated in two steps.  Each n first finds where its
 head stops, from the tail certificates alone; then one sweep over the
@@ -56,7 +57,8 @@ normalizer's halfwidth lie outside ``trunc_error``.
 Very large n (beyond 2**53, needed for the diffusion family's probe
 subsequences) is supported for ``(1-p)^n`` over level tables: terms are
 assembled from ``ln n`` and exact log2 probabilities, so neither n nor p is
-ever materialized as a float.
+ever materialized as a float, and each n costs two binary searches plus
+work on its window of levels, not a pass over the table.
 """
 
 from __future__ import annotations
@@ -479,11 +481,33 @@ def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, f
     return [(math.fsum(s) + lo, width, K) for s, (K, lo, width) in zip(sums, stops)]
 
 
+def _huge_n_window(l2: np.ndarray, ln_n: float) -> np.ndarray:
+    """Indices of the levels with -746 < ln(n p) < ln 800 in a table of
+    log2 p in non-increasing order: at n past 2**53, ln(n p) <= -746 or
+    n p >= 800 puts the log of a level's term at or below -745, a term of
+    exactly 0.
+
+    ln(n p) = ln n + LN2 log2 p falls along the table, so these levels are
+    one slice of it.  Two binary searches find the slice on thresholds
+    widened far past the rounding of either side, and the exact test then
+    cuts it to the levels a scan of the whole table would keep.
+    """
+    pad = 1.0 + 1e-9 * ln_n
+    ascending = l2[::-1]
+    lo = int(np.searchsorted(ascending, (-746.0 - ln_n) / LN2 - pad))
+    hi = int(np.searchsorted(ascending, (_LN_800 - ln_n) / LN2 + pad, side="right"))
+    start = len(l2) - hi
+    x = ln_n + LN2 * l2[start:len(l2) - lo]
+    return start + np.flatnonzero((x > -746.0) & (x < _LN_800))
+
+
 def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
     """t_n for level tables at arbitrarily large integer n.
 
     Works from ln n and log2 probabilities only; the asymptotic handling of
-    -n*log1p(-p) is exact to double precision once n exceeds 2**53.
+    -n*log1p(-p) is exact to double precision once n exceeds 2**53.  Only
+    the levels of ``_huge_n_window`` are summed, with one ``math.fsum``, so
+    the value is bit for bit that of the whole table.
     """
     if dist.prefix_length is None:
         raise InvalidParams(
@@ -491,12 +515,11 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
             f"support it (got {dist.kind.value})"
         )
     ln_n = math.log(n)
-    l2, counts = dist.level_arrays()
-    x = ln_n + LN2 * l2
-    # ln(n p) <= -746 or n p >= 800 leaves g <= -745, a term of exactly 0
-    window = (x > -746.0) & (x < _LN_800)
-    x, counts = x[window], counts[window]
+    l2, counts = dist.descending_levels()
+    window = _huge_n_window(l2, ln_n)
+    counts = counts[window]
     ln_p = LN2 * l2[window]
+    x = ln_n + ln_p
     with np.errstate(under="ignore"):
         pv = np.exp(np.maximum(ln_p, -690.0))
         ln_neg_l1p = np.where(ln_p > -690.0, np.log(-np.log1p(-pv)), ln_p)
@@ -606,7 +629,8 @@ def evaluate_series(
     bit for bit ``tn``'s.  The points in the float-exact range are evaluated
     together: each stops where its own certificate closes, and one sweep
     sums a closed form's blocks for all of them, or one pass a level table's
-    levels.  Points past 2**53 are evaluated one at a time."""
+    levels.  Points past 2**53 are evaluated one at a time, each over the
+    window of levels that can carry a term, found by binary search."""
     ns = [int(n) for n in schedule]
     if any(n < 1 for n in ns):
         raise InvalidParams("n must be >= 1")

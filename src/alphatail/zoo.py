@@ -21,9 +21,10 @@ power-type decay); summation stops once the bracket half-width falls below
 A level table is stored once, as read-only arrays of log2 probabilities
 (exact integer exponents for the diffusion sequence, so double-exponentially
 small values never underflow before they are needed) and multiplicities;
-``levels()`` is a list view of them.  All distributions are immutable after
-construction; every prefix is materialized eagerly, so instances are safe
-to share across threads.
+``levels()`` is a list view of them and ``descending_levels()`` orders them
+by non-increasing p, without a copy for the constructed families.  All
+distributions are immutable after construction; every prefix is
+materialized eagerly, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -313,7 +314,14 @@ class Distribution:
             with np.errstate(under="ignore"):
                 p = np.exp(LN2 * log2_p)
             self._live_p, self._live_counts = p[p > 0.0], self._level_counts[p > 0.0]
-            for a in (self._level_log2, self._level_counts, self._live_p, self._live_counts):
+            self._descending = (self._level_log2[:-1], self._level_counts)
+            if spec.kind is FamilyKind.FINITE:
+                # a finite vector is in spec order; every constructed table is
+                # non-increasing by construction
+                order = np.argsort(-log2_p, kind="stable")
+                self._descending = (log2_p[order], self._level_counts[order])
+            for a in (self._level_log2, self._level_counts, self._live_p, self._live_counts,
+                      *self._descending):
                 a.flags.writeable = False
             # float suffix masses within the prefix (guarded upward later)
             masses = counts * np.exp2(log2_p)
@@ -372,6 +380,15 @@ class Distribution:
         if self._level_log2 is None:
             raise InvalidParams(f"{self.kind.value} has no level representation")
         return self._level_log2[:-1], self._level_counts
+
+    def descending_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (log2 probability, multiplicity) arrays of the levels in
+        non-increasing order of probability, ties in table order: the
+        table's own arrays, no copy, for a constructed family, and a
+        stable-sorted copy made once at construction for a finite vector,
+        whose levels are in spec order."""
+        self.level_arrays()  # raises for closed forms
+        return self._descending
 
     def positive_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (probability, multiplicity) arrays of the levels whose

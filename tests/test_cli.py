@@ -151,6 +151,13 @@ class TestEstimate:
         assert lines[0] == "v,Z_1v,t_hat"
         assert len(lines) == 200
 
+    def test_negative_seed_exit_2(self, run):
+        code, out, err = run("estimate", "--dist", "geometric:a=2",
+                             "--n", "10", "--v", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_single_v(self, run):
         code, out, _ = run("estimate", "--dist", "finite:p=0.5;0.5",
                            "--n", "10", "--v", "3", "--seed", "1")
@@ -248,6 +255,48 @@ class TestDomainT:
             assert r["t_n_i"] == tn(dist, r["n_i"]).value
             assert r["t_m_i"] == tn(dist, r["m_i"]).value
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fourteen_stages(self, run, fmt):
+        # n_14 = 2^65651 has 19,763 decimal digits, past what Python prints
+        code, out, err = run("domain-t", "--stages", "14", "--format", fmt)
+        assert code == 0 and err == ""
+        records = rows_of(out) if fmt == "csv" else json.loads(out)["records"]
+        dist = make_distribution(parse_spec("diffusion:stages=14"))
+        assert len(records) == len(dist.runs) == 14
+        for r, want in zip(records, dist.runs):
+            for key, n in (("n_i", want.n_probe), ("m_i", want.m_probe)):
+                assert probe_index(r[key]) == n
+                assert isinstance(r[key], str) == (fmt == "csv" or not decimal_printable(n))
+            if fmt == "json":
+                assert r["t_n_i"] == tn(dist, want.n_probe).value
+                assert r["t_m_i"] == tn(dist, want.m_probe).value
+        assert records[-1]["n_i"] == "2^65651" and records[-1]["m_i"] == "2^49265-1"
+
+    def test_classify_fourteen_stages(self, run):
+        # the last growing probe is n_12 = 2^16470; the last two stages carry none
+        code, out, err = run("classify", "--dist", "diffusion:stages=14", "--mode", "numeric")
+        assert code == 0 and err == ""
+        assert json.loads(out)["diagnostics"]["probe_growing"][-1][0] == "2^16470"
+
+
+def decimal_printable(n: int) -> bool:
+    try:
+        str(n)
+    except ValueError:
+        return False
+    return True
+
+
+def probe_index(text) -> int:
+    """A probe index as written: an int, its decimal digits, 2^e or 2^e-1."""
+    if isinstance(text, int):
+        return text
+    if text.startswith("2^"):
+        e, minus, one = text[2:].partition("-")
+        assert minus == "" or one == "1"
+        return (1 << int(e)) - (1 if minus else 0)
+    return int(text)
+
 
 class TestOutputPlumbing:
     def test_out_file_and_env_dir(self, run, tmp_path, monkeypatch):
@@ -272,14 +321,24 @@ class TestOutputPlumbing:
 
     def test_non_finite_records_rejected(self):
         from alphatail import AlphatailError
-        from alphatail.cli import _check_finite
+        from alphatail.cli import _printable
         with pytest.raises(AlphatailError):
-            _check_finite([{"x": float("nan")}])
+            _printable([{"x": float("nan")}])
         with pytest.raises(AlphatailError):
-            _check_finite([{"x": float("inf")}])
+            _printable([{"x": float("inf")}])
         with pytest.raises(AlphatailError):
-            _check_finite({"records": [], "d": {"ev": [(16, 1.0), (64, float("inf"))]}})
-        _check_finite([{"x": 1.0, "s": "ok"}])
+            _printable({"records": [], "d": {"ev": [(16, 1.0), (64, float("inf"))]}})
+        assert _printable([{"x": 1.0, "s": "ok"}]) == [{"x": 1.0, "s": "ok"}]
+
+    def test_ints_too_long_for_decimal_are_exact_text(self):
+        from alphatail.cli import _printable
+        big = 1 << 20000
+        doc = {"records": [{"n": big, "m": big - 1, "k": big + 1, "small": 1 << 100}],
+               "ev": [(big, 1.0)]}
+        assert _printable(doc) == {
+            "records": [{"n": "2^20000", "m": "2^20000-1", "k": hex(big + 1), "small": 1 << 100}],
+            "ev": [["2^20000", 1.0]],
+        }
 
     def test_sample_size_cap_exit_3(self, run):
         tracemalloc.start()

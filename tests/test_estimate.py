@@ -148,6 +148,10 @@ class TestSampling:
         b = sample(geom2, 1000, seed=99)
         assert a == b
 
+    def test_negative_seed_is_invalid(self, geom2):
+        with pytest.raises(InvalidParams):
+            sample(geom2, 10, seed=-1)
+
     def test_seed_sensitivity(self, geom2):
         assert sample(geom2, 1000, seed=1) != sample(geom2, 1000, seed=2)
 

@@ -674,6 +674,19 @@ class TestHugeN:
         with pytest.raises(InvalidParams):
             tn(geom2, 2 ** 100)
 
+    def test_memory_is_that_of_the_window(self, diffusion14):
+        # about 1,100 of the 65,637 levels can carry a term at n = 2^1064;
+        # one float array over the whole table alone would take 513 KiB
+        n = 2 ** 1064
+        tn(diffusion14, n)
+        tracemalloc.start()
+        try:
+            tn(diffusion14, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_finite_vector_at_huge_n(self, uniform2):
         # a finite vector is a level table with nothing beyond it
         for f in (tn, zeta1):
@@ -728,6 +741,33 @@ def float_range_ns(seed: int, count: int) -> list[int]:
 # subnormal one (n p = 2^-1020 at n = 2^54) and one at n p = 750 at n = 2^60,
 # whose term is subnormal too
 LONE_LETTERS = ["finite:p=1;5e-324", "finite:p=1;6.505213034913027e-16"]
+# a finite vector out of order whose small letters carry terms past n = 2^53
+UNSORTED_SMALL = "finite:p=1e-300;0.5;1e-200;0.5;1e-30"
+
+
+def window_edge_ns(dist) -> list[int]:
+    """n past 2**53 that put a level of dist just inside and just outside
+    ln(n p) = -746 and ln(n p) = ln 800: the table's smallest and largest
+    finite levels and one between them, each moved 1e-9 either way."""
+    l2 = np.unique(dist.level_arrays()[0])
+    l2 = l2[np.isfinite(l2)]
+    ns = []
+    for level in (l2[0], l2[len(l2) // 2], l2[-1]):
+        for target in (-746.0, math.log(800.0)):
+            for rel in (-1e-9, 1e-9):
+                # log2 n = target / ln 2 - log2 p, scaled by 1 + rel
+                t = target / math.log(2.0) - float(level)
+                a = math.floor(t)
+                if a >= 53:
+                    ns.append(int(2.0 ** (t - a) * (1.0 + rel) * 2.0 ** 52) << (a - 52))
+    return ns
+
+
+def full_table_window(dist, n: int) -> np.ndarray:
+    """Positions in ``descending_levels()`` with -746 < ln(n p) < ln 800,
+    from a scan of the whole table."""
+    x = math.log(n) + math.log(2.0) * dist.descending_levels()[0]
+    return np.flatnonzero((x > -746.0) & (x < math.log(800.0)))
 
 
 class TestLevelTablesMatchFullTable:
@@ -751,15 +791,37 @@ class TestLevelTablesMatchFullTable:
 
     @pytest.mark.parametrize("spec_text", LONE_LETTERS + [
         "finite:p=0.2;0;0.5;0.3",
+        UNSORTED_SMALL,
         "congregated:base=(geometric:a=2)",
         "pairavg:base=(geometric:a=2)",
+        "diffusion:stages=14",
     ])
     def test_huge_n(self, spec_text):
         dist = make_distribution(parse_spec(spec_text))
-        for n in (2 ** 53 + 1, 2 ** 54, 2 ** 60, 3 ** 700, 2 ** 1100 + 7, 2 ** 16470):
+        fixed = [2 ** 53 + 1, 2 ** 54, 2 ** 60, 10 ** 300, 3 ** 700, 2 ** 1100 + 7, 2 ** 16470]
+        for n in fixed + window_edge_ns(dist):
             t = full_table_huge_t(dist, n)
             assert tn(dist, n).value == t
             assert zeta1(dist, n).value == (math.exp(math.log(t) - math.log(n)) if t > 0.0 else 0.0)
+            window = tail_index._huge_n_window(dist.descending_levels()[0], math.log(n))
+            assert window.tolist() == full_table_window(dist, n).tolist()
+
+    @pytest.mark.parametrize("spec_text", [
+        "finite:p=1;5e-324", "congregated:base=(geometric:a=2)", "diffusion:stages=14",
+    ])
+    def test_window_edges_are_reached(self, spec_text):
+        # the edge n really put a level within 1e-6 of each side of each end
+        # of the window where the table reaches it
+        dist = make_distribution(parse_spec(spec_text))
+        l2 = dist.level_arrays()[0]
+        sides = set()
+        for n in window_edge_ns(dist):
+            x = math.log(n) + math.log(2.0) * l2
+            for end in (-746.0, math.log(800.0)):
+                near = np.abs(x - end) < 1e-6
+                sides |= {(end, bool(v > end)) for v in x[near]}
+        ends = (math.log(800.0),) if spec_text.startswith("finite") else (-746.0, math.log(800.0))
+        assert sides == {(end, above) for end in ends for above in (False, True)}
 
     def test_diffusion_run_probes(self, diffusion14):
         probes = [r.n_probe for r in diffusion14.runs] + [r.m_probe for r in diffusion14.runs]

@@ -138,6 +138,29 @@ def test_level_arrays_match_levels(diffusion14):
 
 
 @pytest.mark.parametrize("spec_text", [
+    s for s in ALL_SPECS if make_distribution(parse_spec(s)).prefix_length is not None
+] + ["finite:p=0.2;0;0.5;0.3", "finite:p=0.25;0.5;0.25", "finite:p=1e-300;0.5;1e-200;0.5;1e-30",
+      "congregated:base=(geometric:a=1.2)", "pairavg:base=(gaussian:lambda=0.01)",
+      "diffusion:stages=14"])
+def test_descending_levels(spec_text):
+    dist = make_distribution(parse_spec(spec_text))
+    l2, counts = dist.level_arrays()
+    desc_l2, desc_counts = dist.descending_levels()
+    assert np.all(desc_l2[1:] <= desc_l2[:-1])
+    # a stable sort of the table by non-increasing p
+    pairs = sorted(zip(l2.tolist(), counts.tolist()), key=lambda pair: -pair[0])
+    assert list(zip(desc_l2.tolist(), desc_counts.tolist())) == pairs
+    with pytest.raises(ValueError):
+        desc_l2[0] = 0.0
+    if dist.kind is not FamilyKind.FINITE:
+        # a constructed table is already non-increasing: no copy
+        assert np.shares_memory(desc_l2, l2) and desc_counts is counts
+    assert dist.descending_levels()[0] is desc_l2
+    with pytest.raises(InvalidParams):
+        make_distribution(parse_spec("geometric:a=2")).descending_levels()
+
+
+@pytest.mark.parametrize("spec_text", [
     "finite:p=0.2;0;0.5;0.3", "congregated:base=(geometric:a=2)", "diffusion:stages=14",
 ])
 def test_positive_levels_are_the_levels_with_p_above_zero(spec_text):
