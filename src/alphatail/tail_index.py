@@ -66,12 +66,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import AlphatailError, FiniteSupport, InvalidParams
 from .zoo import LN2, Distribution, FamilyKind
@@ -101,7 +101,7 @@ class IndexValue:
     terms_used: int
 
     def __post_init__(self):
-        if self.value < 0.0 or self.trunc_error < 0.0:
+        if not (self.value >= 0.0 and self.trunc_error >= 0.0):
             raise AlphatailError("index values and truncation errors are nonnegative")
 
     @property
@@ -117,8 +117,6 @@ class IndexSeries:
     def __post_init__(self):
         if len(self.schedule) != len(self.points):
             raise InvalidParams("schedule and points must align 1:1")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise InvalidParams("schedule must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -233,14 +231,17 @@ def _power_tail_integral(c: float, lam: float, n: float, y: float, kernel: _Kern
     and gamma(a,u) = u^a e^{-u} / a * M(1; a+1; u) have positive terms whose
     ratios fall towards x and 0, so the sums are accurate to a few ulps; the
     prefactor simplifies to c y^{1-lam}/(lam-1) times (1-x)^{n+1} or e^{-nx}.
-    Past the convex range (n x > 1, em_gap's integral from y = 1) the gamma
-    series would need some n x terms, and Gamma(a) P(a, n x) is used instead.
+    Past the convex range (u = n x > 1, em_gap's integral from y = 1) the
+    series would need some u terms; there gamma(a, u) = Gamma(a) - Gamma(a, u),
+    with Gamma(a, u) = R(a, u) u^a e^{-u} from ``_upper_gamma_ratio``.
     """
     x = c * y ** -lam
     a = 1.0 - 1.0 / lam
     binomial = kernel is _Kernel.BINOMIAL
     if not binomial and n * x > 1.0:
-        return c ** (1.0 / lam) / lam * n ** (-a) * math.gamma(a) * float(special.gammainc(a, n * x))
+        u = n * x
+        lower = math.gamma(a) - _upper_gamma_ratio(a, u) * math.exp(a * math.log(u) - u)
+        return c ** (1.0 / lam) / lam * n ** (-a) * lower
     term = total = 1.0
     j = 0.0
     while term > 1e-17 * total:
@@ -259,8 +260,8 @@ def _upper_gamma_ratio(a: float, x: float) -> float:
     Lentz's method finds the depth at which the convergents agree to an ulp;
     that convergent is then evaluated from the bottom up, which stays within
     a few ulps where Lentz's running product drifts by dozens at small x.
-    For a <= 0 and x >= 1/4 every partial denominator stays above half its
-    b, so none vanishes.
+    For a <= 0 and x >= 1/4, and for 0 < a < 1 and x > 1, every partial
+    denominator stays above half its b, so none vanishes.
     """
     b = x + 1.0 - a
     c, d = math.inf, 1.0 / b
@@ -537,13 +538,8 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
 # one floating-point error state per evaluation: exp underflows to 0 far down
 # a tail, log1p(-1) is -inf for a letter of probability 1
 @np.errstate(under="ignore", divide="ignore", over="ignore")
-def _series_points(
-    dist: Distribution,
-    ns: Sequence[float],
-    eps_t: float,
-    max_terms: int,
-    kernel: _Kernel,
-) -> list[tuple[float, float, int]]:
+def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_terms: int,
+                   kernel: _Kernel) -> list[tuple[float, float, int]]:
     """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale at every
     n of ns, all within the float-exact range: a closed form's blocks, or a
     level table's L (see ``_Kernel.log_weight``), are shared by all of ns,
@@ -562,21 +558,26 @@ def _series_points(
             for n in ns]
 
 
-def _series(
-    dist: Distribution,
-    n: int,
-    eps_t: float,
-    max_terms: int,
-    kernel: _Kernel,
-) -> tuple[float, float, int]:
-    """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale: the one
-    dispatch over huge n (past 2**53, for (1-p)^n) and ``_series_points``."""
-    if n > _FLOAT_N_LIMIT and kernel is _Kernel.BINOMIAL:
-        t, trunc_t, terms = _eval_t_large(dist, n)
-        ln_n = math.log(n)
-        return (math.exp(math.log(t) - ln_n) if t > 0.0 else 0.0,
-                math.exp(math.log(trunc_t) - ln_n) if trunc_t > 0.0 else 0.0, terms)
-    return _series_points(dist, [float(n)], eps_t, max_terms, kernel)[0]
+def _sample_size(n) -> int:
+    """n as an int: a positive integer, NumPy's included, or InvalidParams."""
+    try:
+        if (size := operator.index(n)) >= 1:
+            return size
+    except TypeError:
+        pass
+    raise InvalidParams(f"n must be a positive integer, got {n!r}")
+
+
+def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
+                   kernel: _Kernel) -> tuple[float, float]:
+    """(value, trunc) of sum_k p_k w(p_k) at n for callers that keep only
+    ``value``: a series that stops at ``max_terms`` with n * trunc > eps
+    raises AlphatailError instead of returning an uncertified lower end."""
+    value, trunc, terms = _series_points(dist, [float(n)], eps, max_terms, kernel)[0]
+    if terms == max_terms and n * trunc > eps:
+        raise AlphatailError(f"the {kernel.value} series at n = {n} stops at max_terms = {max_terms} "
+                             f"with width {n * trunc:.3g} on the t_n scale, above eps = {eps:g}")
+    return value, trunc
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +594,15 @@ def zeta1(
 
     ``eps`` targets the t_n scale, so the zeta-scale remainder satisfies
     ``trunc_error <= eps / n`` whenever the family's tail certificate can
-    reach it within ``max_terms`` summands.
+    reach it within ``max_terms`` summands.  Past 2**53 it is t_n / n.
     """
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
+    n = _sample_size(n)
     if eps <= 0.0:
         raise InvalidParams("eps must be positive")
-    return IndexValue(n, *_series(dist, n, eps, max_terms, _Kernel.BINOMIAL))
+    if n <= _FLOAT_N_LIMIT:
+        return IndexValue(n, *_series_points(dist, [float(n)], eps, max_terms, _Kernel.BINOMIAL)[0])
+    *t_scale, terms = _eval_t_large(dist, n)
+    return IndexValue(n, *(math.exp(math.log(v) - math.log(n)) if v > 0.0 else 0.0 for v in t_scale), terms)
 
 
 def tn(
@@ -610,13 +613,7 @@ def tn(
 ) -> IndexValue:
     """Tail index t_n = n * zeta_n; the identity holds bit-exactly for every
     n in the float-exact range."""
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if n > _FLOAT_N_LIMIT:
-        value, trunc, terms = _eval_t_large(dist, n)
-        return IndexValue(n, value, trunc, terms)
-    z = zeta1(dist, n, eps, max_terms)
-    return IndexValue(n, n * z.value, n * z.trunc_error, z.terms_used)
+    return evaluate_series(dist, [n], eps, max_terms).points[0]
 
 
 def evaluate_series(
@@ -625,15 +622,17 @@ def evaluate_series(
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> IndexSeries:
-    """t_n along a strictly increasing schedule of sample sizes, every point
-    bit for bit ``tn``'s.  The points in the float-exact range are evaluated
-    together: each stops where its own certificate closes, and one sweep
-    sums a closed form's blocks for all of them, or one pass a level table's
-    levels.  Points past 2**53 are evaluated one at a time, each over the
-    window of levels that can carry a term, found by binary search."""
-    ns = [int(n) for n in schedule]
-    if any(n < 1 for n in ns):
-        raise InvalidParams("n must be >= 1")
+    """t_n along a strictly increasing schedule of positive integers, every
+    point bit for bit ``tn``'s; a schedule that is not raises InvalidParams
+    before any point is evaluated.  The points in the float-exact range are
+    evaluated together: each stops where its own certificate closes, and
+    one sweep sums a closed form's blocks for all of them, or one pass a
+    level table's levels.  Points past 2**53 are evaluated one at a time,
+    each over the window of levels that can carry a term, found by binary
+    search."""
+    ns = [_sample_size(n) for n in schedule]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise InvalidParams("schedule must be strictly increasing")
     floats = [n for n in ns if n <= _FLOAT_N_LIMIT]
     if floats and eps <= 0.0:
         raise InvalidParams("eps must be positive")
@@ -656,15 +655,16 @@ def scaled_pair(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[float, float]:
     """(n^{1-delta} sum p(1-p)^n, n^{1-delta} sum p e^{-np}), each member
-    certified to eps as zeta1 is: its sum's lower end, within eps/n."""
+    certified to eps as zeta1 is: its sum's lower end, within eps/n.  A
+    member whose series stops at ``max_terms`` short of eps raises
+    AlphatailError, naming n, the width reached and eps."""
     if not 0.0 < delta < 1.0:
         raise InvalidParams("delta must lie in (0,1)")
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
+    n = _sample_size(n)
     if n > _FLOAT_N_LIMIT:
         raise InvalidParams("scaled_pair requires n within the float-exact range")
     factor = float(n) ** (1.0 - delta)
-    s1, s2 = (_series(dist, n, eps, max_terms, kernel)[0] for kernel in _Kernel)
+    s1, s2 = (_certified_sum(dist, n, eps, max_terms, kernel)[0] for kernel in _Kernel)
     return factor * s1, factor * s2
 
 
@@ -677,8 +677,7 @@ def power_tail_limit(c: float, lam: float) -> float:
 
 def oscillation_state(dist: Distribution, n: int) -> OscillationState:
     """Locate k* with p_{k*+1} < 1/(n+1) <= p_{k*} and return c(n) = n p_{k*}."""
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
+    n = _sample_size(n)
     if dist.support_size() is not None:
         raise FiniteSupport("oscillation state needs an infinite tail")
     if dist.k0_head != 1:
@@ -755,19 +754,20 @@ def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     and certified as in ``scaled_pair``, so it equals that pair's second
     member at delta = 1/lam), the integral over [1, inf) (the same
     incomplete-gamma tail integral, from y = 1), and the certified unimodal
-    gap bound f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.
+    gap bound f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.  A
+    sum that stops at ``max_terms`` short of DEFAULT_EPS raises
+    AlphatailError, as in ``scaled_pair``.
     """
     if dist.kind is not FamilyKind.POWER:
         raise InvalidParams("the sum-integral gap is instantiated for power tails only")
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
+    n = _sample_size(n)
     lam = dist.spec.params["lambda"]
     c = dist.norm_constant
     nf = float(n)
     scale = nf ** (1.0 - 1.0 / lam)
     f_mode = 1.0 / (math.e * nf ** (1.0 / lam))
     bound = scale * c * math.exp(-nf * c) + 2.0 * f_mode
-    value, trunc, _ = _series(dist, n, DEFAULT_EPS, max_terms, _Kernel.POISSON)
+    value, trunc = _certified_sum(dist, n, DEFAULT_EPS, max_terms, _Kernel.POISSON)
     lattice = scale * value
     integral = scale * _power_tail_integral(c, lam, nf, 1.0, _Kernel.POISSON)
     if abs(lattice - integral) > bound + scale * trunc:

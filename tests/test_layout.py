@@ -1,7 +1,11 @@
 """Module boundaries: no library module touches another object's private
-attributes or imports a private name from a sibling module."""
+attributes or imports a private name from a sibling module, and the package
+loads on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,14 @@ def test_no_private_access_across_objects(path):
 ])
 def test_checker_itself(source, n_found):
     assert len(violations(ast.parse(source))) == n_found
+
+
+def test_import_loads_numpy_alone():
+    # a fresh interpreter: every package that importing alphatail adds, past
+    # numpy, is the standard library's
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy; before = set(sys.modules); import alphatail; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'alphatail'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special
 
 from alphatail import tail_index
 from alphatail.cli import _parse_schedule
 from alphatail import (
+    AlphatailError,
     Distribution,
     FamilyKind,
     FamilySpec,
@@ -61,6 +61,28 @@ class TestZetaBasics:
             zeta1(uniform2, -3)
         with pytest.raises(InvalidParams):
             zeta1(uniform2, 5, eps=0.0)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, math.nan, math.inf, "8", None, 0, -1])
+    def test_n_must_be_a_positive_integer(self, geom2, power2, n):
+        for call in (lambda: tn(geom2, n), lambda: zeta1(geom2, n), lambda: scaled_pair(geom2, n, 0.5),
+                     lambda: em_gap(power2, n), lambda: oscillation_state(geom2, n),
+                     lambda: evaluate_series(geom2, [n, 16])):
+            with pytest.raises(InvalidParams):
+                call()
+
+    def test_numpy_integers_are_integers(self, geom2):
+        assert tn(geom2, np.int64(100)) == tn(geom2, 100)
+        assert evaluate_series(geom2, np.array([16, 64])).points == evaluate_series(geom2, [16, 64]).points
+
+    def test_schedule_checked_before_any_point(self, logpower2, monkeypatch):
+        monkeypatch.setattr(tail_index, "_series_points", None)
+        for schedule in ([10 ** 8, 1000], [1000, 2.5], [10 ** 8, 10 ** 8]):
+            with pytest.raises(InvalidParams):
+                evaluate_series(logpower2, schedule)
+
+    def test_index_value_rejects_nan(self):
+        with pytest.raises(AlphatailError):
+            IndexValue(1, math.nan, 0.0, 1)
 
     def test_identity_bit_exact(self, geom2, power2, uniform10):
         for dist in (geom2, power2, uniform10):
@@ -240,6 +262,21 @@ class TestPowerClosure:
                     want = m_c ** (1 / m_lam) / m_lam * mp.mpf(n) ** -a * mp.gammainc(a, 0, n * x)
             assert abs(got - float(want)) <= 2e-15 * float(want)
 
+    @pytest.mark.parametrize("c", [0.6, 6 / math.pi ** 2])
+    @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0, 7.0])
+    def test_integral_from_one_matches_mpmath(self, lam, c):
+        # em_gap's integral, the one e^{-np} tail with u = n p(y) > 1:
+        # gamma(a, u) from Gamma(a) less the continued fraction's Gamma(a, u)
+        mp = pytest.importorskip("mpmath")
+        ns = sorted({m << j for j in range(54) for m in (1, 3) if 2 <= m << j <= 2 ** 53})
+        for n in (n for n in ns if n * c > 1.0):
+            got = tail_index._power_tail_integral(c, lam, float(n), 1.0, POISSON)
+            with mp.workdps(40):
+                m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+                a = 1 - 1 / m_lam
+                want = m_c ** (1 / m_lam) / m_lam * mp.mpf(n) ** -a * mp.gammainc(a, 0, n * m_c)
+            assert abs(got - float(want)) <= 5e-15 * float(want), n
+
 
 def _logpower_first_convex(c: float, lam: float, k0: int, n: int, kernel) -> float:
     """The least x >= 1 that passes the log-power convexity check, by
@@ -268,6 +305,16 @@ class TestLogPowerClosure:
                 with mp.workdps(80):
                     want = mp.gammainc(a, x) * mp.exp(x) * mp.mpf(x) ** -a
                 assert abs(got - float(want)) <= 2e-15 * float(want), (m, u0)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.05, 1 / 3, 0.5, 6 / 7, 0.999])
+    def test_gamma_ratio_of_positive_order_matches_mpmath(self, a):
+        # the orders 1 - 1/lam of em_gap's integral, at u = n c > 1
+        mp = pytest.importorskip("mpmath")
+        for x in (1 + 1e-7, 1.5, 2.0, math.pi, 10.0, 123.4, 1e4, 1e8, 1e12, 1e15):
+            got = tail_index._upper_gamma_ratio(a, x)
+            with mp.workdps(40):
+                want = mp.gammainc(a, x) * mp.exp(x) * mp.mpf(x) ** -a
+            assert abs(got - float(want)) <= 2e-15 * float(want), x
 
     @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 223872, 10 ** 8], [1.5, 2.0, 3.0]))
     def test_tail_integral_bracket_contains_mpmath(self, n, lam, kernel):
@@ -452,6 +499,17 @@ class TestScaledPair:
         # eps = 1e-9 on the t_n scale leaves 1e-13 on the sum, 1.5e-11 of b
         assert scaled_pair(power2, n, 0.5)[1] == pytest.approx(want, rel=1e-10)
 
+    def test_series_stopped_at_the_cap_raises(self, power2):
+        # at 2^50 both members stop at 2^24 terms with n trunc near 4e7
+        with pytest.raises(AlphatailError, match=r"n = 1125899906842624 .* above eps = 1e-09"):
+            scaled_pair(power2, 2 ** 50, 0.5)
+        assert scaled_pair(power2, 2 ** 47, 0.5) == (0.6909882989426693, 0.6909882989426709)
+
+    def test_width_floor_is_not_a_miss(self, logpower2):
+        # eps = 1e-12 stops at the one-ulp floor, before the cap: no raise
+        assert tn(logpower2, 10 ** 8, eps=1e-12).terms_used < tail_index.DEFAULT_MAX_TERMS
+        assert scaled_pair(logpower2, 10 ** 8, 0.5, eps=1e-12) == (363.96349073427854, 363.96349087124474)
+
     def test_power_agreement_at_1e6(self, power2):
         a, b = scaled_pair(power2, 10 ** 6, 0.5)
         assert abs(a - b) / b < 0.01
@@ -483,9 +541,11 @@ class TestPowerTailLimit:
         assert power_tail_limit(1.0, 10.0) == pytest.approx(0.10686287021193192, rel=1e-12)
 
     def test_independent_gamma_oracle(self):
-        # library cross-check: scipy's gamma vs the libm route used inside
+        # library cross-check: mpmath's gamma vs the libm route used inside
+        mp = pytest.importorskip("mpmath")
         for lam in (1.5, 2.0, 3.0, 10.0):
-            want = float(special.gamma(1 - 1 / lam)) / lam
+            with mp.workdps(30):
+                want = float(mp.gamma(1 - 1 / mp.mpf(lam))) / lam
             assert power_tail_limit(1.0, lam) == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
@@ -565,6 +625,11 @@ class TestEmGap:
         with pytest.raises(InvalidParams):
             em_gap(geom2, 100)
 
+    @pytest.mark.parametrize("n", [2 ** 50, 2 ** 60])
+    def test_series_stopped_at_the_cap_raises(self, power2, n):
+        with pytest.raises(AlphatailError, match=f"n = {n} stops at max_terms = 33554432"):
+            em_gap(power2, n)
+
 
 class TestSeries:
     def test_schedule_evaluation(self, geom2):
@@ -630,7 +695,8 @@ class TestScheduleSweep:
         swept = {kernel: tail_index._series_points(dist, [float(n) for n in MIXED_NS], *args, kernel)
                  for kernel in (BINOMIAL, POISSON)}
         for kernel, points in swept.items():
-            assert points == [tail_index._series(dist, n, *args, kernel) for n in MIXED_NS]
+            assert points == [tail_index._series_points(dist, [float(n)], *args, kernel)[0]
+                              for n in MIXED_NS]
         for n, zb, zp in zip(MIXED_NS, swept[BINOMIAL], swept[POISSON]):
             factor = float(n) ** 0.5
             assert scaled_pair(dist, n, 0.5) == (factor * zb[0], factor * zp[0])
