@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .dominance import DominanceVerdict, dominates
-from .errors import FiniteSupport, InvalidParams, ScheduleTooShort
+from .errors import FiniteSupport, InvalidParams, ScheduleTooShort, positive_integer
 from .tail_index import IndexValue, evaluate_series, tn
 from .zoo import Distribution, FamilyKind
 
@@ -58,11 +58,6 @@ class Thresholds:
     min_decades: float = 4.0
     min_points: int = 8
     flat_slope: float = 0.05
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Thresholds":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -153,9 +148,13 @@ def classify_numeric(
 
     ``transient_probes`` supplies (growing, bounded) subsequences of n; the
     transient verdict requires both, since generic subsequence discovery is
-    an open-ended search.
+    an open-ended search.  Every n, of the schedule and of the probes, must
+    be a positive integer (InvalidParams); the schedule may be unsorted and
+    repeat a point.
     """
-    schedule = [int(n) for n in schedule]
+    schedule = [positive_integer(n) for n in schedule]
+    if transient_probes is not None:
+        growing_ns, bounded_ns = ([positive_integer(n) for n in ns] for ns in transient_probes)
     if len(schedule) < thresholds.min_points:
         raise ScheduleTooShort(f"need at least {thresholds.min_points} schedule points")
     decades = math.log10(schedule[-1]) - math.log10(schedule[0])
@@ -196,7 +195,6 @@ def classify_numeric(
 
     # Transient: caller-supplied witness subsequences
     if transient_probes is not None:
-        growing_ns, bounded_ns = ([int(n) for n in ns] for ns in transient_probes)
         probes = _tn_at(dist, growing_ns + bounded_ns, eps, max_terms)
         gvals, bvals = probes[:len(growing_ns)], probes[len(growing_ns):]
         diagnostics["probe_growing"] = [(v.n, v.value) for v in gvals]

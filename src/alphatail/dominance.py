@@ -9,11 +9,13 @@ gather evidence; the verdict vocabulary keeps this explicit:
                            values and all scans ran to completion,
 * ``NOT_DOMINATED_AT_DEPTH`` some count reached the caller's growth
                            threshold within the examined depth,
-* ``UNDETERMINED``         the probe limit truncated a scan; never a false
-                           verdict.
+* ``UNDETERMINED``         the probe limit or the end of P's level table
+                           truncated the scan; never a false verdict.
 
-Ties p_i = q_k land in interval k (half-open on the left, exactly as the
-relation is defined); equal consecutive q values make the interval empty.
+P is walked in index order through ``Distribution.prob_blocks``, so the
+scan stops inside the block where it completes.  Ties p_i = q_k land in
+interval k (half-open on the left, exactly as the relation is defined);
+equal consecutive q values make the interval empty.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ def dominates(
 ) -> DominanceReport:
     """Count P's probabilities inside Q's first ``depth`` ordered intervals.
 
-    P is scanned in index order down to the first index past its head where
-    p_i <= q_{depth+1}; if ``probe_limit`` indices are exhausted first the
-    verdict is UNDETERMINED.
+    P is scanned in index order, in the blocks of ``Distribution.prob_blocks``
+    (the sampler's), up to the first index past its head where
+    p_i <= q_{depth+1}.  If the probe limit or the end of P's level table
+    comes first, the verdict is UNDETERMINED.
     """
     if depth < 1:
         raise InvalidParams("depth must be >= 1")
@@ -89,38 +92,22 @@ def dominates(
     # ascending view for searchsorted; intervals are (q_{k+1}, q_k]
     q_asc = q[::-1].copy()
     complete = False
-    start = 1
-    block = 1 << 12
-    # blockwise scan through the same vectorized path as the q side, so
-    # identical distributions compare tie-for-tie
-    while start <= probe_limit:
-        stop = min(start + block, probe_limit + 1)
-        truncated_by_depth = False
-        if p_dist.prefix_length is not None and stop > p_dist.prefix_length + 1:
-            stop = p_dist.prefix_length + 1
-            truncated_by_depth = True
-            if stop <= start:
-                break
-        with np.errstate(under="ignore"):
-            p_vals = np.exp(p_dist.log_prob_block(start, stop))
-        below = np.nonzero(p_vals <= q_floor)[0]
-        cut = len(p_vals)
-        for j in below:
-            if start + int(j) > p_dist.k0_head:
-                complete = True
-                cut = int(j)
-                break
-        chunk = p_vals[:cut]
-        inside = chunk[(chunk > q_floor) & (chunk <= q_top)]
-        if inside.size:
-            pos = np.searchsorted(q_asc, inside, side="left")
-            ks = (depth + 1) - pos
-            np.add.at(counts, ks - 1, 1)
-        if complete or (truncated_by_depth and cut == len(p_vals)):
+    # the same exp(log_prob_block) as the q side, so identical distributions
+    # compare tie-for-tie
+    for start, p_vals in p_dist.prob_blocks(probe_limit + 1):
+        head = max(p_dist.k0_head + 1 - start, 0)   # indices k <= k0_head
+        past = np.flatnonzero(p_vals[head:] <= q_floor)
+        if past.size:
+            complete = True
+            p_vals = p_vals[:head + past[0]]
+        inside = p_vals[(p_vals > q_floor) & (p_vals <= q_top)]
+        # interval k = depth + 1 - (position in q_asc), counted at k - 1
+        counts += np.bincount(depth - np.searchsorted(q_asc, inside, side="left"),
+                              minlength=depth)
+        if complete:
             break
-        start = stop
     counts = counts.tolist()
-    max_count = max(counts) if counts else 0
+    max_count = max(counts)
     if not complete:
         verdict = DominanceVerdict.UNDETERMINED
     elif max_count >= growth_threshold:

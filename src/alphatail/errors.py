@@ -4,6 +4,8 @@ Every error raised by the library derives from :class:`AlphatailError`, so
 callers (and the CLI) can distinguish our failures from genuine bugs.
 """
 
+import operator
+
 
 class AlphatailError(Exception):
     """Base class for all library errors."""
@@ -11,6 +13,17 @@ class AlphatailError(Exception):
 
 class InvalidParams(AlphatailError, ValueError):
     """A family parameter violates its stated constraint."""
+
+
+def positive_integer(value, name: str = "n", error: type = InvalidParams) -> int:
+    """``value`` as an int: a positive integer, NumPy's included; anything
+    else (a float, NaN, zero, a negative) raises ``error``."""
+    try:
+        if (out := operator.index(value)) >= 1:
+            return out
+    except TypeError:
+        pass
+    raise error(f"{name} must be a positive integer, got {value!r}")
 
 
 class NormalizationDivergent(InvalidParams):

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidParams, InvalidV, SamplerLimit, TooLarge
+from .errors import DepthExceeded, InvalidParams, InvalidV, SamplerLimit, TooLarge, positive_integer
 from .zoo import Distribution
 
 _ORACLE_MAX_N = 12
@@ -48,7 +48,6 @@ _ORACLE_MAX_K = 6
 _MAX_CDF_ENTRIES = 1 << 24  # letters one sample may sum p_k over
 _MAX_SAMPLE = 1 << 27       # 1 GiB of float64 draws
 _BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
-_MAX_CDF_BLOCK = 1 << 16    # CDF blocks double from 64 values up to this
 _EXP_ZERO = -746.0          # exp of anything below is exactly 0.0
 
 
@@ -141,46 +140,36 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
 
 
 def _cdf_blocks(dist: Distribution, u_max: float):
-    """Yield (first letter, prefix sums of p_k) in blocks that double from 64
-    values up to _MAX_CDF_BLOCK, up to the first block that exceeds u_max or
-    the end of a level table, so the CDF runs less than one block past the
-    letter it needs; at most _MAX_CDF_ENTRIES letters, refused up front when
-    the certified tail mass beyond the cap already exceeds 1 - u_max.  A
-    table that ends below u_max must hold all the mass; otherwise the draw
-    needs letters it does not have.
+    """Yield (first letter, prefix sums of p_k) over ``dist.prob_blocks``,
+    up to the first block that exceeds u_max or the end of a level table, so
+    the CDF runs less than one block past the letter it needs; at most
+    _MAX_CDF_ENTRIES letters, refused up front when the certified tail mass
+    beyond the cap already exceeds 1 - u_max.  A table that ends below
+    u_max must hold all the mass; otherwise the draw needs letters it does
+    not have.
 
     Each block is summed on from the running total, which gives the same
     floats as one cumsum over the whole prefix."""
     if dist.tail_mass_lower(_MAX_CDF_ENTRIES) > 1.0 - u_max:
         raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
-    end = dist.prefix_length or math.inf    # last letter of a level table
-    block = 64
-    start = 1
     reached = 0.0
-    while True:
-        if start > _MAX_CDF_ENTRIES:
-            raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
-        stop = min(start + block, end + 1, _MAX_CDF_ENTRIES + 1)
-        with np.errstate(under="ignore"):
-            p = np.exp(dist.log_prob_block(start, stop))
+    for start, p in dist.prob_blocks(_MAX_CDF_ENTRIES + 1):
         cdf = np.cumsum(np.concatenate(([reached], p)))[1:]
         yield start, cdf
         top = float(cdf[-1])
         if top > u_max:
             return
-        if stop > end:
-            if dist.support_size() is None:
-                raise DepthExceeded("a draw landed beyond the constructed family's prefix")
-            return
-        if top <= reached and end == math.inf:
+        if top <= reached and dist.prefix_length is None:
             # later blocks of a closed form hold smaller values, which round
             # away as well; a table ends by itself
             raise SamplerLimit(
                 f"the CDF stops at {reached!r} in floating point, below the draw {u_max!r}"
             )
         reached = top
-        start = stop
-        block = min(2 * block, _MAX_CDF_BLOCK)
+    if (dist.prefix_length or math.inf) > _MAX_CDF_ENTRIES:
+        raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
+    if dist.support_size() is None:
+        raise DepthExceeded("a draw landed beyond the constructed family's prefix")
 
 
 def turing(freq: FrequencyTable) -> float:
@@ -206,9 +195,9 @@ def t_hat(freq: FrequencyTable, v: int) -> float:
 def estimator_report(freq: FrequencyTable, v_values: Iterable[int]) -> EstimatorReport:
     """Z_{1,v} and t_hat_v for every v in ``v_values``, in one pass."""
     n = freq.n
-    vs = [int(v) for v in v_values]
+    vs = [positive_integer(v, "v", InvalidV) for v in v_values]
     for v in vs:
-        if not 1 <= v <= n - 1:
+        if v > n - 1:
             raise InvalidV(f"v must lie in [1, n-1], got v={v} with n={n}")
     if not vs:
         return EstimatorReport([], [], [])

@@ -66,14 +66,13 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AlphatailError, FiniteSupport, InvalidParams
+from .errors import AlphatailError, FiniteSupport, InvalidParams, positive_integer
 from .zoo import LN2, Distribution, FamilyKind
 
 DEFAULT_EPS = 1e-9          # t_n-scale truncation target for CLI-level calls
@@ -543,9 +542,13 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale at every
     n of ns, all within the float-exact range: a closed form's blocks, or a
     level table's L (see ``_Kernel.log_weight``), are shared by all of ns,
-    and each result is bit for bit that of its n on its own."""
+    and each result is bit for bit that of its n on its own.  A target
+    ``eps_t`` that is not positive (NaN included) raises InvalidParams
+    before any work."""
     if not ns:
         return []
+    if not eps_t > 0.0:
+        raise InvalidParams(f"eps must be positive, got {eps_t!r}")
     if dist.prefix_length is None:
         return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns],
                       max_terms, kernel)
@@ -556,16 +559,6 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     trunc = dist.tail_mass_bound(dist.prefix_length)
     return [(math.fsum(_terms(L, big, n, factor, out).tolist()), trunc, dist.prefix_length)
             for n in ns]
-
-
-def _sample_size(n) -> int:
-    """n as an int: a positive integer, NumPy's included, or InvalidParams."""
-    try:
-        if (size := operator.index(n)) >= 1:
-            return size
-    except TypeError:
-        pass
-    raise InvalidParams(f"n must be a positive integer, got {n!r}")
 
 
 def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
@@ -594,11 +587,10 @@ def zeta1(
 
     ``eps`` targets the t_n scale, so the zeta-scale remainder satisfies
     ``trunc_error <= eps / n`` whenever the family's tail certificate can
-    reach it within ``max_terms`` summands.  Past 2**53 it is t_n / n.
+    reach it within ``max_terms`` summands.  Past 2**53 it is t_n / n,
+    summed over the whole table, and ``eps`` is not read.
     """
-    n = _sample_size(n)
-    if eps <= 0.0:
-        raise InvalidParams("eps must be positive")
+    n = positive_integer(n)
     if n <= _FLOAT_N_LIMIT:
         return IndexValue(n, *_series_points(dist, [float(n)], eps, max_terms, _Kernel.BINOMIAL)[0])
     *t_scale, terms = _eval_t_large(dist, n)
@@ -630,12 +622,10 @@ def evaluate_series(
     level table's levels.  Points past 2**53 are evaluated one at a time,
     each over the window of levels that can carry a term, found by binary
     search."""
-    ns = [_sample_size(n) for n in schedule]
+    ns = [positive_integer(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidParams("schedule must be strictly increasing")
     floats = [n for n in ns if n <= _FLOAT_N_LIMIT]
-    if floats and eps <= 0.0:
-        raise InvalidParams("eps must be positive")
     zetas = iter(_series_points(dist, [float(n) for n in floats], eps, max_terms, _Kernel.BINOMIAL))
     points = []
     for n in ns:
@@ -660,7 +650,7 @@ def scaled_pair(
     AlphatailError, naming n, the width reached and eps."""
     if not 0.0 < delta < 1.0:
         raise InvalidParams("delta must lie in (0,1)")
-    n = _sample_size(n)
+    n = positive_integer(n)
     if n > _FLOAT_N_LIMIT:
         raise InvalidParams("scaled_pair requires n within the float-exact range")
     factor = float(n) ** (1.0 - delta)
@@ -677,7 +667,7 @@ def power_tail_limit(c: float, lam: float) -> float:
 
 def oscillation_state(dist: Distribution, n: int) -> OscillationState:
     """Locate k* with p_{k*+1} < 1/(n+1) <= p_{k*} and return c(n) = n p_{k*}."""
-    n = _sample_size(n)
+    n = positive_integer(n)
     if dist.support_size() is not None:
         raise FiniteSupport("oscillation state needs an infinite tail")
     if dist.k0_head != 1:
@@ -685,27 +675,11 @@ def oscillation_state(dist: Distribution, n: int) -> OscillationState:
     thr = 1.0 / (n + 1)
     if dist.prob(1) < thr:
         raise InvalidParams("p_1 already below 1/(n+1); no admissible k*")
-    if dist.kind is FamilyKind.GEOMETRIC:
-        a = dist.spec.params["a"]
-        k = max(1, math.floor(math.log(dist.norm_constant * (n + 1)) / math.log(a)))
-    else:
-        k = 1
-        while dist.prob(2 * k) >= thr:
-            k *= 2
-        lo, hi = k, 2 * k  # prob(lo) >= thr > prob(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if dist.prob(mid) >= thr:
-                lo = mid
-            else:
-                hi = mid
-        k = lo
-    while dist.prob(k) < thr:
-        k -= 1
-    while dist.prob(k + 1) >= thr:
-        k += 1
-    if k < 1:
-        raise InvalidParams("no admissible k*")
+    # the tail is non-increasing from k = 1: double past k*, then bisect
+    hi = 2
+    while dist.prob(hi) >= thr:
+        hi *= 2
+    k = bisect.bisect_left(range(1, hi + 1), True, key=lambda k: dist.prob(k) < thr)
     c = n * dist.prob(k)
     lower = n / (n + 1.0)
     if c < lower * (1.0 - 1e-12):
@@ -760,7 +734,7 @@ def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     """
     if dist.kind is not FamilyKind.POWER:
         raise InvalidParams("the sum-integral gap is instantiated for power tails only")
-    n = _sample_size(n)
+    n = positive_integer(n)
     lam = dist.spec.params["lambda"]
     c = dist.norm_constant
     nf = float(n)

@@ -54,7 +54,10 @@ NORM_CUTOFF = 1e-14
 
 _SMALLEST_SUBNORMAL = 5e-324
 _MAX_NORMALIZATION_TERMS = 1 << 27
+_FIRST_PROB_BLOCK = 64      # prob_blocks doubles from 64 values ...
+_MAX_PROB_BLOCK = 1 << 16   # ... up to this
 
+DEFAULT_LOGPOWER_K0 = 2
 DEFAULT_CONGREGATED_DEPTH = 48
 DEFAULT_PAIR_DEPTH = 512
 DEFAULT_DIFFUSION_STAGES = 8
@@ -114,18 +117,22 @@ def validate_spec(spec: FamilySpec) -> None:
         total = math.fsum(vec)
         _require(abs(total - 1.0) <= 1e-12, f"finite vector must sum to 1 within 1e-12 (got {total!r})")
     elif kind is FamilyKind.GEOMETRIC:
-        _require(float(p.get("a", 0.0)) > 1.0, "geometric base requires a > 1")
+        _require(1.0 < float(p.get("a", 0.0)) < math.inf, "geometric base requires a finite a > 1")
     elif kind is FamilyKind.GAUSSIAN_TYPE:
-        _require(float(p.get("lambda", 0.0)) > 0.0, "gaussian-type rate requires lambda > 0")
+        _require(0.0 < float(p.get("lambda", 0.0)) < math.inf,
+                 "gaussian-type rate requires a finite lambda > 0")
     elif kind is FamilyKind.TILTED_GEOMETRIC:
-        _require(float(p.get("lambda", 0.0)) > 0.0, "tilted geometric requires lambda > 0")
+        _require(0.0 < float(p.get("lambda", 0.0)) < math.inf,
+                 "tilted geometric requires a finite lambda > 0")
         _require("r" in p and math.isfinite(float(p["r"])), "tilted geometric requires a finite exponent r")
     elif kind in (FamilyKind.POWER, FamilyKind.LOG_POWER):
         lam = float(p.get("lambda", 0.0))
+        _require(lam < math.inf, f"{kind.value} tail requires a finite lambda")
         if lam <= 1.0:
             raise NormalizationDivergent(f"{kind.value} tail requires lambda > 1 (got {lam})")
         if kind is FamilyKind.LOG_POWER:
-            _require(int(p.get("k0", 2)) >= 2, "log-power start index requires k0 >= 2")
+            _require(int(p.get("k0", DEFAULT_LOGPOWER_K0)) >= 2,
+                     "log-power start index requires k0 >= 2")
     elif kind in (FamilyKind.CONGREGATED, FamilyKind.PAIR_AVERAGED):
         base = p.get("base")
         _require(isinstance(base, FamilySpec), f"{kind.value} requires a base FamilySpec")
@@ -432,6 +439,21 @@ class Distribution:
             return LN2 * float(self._level_log2[idx])
         return math.log(self.norm_constant) + _log_weight(self.kind, self.spec.params, k)
 
+    def prob_blocks(self, stop: int):
+        """Yield (first index, p_k) for k = 1 .. stop-1 in blocks that double
+        from 64 values up to 2^16, ending early at the end of a level table;
+        the one index-order walk of the sampler and the dominance scan.
+        Values that underflow read 0."""
+        if self.prefix_length is not None:
+            stop = min(stop, self.prefix_length + 1)
+        start, block = 1, _FIRST_PROB_BLOCK
+        while start < stop:
+            end = min(start + block, stop)
+            with np.errstate(under="ignore"):
+                p = np.exp(self.log_prob_block(start, end))
+            yield start, p
+            start, block = end, min(2 * block, _MAX_PROB_BLOCK)
+
     def log_prob_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized log_prob over k in [start, stop)."""
         if self._level_log2 is not None:
@@ -505,6 +527,8 @@ def make_distribution(spec: FamilySpec) -> Distribution:
                             beyond_log2_mass=-math.inf)
     if kind in _CLOSED_FORM:
         params = {k: (int(v) if k == "k0" else float(v)) for k, v in p.items()}
+        if kind is FamilyKind.LOG_POWER:
+            params.setdefault("k0", DEFAULT_LOGPOWER_K0)
         total, halfwidth = _normalize_closed_form(kind, params)
         norm = 1.0 / total
         clean = FamilySpec(kind, params)
@@ -619,6 +643,7 @@ def construct_diffusion(stages: int) -> Distribution:
 # ---------------------------------------------------------------------------
 
 _KIND_TOKENS = {k.value: k for k in FamilyKind}
+_INT_PARAMS = ("k0", "depth", "stages")
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -648,11 +673,9 @@ def parse_spec(text: str) -> FamilySpec:
             if not (val.startswith("(") and val.endswith(")")):
                 raise SpecParseError("base spec must be parenthesized")
             params["base"] = parse_spec(val[1:-1])
-        elif key in ("k0", "depth", "stages"):
-            params[key] = int(val)
-        elif key in ("a", "lambda", "r"):
+        elif key in _INT_PARAMS + ("a", "lambda", "r"):
             try:
-                params[key] = float(val)
+                params[key] = int(val) if key in _INT_PARAMS else float(val)
             except ValueError as exc:
                 raise SpecParseError(f"bad numeric value {val!r} for {key}") from exc
         else:
@@ -690,7 +713,7 @@ def format_spec(spec: FamilySpec) -> str:
     for key in ("a", "lambda", "r", "k0", "depth", "stages"):
         if key in p:
             v = p[key]
-            items.append(f"{key}={int(v) if key in ('k0', 'depth', 'stages') else repr(float(v))}")
+            items.append(f"{key}={int(v) if key in _INT_PARAMS else repr(float(v))}")
     if "base" in p:
         items.append(f"base=({format_spec(p['base'])})")
     return f"{kind.value}:{','.join(items)}"

@@ -1,10 +1,10 @@
 """Domain verdicts: analytic mapping, numeric semi-decision, probes."""
 
 import math
-from dataclasses import asdict
 
 import pytest
 
+from alphatail import classify
 from alphatail import (
     Domain,
     DomainVerdict,
@@ -99,6 +99,20 @@ class TestNumeric:
         with pytest.raises(ScheduleTooShort):
             classify_numeric(geom2, list(range(10, 30)))
 
+    @pytest.mark.parametrize("first", [2.5, 16.0, 0, -16, math.nan, "16"])
+    def test_schedule_points_must_be_positive_integers(self, geom2, first, monkeypatch):
+        # 2.5 was evaluated as n = 2, and 0, -16 and nan ended in a bare
+        # ValueError from math.log10 or int()
+        monkeypatch.setattr(classify, "_tn_at", None)     # nothing is evaluated
+        with pytest.raises(InvalidParams):
+            classify_numeric(geom2, [first] + SCHEDULE[1:])
+
+    @pytest.mark.parametrize("probes", [([2.5, 64, 256], [16, 32, 48]), ([16, 32, 48], [0, 1, 2])])
+    def test_probe_points_must_be_positive_integers(self, geom2, probes, monkeypatch):
+        monkeypatch.setattr(classify, "_tn_at", None)
+        with pytest.raises(InvalidParams):
+            classify_numeric(geom2, SCHEDULE, transient_probes=probes)
+
     def test_schedule_past_float_range(self):
         # the span in decades is taken in logs, so an integer schedule far
         # past the float range is accepted as tn accepts it
@@ -117,10 +131,6 @@ class TestNumeric:
         assert verdict.evidence == [(p.n, p.value) for p in points]
         assert verdict.diagnostics["max_upper"] == max(p.upper for p in points)
         assert verdict.diagnostics["final_upper"] == points[-1].upper
-
-    def test_thresholds_round_trip(self):
-        t = Thresholds(theta0=1e-5, band_ceiling=9.0)
-        assert Thresholds.from_dict(asdict(t)) == t
 
 
 class TestTransient:

@@ -1,16 +1,22 @@
 """Interval-count dominance: the documented pair verdicts and edge behavior."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from alphatail import (
+    DominanceReport,
     DominanceVerdict,
     FiniteSupport,
+    catalog,
     dominates,
+    format_spec,
     make_distribution,
     parse_spec,
 )
+from alphatail.dominance import _ordered_q
 
 
 def dist(text):
@@ -118,3 +124,76 @@ class TestContract:
         assert relaxed.verdict is DominanceVerdict.DOMINATED_WITHIN
         strict = dominates(geom2, congregated2, depth=50, growth_threshold=3)
         assert strict.verdict is DominanceVerdict.NOT_DOMINATED_AT_DEPTH
+
+
+def dominates_by_fixed_blocks(q_dist, p_dist, depth, probe_limit, growth_threshold=8):
+    """The scan in fixed blocks of 4,096 values, stopped by hand at the end
+    of a level table, one index at a time past the head and counted with
+    np.add.at; kept as the reference for the walk over prob_blocks."""
+    q = _ordered_q(q_dist, depth + 1)
+    counts = np.zeros(depth, dtype=np.int64)
+    q_floor, q_top, q_asc = float(q[-1]), float(q[0]), q[::-1].copy()
+    complete = False
+    start = 1
+    while start <= probe_limit:
+        stop = min(start + 4096, probe_limit + 1)
+        truncated_by_depth = False
+        if p_dist.prefix_length is not None and stop > p_dist.prefix_length + 1:
+            stop = p_dist.prefix_length + 1
+            truncated_by_depth = True
+            if stop <= start:
+                break
+        with np.errstate(under="ignore"):
+            p_vals = np.exp(p_dist.log_prob_block(start, stop))
+        cut = len(p_vals)
+        for j in np.nonzero(p_vals <= q_floor)[0]:
+            if start + int(j) > p_dist.k0_head:
+                complete = True
+                cut = int(j)
+                break
+        chunk = p_vals[:cut]
+        inside = chunk[(chunk > q_floor) & (chunk <= q_top)]
+        if inside.size:
+            np.add.at(counts, depth - np.searchsorted(q_asc, inside, side="left"), 1)
+        if complete or (truncated_by_depth and cut == len(p_vals)):
+            break
+        start = stop
+    counts = counts.tolist()
+    max_count = max(counts)
+    if not complete:
+        verdict = DominanceVerdict.UNDETERMINED
+    elif max_count >= growth_threshold:
+        verdict = DominanceVerdict.NOT_DOMINATED_AT_DEPTH
+    else:
+        verdict = DominanceVerdict.DOMINATED_WITHIN
+    return DominanceReport(depth, counts, max_count, verdict, complete, growth_threshold)
+
+
+REFERENCE_SPECS = [format_spec(s) for s in catalog() if not format_spec(s).startswith("finite")] + [
+    "power:lambda=1.5", "tilted:lambda=0.5,r=3", "pairavg:base=(geometric:a=2),depth=2",
+]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # the q side may run past a short table
+        return type(exc)
+
+
+@pytest.mark.parametrize("q_text, p_text", itertools.product(REFERENCE_SPECS, repeat=2))
+def test_reports_equal_the_fixed_block_scan(q_text, p_text):
+    q, p = dist(q_text), dist(p_text)
+    for depth, probe_limit in itertools.product((5, 17, 50), (3, 100, 10 ** 6)):
+        want = outcome(dominates_by_fixed_blocks, q, p, depth, probe_limit)
+        assert outcome(dominates, q, p, depth, probe_limit) == want, (depth, probe_limit)
+
+
+def test_reference_pairs_reach_every_verdict_and_a_table_end():
+    reports = [outcome(dominates, dist(q), dist(p), depth, limit)
+               for q, p in itertools.product(REFERENCE_SPECS, repeat=2)
+               for depth, limit in itertools.product((5, 50), (3, 10 ** 6))]
+    assert {getattr(r, "verdict", r) for r in reports} >= set(DominanceVerdict)
+    # a short P table ends before any of its values falls below q_51
+    short = dominates(dist("geometric:a=2"), dist("pairavg:base=(geometric:a=2),depth=2"), 50)
+    assert short.verdict is DominanceVerdict.UNDETERMINED and sum(short.counts) == 4

@@ -452,6 +452,17 @@ class TestZ1v:
         rep = estimator_report(f, [3, 1, 3])
         assert rep.z1v == [z1v(f, 3), z1v(f, 1), z1v(f, 3)]
 
+    @pytest.mark.parametrize("v", [2.5, 2.0, math.nan, -1, "2", None])
+    def test_v_must_be_an_integer(self, v):
+        # 2.5 was evaluated as v = 2
+        f = FrequencyTable(4, {1: 2, 2: 2})
+        with pytest.raises(InvalidV):
+            estimator_report(f, [1, v])
+
+    def test_numpy_integer_orders(self):
+        f = FrequencyTable(4, {1: 2, 2: 2})
+        assert estimator_report(f, np.array([1, 3])) == estimator_report(f, [1, 3])
+
     def test_t_hat_scaling(self):
         f = FrequencyTable(2, {1: 1, 2: 1})
         assert t_hat(f, 1) == 1.0

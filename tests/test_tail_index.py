@@ -70,6 +70,24 @@ class TestZetaBasics:
             with pytest.raises(InvalidParams):
                 call()
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_eps_checked_before_any_work(self, geom2, pairavg2, power2, eps, monkeypatch):
+        # eps = nan summed 2^24 terms, and scaled_pair ran to the cap with
+        # any eps before it raised
+        for name in ("_stop", "_sweep", "_terms"):
+            monkeypatch.setattr(tail_index, name, None)
+        for call in (lambda: tn(geom2, 10, eps=eps), lambda: zeta1(pairavg2, 10, eps=eps),
+                     lambda: evaluate_series(geom2, [16, 64], eps=eps),
+                     lambda: scaled_pair(power2, 10 ** 4, 0.5, eps=eps)):
+            with pytest.raises(InvalidParams, match="eps must be positive"):
+                call()
+
+    def test_eps_is_a_float_range_target(self, diffusion14):
+        # past 2**53 the whole table is summed and eps is not read
+        n = 1 << 60
+        assert tn(diffusion14, n, eps=math.nan) == tn(diffusion14, n)
+        assert zeta1(diffusion14, n, eps=0.0) == zeta1(diffusion14, n)
+
     def test_numpy_integers_are_integers(self, geom2):
         assert tn(geom2, np.int64(100)) == tn(geom2, 100)
         assert evaluate_series(geom2, np.array([16, 64])).points == evaluate_series(geom2, [16, 64]).points
@@ -582,6 +600,19 @@ class TestOscillation:
     def test_finite_rejected(self, uniform2):
         with pytest.raises(FiniteSupport):
             oscillation_state(uniform2, 10)
+
+    @pytest.mark.parametrize("spec_text", [
+        "geometric:a=2", "geometric:a=1.01", "geometric:a=100", "power:lambda=1.5",
+        "gaussian:lambda=1", "tilted:lambda=1,r=-1", "logpower:lambda=2,k0=2",
+    ])
+    def test_k_star_straddles_the_threshold(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        rng = random.Random(spec_text)
+        for n in sorted({int(10 ** rng.uniform(0, 15)) for _ in range(40)}):
+            if dist.prob(1) < 1.0 / (n + 1):
+                continue
+            k = oscillation_state(dist, n).k_star
+            assert dist.prob(k) >= 1.0 / (n + 1) > dist.prob(k + 1), n
 
     def test_profile_near_one(self):
         assert oscillation_t(1.0) == pytest.approx(1.0, abs=1e-3)

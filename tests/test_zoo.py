@@ -368,6 +368,8 @@ class TestSpecText:
     @pytest.mark.parametrize("bad", [
         "nosuch:a=2", "geometric:a", "geometric:a=abc", "power:wat=3",
         "congregated:base=geometric:a=2", "geometric:a=2,(",
+        "logpower:lambda=2,k0=abc", "logpower:lambda=2,k0=2.5", "diffusion:stages=x",
+        "congregated:base=(geometric:a=2),depth=q",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(SpecParseError):
@@ -388,10 +390,67 @@ class TestSpecText:
     ("logpower:lambda=2,k0=1", InvalidParams),
     ("finite:p=0.5;0.6", InvalidParams),
     ("finite:p=-0.5;1.5", InvalidParams),
+    ("geometric:a=inf", InvalidParams),
+    ("gaussian:lambda=inf", InvalidParams),
+    ("tilted:lambda=inf,r=1", InvalidParams),
+    ("power:lambda=inf", InvalidParams),
+    ("logpower:lambda=inf,k0=2", InvalidParams),
 ])
 def test_parameter_validation(bad_spec, exc):
     with pytest.raises(exc):
         make_distribution(parse_spec(bad_spec))
+
+
+def test_logpower_k0_defaults_to_two():
+    implicit = make_distribution(parse_spec("logpower:lambda=2"))
+    explicit = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
+    assert implicit.spec == explicit.spec
+    assert implicit.norm_constant == explicit.norm_constant
+    assert implicit.mass_halfwidth == explicit.mass_halfwidth
+    assert np.array_equal(implicit.log_prob_block(1, 5000), explicit.log_prob_block(1, 5000))
+    assert implicit.tail_mass_bound(100) == explicit.tail_mass_bound(100)
+
+
+class TestProbBlocks:
+    @pytest.mark.parametrize("spec_text", [s for s in ALL_SPECS if not s.startswith("finite")])
+    def test_blocks_concatenate_to_exp_of_log_prob_block(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        stop = min(100_000, (dist.prefix_length or math.inf) + 1)
+        blocks = list(dist.prob_blocks(stop))
+        with np.errstate(under="ignore"):
+            want = np.exp(dist.log_prob_block(1, stop))
+        got = np.concatenate([p for _, p in blocks])
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_sizes_double_to_two_to_the_sixteen(self, geom2):
+        sizes = [64 << i for i in range(11)] + [1 << 16]
+        blocks = list(geom2.prob_blocks(1 + sum(sizes)))
+        assert [len(p) for _, p in blocks] == sizes
+        starts = np.cumsum([1] + sizes[:-1]).tolist()
+        assert [start for start, _ in blocks] == starts
+
+    def test_stop_cuts_the_last_block(self, geom2):
+        assert [(start, len(p)) for start, p in geom2.prob_blocks(100)] == [(1, 64), (65, 35)]
+        assert [(start, len(p)) for start, p in geom2.prob_blocks(2)] == [(1, 1)]
+        assert list(geom2.prob_blocks(1)) == []
+
+    @pytest.mark.parametrize("spec_text", [
+        "diffusion:stages=14", "pairavg:base=(geometric:a=2)",
+        "congregated:base=(geometric:a=2)", "finite:p=0.5;0.3;0.2",
+    ])
+    def test_table_walk_ends_at_its_prefix(self, spec_text):
+        dist = make_distribution(parse_spec(spec_text))
+        *_, (start, p) = dist.prob_blocks(1 << 30)   # no DepthExceeded
+        assert start + len(p) - 1 == dist.prefix_length
+
+    def test_caller_error_state_between_blocks(self):
+        # gaussian values underflow after k = 27; the walk ignores that
+        # inside, and the caller's own state holds between blocks
+        dist = make_distribution(parse_spec("gaussian:lambda=1"))
+        with np.errstate(under="raise"):
+            for _, p in dist.prob_blocks(300):
+                assert np.geterr()["under"] == "raise"
+        assert p[-1] == 0.0
 
 
 def test_immutability_of_spec():
