@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FiniteSupport, InvalidParams
+from .errors import FiniteSupport, InvalidParams, positive_integer
 from .zoo import Distribution
 
 DEFAULT_DEPTH = 50
@@ -76,10 +76,13 @@ def dominates(
     P is scanned in index order, in the blocks of ``Distribution.prob_blocks``
     (the sampler's), up to the first index past its head where
     p_i <= q_{depth+1}.  If the probe limit or the end of P's level table
-    comes first, the verdict is UNDETERMINED.
+    comes first, the verdict is UNDETERMINED.  ``depth``, ``probe_limit``
+    and ``growth_threshold`` must be positive integers (NumPy's included);
+    anything else raises InvalidParams before any scan.
     """
-    if depth < 1:
-        raise InvalidParams("depth must be >= 1")
+    depth = positive_integer(depth, "depth")
+    probe_limit = positive_integer(probe_limit, "probe_limit")
+    growth_threshold = positive_integer(growth_threshold, "growth_threshold")
     if q_dist.support_size() is not None:
         raise FiniteSupport("the dominating distribution must have infinite support")
     if p_dist.support_size() is not None:

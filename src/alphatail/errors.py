@@ -15,15 +15,16 @@ class InvalidParams(AlphatailError, ValueError):
     """A family parameter violates its stated constraint."""
 
 
-def positive_integer(value, name: str = "n", error: type = InvalidParams) -> int:
-    """``value`` as an int: a positive integer, NumPy's included; anything
-    else (a float, NaN, zero, a negative) raises ``error``."""
+def positive_integer(value, name: str = "n", error: type = InvalidParams, *, zero: bool = False) -> int:
+    """``value`` as an int: a positive integer, or a nonnegative one with
+    ``zero``, NumPy's included; anything else (a float, NaN, a negative,
+    zero unless allowed) raises ``error``."""
     try:
-        if (out := operator.index(value)) >= 1:
+        if (out := operator.index(value)) >= (0 if zero else 1):
             return out
     except TypeError:
         pass
-    raise error(f"{name} must be a positive integer, got {value!r}")
+    raise error(f"{name} must be a {'nonnegative' if zero else 'positive'} integer, got {value!r}")
 
 
 class NormalizationDivergent(InvalidParams):

@@ -112,11 +112,11 @@ class Statistic(Enum):
 
 
 def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
-    """Draw n iid letters; deterministic for a given 64-bit seed."""
-    if n < 1:
-        raise InvalidParams("sample size must be >= 1")
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed}")
+    """Draw n iid letters; deterministic for a given 64-bit seed.  n must be
+    a positive integer and the seed a nonnegative one (NumPy's included);
+    anything else raises InvalidParams before any draw."""
+    n = positive_integer(n)
+    seed = positive_integer(seed, "seed", zero=True)
     if n > _MAX_SAMPLE:
         raise SamplerLimit(f"sample size {n} exceeds the cap of {_MAX_SAMPLE} draws")
     u = np.random.default_rng(seed).random(n)

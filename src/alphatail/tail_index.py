@@ -28,15 +28,9 @@ One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
 
 Truncation bounds are family-aware.  Power and log-power tails are closed
-analytically.  For power tails ``p_k = c k^-lam`` the summand
-``f(x) = p w(p)`` has the tail integral
-``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function, for
-``(1-p)^n`` and ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an
-incomplete gamma function, for ``e^{-np}``.  For log-power tails
-``p_k = c/(j ln^lam j)``, ``j = k + k0 - 1``, expanding the kernel in powers
-of p integrates term by term into upper incomplete gamma functions of
-negative order, evaluated by their continued fraction; the partial sums
-alternate, so the last two bracket the integral.  Once ``f`` is convex on
+analytically by ``zoo.tail_sandwich``, with which ``zoo`` also normalizes
+them; ``zoo`` describes its tail integrals (incomplete beta and gamma
+functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
 ``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
 sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
 lower end is added to ``value`` and the width, never less than one ulp of
@@ -67,13 +61,12 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AlphatailError, FiniteSupport, InvalidParams, positive_integer
-from .zoo import LN2, Distribution, FamilyKind
+from .zoo import LN2, Distribution, FamilyKind, Kernel, power_tail_integral, tail_sandwich
 
 DEFAULT_EPS = 1e-9          # t_n-scale truncation target for CLI-level calls
 DEFAULT_MAX_TERMS = 1 << 24
@@ -135,48 +128,6 @@ class EmGap(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# The two kernels
-# ---------------------------------------------------------------------------
-
-class _Kernel(Enum):
-    """The weight w(p) of the series sum_k p_k w(p_k)."""
-
-    BINOMIAL = "(1-p)^n"    # Turing's zeta_n
-    POISSON = "e^{-np}"     # its Poissonized twin
-
-    def log_weight(self, p: np.ndarray) -> tuple[np.ndarray, Optional[tuple]]:
-        """(L, big), with which ``_terms`` gives w(p) = exp(n L) at any n, in
-        one new array: L = log1p(-p) for (1-p)^n and -p for e^{-np}.  For
-        (1-p)^n with some p > 0.99, big holds their mask and 1 - p, where w
-        is the direct power (1-p)^n instead; otherwise big is None."""
-        L = np.negative(p)
-        if self is _Kernel.POISSON:
-            return L, None
-        np.log1p(L, out=L)
-        if p.max() > 0.99:
-            mask = p > 0.99
-            return L, (mask, 1.0 - p[mask])
-        return L, None
-
-    def at(self, p: float, n: float) -> float:
-        if self is _Kernel.BINOMIAL:
-            return math.exp(n * math.log1p(-p))
-        return math.exp(-n * p)
-
-
-def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | float,
-           out: np.ndarray) -> np.ndarray:
-    """factor * w(p) at n, from ``_Kernel.log_weight``'s (L, big), into
-    ``out``, which may be L itself when no other n needs it."""
-    w = np.multiply(L, n, out=out)
-    np.exp(w, out=w)
-    if big is not None:
-        w[big[0]] = np.power(big[1], n)
-    w *= factor
-    return w
-
-
-# ---------------------------------------------------------------------------
 # Certified tail bounds for the series sum_{k>K} p_k w(p_k)
 # ---------------------------------------------------------------------------
 
@@ -203,169 +154,21 @@ def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
     return min(dist.tail_mass_bound(K), _dyadic_series_tail(dist, K, n))
 
 
-def _power_convex_from(c: float, lam: float, n: float, kernel: _Kernel) -> float:
-    """x_c beyond which f(x) = p w(p), p = c x^-lam, is convex.
-
-    The sign of f'' is that of a quadratic A p^2 - B p + (lam+1) in p, so f
-    is convex for p below its smaller root; the margin covers rounding.  For
-    e^{-np} the root is u_-/n with u_- = 2(lam+1)/((3lam+1) + sqrt(5lam^2+2lam+1)).
-    """
-    if kernel is _Kernel.BINOMIAL:
-        A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
-        B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
-    else:
-        A = lam * n * n
-        B = (3.0 * lam + 1.0) * n
-    C = lam + 1.0
-    p_minus = 2.0 * C / (B + math.sqrt(B * B - 4.0 * A * C))
-    return (c / p_minus) ** (1.0 / lam) * (1.0 + 1e-9)
-
-
-def _power_tail_integral(c: float, lam: float, n: float, y: float, kernel: _Kernel) -> float:
-    """integral_y^inf p w(p) dx for p = c x^-lam, where p(y) < 1.
-
-    Substituting q = p(x) gives (c^{1/lam}/lam) B_{p(y)}(a, n+1) for (1-p)^n
-    and (c^{1/lam}/lam) n^{1/lam-1} gamma(a, n p(y)) for e^{-np}, with
-    a = 1 - 1/lam.  Their series B_x(a,b) = x^a (1-x)^b / a * F(a+b, 1; a+1; x)
-    and gamma(a,u) = u^a e^{-u} / a * M(1; a+1; u) have positive terms whose
-    ratios fall towards x and 0, so the sums are accurate to a few ulps; the
-    prefactor simplifies to c y^{1-lam}/(lam-1) times (1-x)^{n+1} or e^{-nx}.
-    Past the convex range (u = n x > 1, em_gap's integral from y = 1) the
-    series would need some u terms; there gamma(a, u) = Gamma(a) - Gamma(a, u),
-    with Gamma(a, u) = R(a, u) u^a e^{-u} from ``_upper_gamma_ratio``.
-    """
-    x = c * y ** -lam
-    a = 1.0 - 1.0 / lam
-    binomial = kernel is _Kernel.BINOMIAL
-    if not binomial and n * x > 1.0:
-        u = n * x
-        lower = math.gamma(a) - _upper_gamma_ratio(a, u) * math.exp(a * math.log(u) - u)
-        return c ** (1.0 / lam) / lam * n ** (-a) * lower
-    term = total = 1.0
-    j = 0.0
-    while term > 1e-17 * total:
-        term *= (a + n + 1.0 + j) / (a + 1.0 + j) * x if binomial else n * x / (a + 1.0 + j)
-        total += term
-        j += 1.0
-    damp = math.exp((n + 1.0) * math.log1p(-x)) if binomial else math.exp(-n * x)
-    return c * y ** (1.0 - lam) / (lam - 1.0) * damp * total
-
-
-def _upper_gamma_ratio(a: float, x: float) -> float:
-    """R(a, x) = Gamma(a, x) e^x x^-a for x > 0 from the continued fraction
-    1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), which holds for every
-    real a, negative ones included.
-
-    Lentz's method finds the depth at which the convergents agree to an ulp;
-    that convergent is then evaluated from the bottom up, which stays within
-    a few ulps where Lentz's running product drifts by dozens at small x.
-    For a <= 0 and x >= 1/4, and for 0 < a < 1 and x > 1, every partial
-    denominator stays above half its b, so none vanishes.
-    """
-    b = x + 1.0 - a
-    c, d = math.inf, 1.0 / b
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        if abs(c * d - 1.0) <= 2.2e-16:
-            break
-    else:
-        raise AlphatailError(f"continued fraction for Gamma({a}, {x}) did not converge")
-    t = 0.0
-    for k in range(i, 0, -1):
-        t = -k * (k - a) / (x + 2.0 * k + 1.0 - a + t)
-    return 1.0 / (x + 1.0 - a + t)
-
-
-def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
-                            kernel: _Kernel) -> tuple[float, float]:
-    """[lo, hi] on integral_y^inf p w(p) dx for p = c/(j ln^lam j), j = x+k0-1,
-    where n p(y) < 1.
-
-    Expanding w(p) = sum_m (-1)^m a_m p^m, with a_m = C(n,m) for (1-p)^n and
-    n^m/m! for e^{-np}, and substituting u = ln j integrates every term: with
-    u0 = ln(y+k0-1) and q = p(y) the integral is
-    c u0^{1-lam} [1/(lam-1) + sum_{m>=1} (-1)^m a_m q^m R(1-(m+1)lam, m u0)].
-    The kernel's partial sums alternate around it (Bonferroni inequalities,
-    Taylor's theorem), so the integral lies between the last two partial
-    sums; the terms shrink like (nq)^m/m!.
-    """
-    j = y + k0 - 1.0
-    u0 = math.log(j)
-    q = c / (j * u0 ** lam)
-    binomial = kernel is _Kernel.BINOMIAL
-    prev = total = 1.0 / (lam - 1.0)
-    coef = 1.0
-    for m in range(1, 1000):
-        coef *= ((n + 1.0 - m) if binomial else n) * q / m
-        term = coef * _upper_gamma_ratio(1.0 - (m + 1.0) * lam, m * u0)
-        prev, total = total, total + (-term if m % 2 else term)
-        if term <= 1e-17 * total:
-            break
-    else:
-        raise AlphatailError(f"log-power tail series at n p(y) = {n * q} did not converge")
-    scale = c * u0 ** (1.0 - lam)
-    return scale * min(prev, total), scale * max(prev, total)
-
-
-def _logpower_convex_at(c: float, lam: float, k0: int, n: float, x: float, kernel: _Kernel) -> bool:
-    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, is convex on [x, inf).
-
-    With u = ln j and A = 1 + lam/u, p' = -pA/j and p'' = p(A^2+A+lam/u^2)/j^2,
-    so f'' >= 0 wherever (1-(n+1)p)(1-p)(1+1/A) >= 2np for (1-p)^n and
-    (1-np)(1+1/A) >= 2np for e^{-np}.  The left sides grow and the right
-    sides fall with x, so one point covers the tail; the margin covers
-    rounding.
-    """
-    j = x + k0 - 1.0
-    u = math.log(j)
-    p = c / (j * u ** lam)
-    gain = 1.0 + u / (u + lam)  # 1 + 1/A
-    if kernel is _Kernel.BINOMIAL:
-        lhs = (1.0 - (n + 1.0) * p) * (1.0 - p) * gain
-    else:
-        lhs = (1.0 - n * p) * gain
-    return lhs >= 2.0 * n * p * (1.0 + 1e-9)
-
-
-class _Sandwich(NamedTuple):
-    """A power-type tail in closed form: p on the continuous index, [lo, hi]
-    on integral_y^inf p w(p) dx, and whether p w(p) is convex on [x, inf)."""
-
-    p: Callable[[float], float]
-    integral: Callable[[float], tuple[float, float]]
-    convex: Callable[[float], bool]
-
-    def bracket(self, n: float, K: int, kernel: _Kernel) -> tuple[float, float]:
-        """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
-        trapezoid lower and midpoint upper sandwich of the integral."""
-        p1 = self.p(K + 1.0)
-        f1 = p1 * kernel.at(p1, n)
-        return self.integral(K + 1.0)[0] + 0.5 * f1, self.integral(K + 0.5)[1]
-
-
-def _sandwich(dist: Distribution, n: float, kernel: _Kernel) -> Optional[_Sandwich]:
-    """The closed-form sandwich of a power or log-power tail, None otherwise."""
-    kind, c, params = dist.kind, dist.norm_constant, dist.spec.params
-    if kind is FamilyKind.POWER:
-        lam = params["lambda"]
-        x_c = _power_convex_from(c, lam, n, kernel)
-        return _Sandwich(lambda x: c * x ** -lam,
-                         lambda y: (_power_tail_integral(c, lam, n, y, kernel),) * 2,
-                         lambda x: x >= x_c)
-    if kind is FamilyKind.LOG_POWER:
-        lam, k0 = params["lambda"], params["k0"]
-        return _Sandwich(lambda x: c / ((x + k0 - 1.0) * math.log(x + k0 - 1.0) ** lam),
-                         lambda y: _logpower_tail_integral(c, lam, k0, n, y, kernel),
-                         lambda x: _logpower_convex_at(c, lam, k0, n, x, kernel))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Core evaluators
 # ---------------------------------------------------------------------------
+
+def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | float,
+           out: np.ndarray) -> np.ndarray:
+    """factor * w(p) at n, from ``Kernel.log_weight``'s (L, big), into
+    ``out``, which may be L itself when no other n needs it."""
+    w = np.multiply(L, n, out=out)
+    np.exp(w, out=w)
+    if big is not None:
+        w[big[0]] = np.power(big[1], n)
+    w *= factor
+    return w
+
 
 def _block_end(i: int) -> int:
     """The index K that ends block i = 0, 1, ...: blocks hold 2^10, 2^11, ...,
@@ -385,7 +188,7 @@ def _first_block(i: int, max_terms: int, meets: Callable[[int], bool]) -> int:
 
 
 def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
-          kernel: _Kernel) -> tuple[int, float, float]:
+          kernel: Kernel) -> tuple[int, float, float]:
     """(K, tail_lo, width): where the head of sum_k p_k w(p_k) over a closed
     form stops, and the lower end and width of the omitted tail's bracket.
 
@@ -417,10 +220,10 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     def nearly_closes(i: int) -> bool:
         return closes(*bracket(min(_block_end(i), max_terms)), _ROUNDING_ULPS)
 
-    sandwich = _sandwich(dist, n, kernel)
+    sandwich = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
     if sandwich is not None:
         # the search for the closing block and the stop test share evaluations
-        bracket = functools.cache(lambda K: sandwich.bracket(n, K, kernel))
+        bracket = functools.cache(sandwich.bracket)
     i = 0
     searched = False
     tail_lo, tail_hi = 0.0, math.inf
@@ -449,13 +252,13 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
 
 
 def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, float, float]],
-           max_terms: int, kernel: _Kernel) -> list[tuple[float, float, int]]:
+           max_terms: int, kernel: Kernel) -> list[tuple[float, float, int]]:
     """(value, trunc, terms) at every n of ns from its stop (K, tail_lo,
     width): the head sum_{k<=K} p_k w(p_k) plus tail_lo, summed for all of
     ns in one sweep over the blocks up to the largest K.
 
     Each block's p = exp(log p), and its L and p > 0.99 test (see
-    ``_Kernel.log_weight``), are computed once for every n whose K reaches
+    ``Kernel.log_weight``), are computed once for every n whose K reaches
     the block.  A block's terms are summed with NumPy's pairwise sum and the
     block sums of each n with ``math.fsum``, as one n on its own does, so
     every value is bit for bit that of its own evaluation.  The sweep holds
@@ -538,10 +341,10 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
 # a tail, log1p(-1) is -inf for a letter of probability 1
 @np.errstate(under="ignore", divide="ignore", over="ignore")
 def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_terms: int,
-                   kernel: _Kernel) -> list[tuple[float, float, int]]:
+                   kernel: Kernel) -> list[tuple[float, float, int]]:
     """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale at every
     n of ns, all within the float-exact range: a closed form's blocks, or a
-    level table's L (see ``_Kernel.log_weight``), are shared by all of ns,
+    level table's L (see ``Kernel.log_weight``), are shared by all of ns,
     and each result is bit for bit that of its n on its own.  A target
     ``eps_t`` that is not positive (NaN included) raises InvalidParams
     before any work."""
@@ -562,7 +365,7 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
 
 
 def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
-                   kernel: _Kernel) -> tuple[float, float]:
+                   kernel: Kernel) -> tuple[float, float]:
     """(value, trunc) of sum_k p_k w(p_k) at n for callers that keep only
     ``value``: a series that stops at ``max_terms`` with n * trunc > eps
     raises AlphatailError instead of returning an uncertified lower end."""
@@ -592,7 +395,7 @@ def zeta1(
     """
     n = positive_integer(n)
     if n <= _FLOAT_N_LIMIT:
-        return IndexValue(n, *_series_points(dist, [float(n)], eps, max_terms, _Kernel.BINOMIAL)[0])
+        return IndexValue(n, *_series_points(dist, [float(n)], eps, max_terms, Kernel.BINOMIAL)[0])
     *t_scale, terms = _eval_t_large(dist, n)
     return IndexValue(n, *(math.exp(math.log(v) - math.log(n)) if v > 0.0 else 0.0 for v in t_scale), terms)
 
@@ -626,7 +429,7 @@ def evaluate_series(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidParams("schedule must be strictly increasing")
     floats = [n for n in ns if n <= _FLOAT_N_LIMIT]
-    zetas = iter(_series_points(dist, [float(n) for n in floats], eps, max_terms, _Kernel.BINOMIAL))
+    zetas = iter(_series_points(dist, [float(n) for n in floats], eps, max_terms, Kernel.BINOMIAL))
     points = []
     for n in ns:
         if n > _FLOAT_N_LIMIT:
@@ -654,12 +457,13 @@ def scaled_pair(
     if n > _FLOAT_N_LIMIT:
         raise InvalidParams("scaled_pair requires n within the float-exact range")
     factor = float(n) ** (1.0 - delta)
-    s1, s2 = (_certified_sum(dist, n, eps, max_terms, kernel)[0] for kernel in _Kernel)
+    s1, s2 = (_certified_sum(dist, n, eps, max_terms, kernel)[0] for kernel in Kernel)
     return factor * s1, factor * s2
 
 
 def power_tail_limit(c: float, lam: float) -> float:
-    """Limit of n^{1/lambda} * zeta_n for the tail p_k = c k^{-lambda}."""
+    """Limit of n^{1-1/lambda} zeta_n = n^{-1/lambda} t_n for the tail
+    p_k = c k^{-lambda}."""
     if not (lam > 1.0 and c > 0.0):
         raise InvalidParams("power limit requires lambda > 1 and c > 0")
     return c ** (1.0 / lam) * math.gamma(1.0 - 1.0 / lam) / lam
@@ -741,9 +545,9 @@ def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     scale = nf ** (1.0 - 1.0 / lam)
     f_mode = 1.0 / (math.e * nf ** (1.0 / lam))
     bound = scale * c * math.exp(-nf * c) + 2.0 * f_mode
-    value, trunc = _certified_sum(dist, n, DEFAULT_EPS, max_terms, _Kernel.POISSON)
+    value, trunc = _certified_sum(dist, n, DEFAULT_EPS, max_terms, Kernel.POISSON)
     lattice = scale * value
-    integral = scale * _power_tail_integral(c, lam, nf, 1.0, _Kernel.POISSON)
+    integral = scale * power_tail_integral(c, lam, nf, 1.0, Kernel.POISSON)
     if abs(lattice - integral) > bound + scale * trunc:
         raise AlphatailError("sum-integral gap exceeded its certified bound")
     return EmGap(lattice, integral, bound, f_mode)

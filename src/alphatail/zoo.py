@@ -14,9 +14,24 @@ carries a certified normalization: the total mass is known to lie within
 
 Normalization of closed forms sums the unnormalized weights directly and
 closes the series with a certified tail bracket (exact for geometric tails,
-ratio brackets for super-geometric decay, convex integral brackets for
-power-type decay); summation stops once the bracket half-width falls below
-1e-14.
+ratio brackets for super-geometric decay, and for power and log-power tails
+the series sandwich below at n = 0, where the kernel is 1); summation stops
+once the bracket half-width falls below 1e-14.
+
+The closed-form tails of power and log-power families live here, in
+``tail_sandwich``: it brackets ``sum_{k>K} p_k w(p_k)`` for either kernel
+``w(p) = (1-p)^n`` or ``e^{-np}`` (``Kernel``) at any n >= 0, for the mass
+bracket above and for the series evaluator in ``tail_index`` alike.  Once
+``f(x) = p w(p)`` is convex on ``[K+1/2, inf)`` the sum lies between the
+trapezoid and midpoint sandwiches of its tail integral.  For power tails
+``p_k = c k^-lam`` that integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``,
+an incomplete beta function, for ``(1-p)^n`` and
+``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
+function, for ``e^{-np}``.  For log-power tails ``p_k = c/(j ln^lam j)``,
+``j = k + k0 - 1``, expanding the kernel in powers of p integrates term by
+term into upper incomplete gamma functions of negative order, evaluated by
+their continued fraction; the partial sums alternate, so the last two
+bracket the integral.  At n = 0 both integrals are taken in closed form.
 
 A level table is stored once, as read-only arrays of log2 probabilities
 (exact integer exponents for the diffusion sequence, so double-exponentially
@@ -32,11 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
+    AlphatailError,
     DepthExceeded,
     InvalidBase,
     InvalidParams,
@@ -153,7 +169,7 @@ def _default_depth(kind: FamilyKind) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form family weights and tail brackets (unnormalized)
+# Closed-form family weights and tail brackets
 # ---------------------------------------------------------------------------
 
 def _log_weight_block(kind: FamilyKind, p: dict, ks: np.ndarray) -> np.ndarray:
@@ -191,13 +207,212 @@ def _head_length(kind: FamilyKind, p: dict) -> int:
     return 1
 
 
+class Kernel(Enum):
+    """The weight w(p) of the series sum_k p_k w(p_k)."""
+
+    BINOMIAL = "(1-p)^n"    # Turing's zeta_n
+    POISSON = "e^{-np}"     # its Poissonized twin
+
+    def log_weight(self, p: np.ndarray) -> tuple[np.ndarray, Optional[tuple]]:
+        """(L, big), from which the series evaluator takes w(p) = exp(n L)
+        at any n, in one new array: L = log1p(-p) for (1-p)^n and -p for
+        e^{-np}.  For (1-p)^n with some p > 0.99, big holds their mask and
+        1 - p, where w is the direct power (1-p)^n instead; otherwise big is
+        None."""
+        L = np.negative(p)
+        if self is Kernel.POISSON:
+            return L, None
+        np.log1p(L, out=L)
+        if p.max() > 0.99:
+            mask = p > 0.99
+            return L, (mask, 1.0 - p[mask])
+        return L, None
+
+    def at(self, p: float, n: float) -> float:
+        if self is Kernel.BINOMIAL:
+            return math.exp(n * math.log1p(-p))
+        return math.exp(-n * p)
+
+
+def _power_convex_from(c: float, lam: float, n: float, kernel: Kernel) -> float:
+    """x_c beyond which f(x) = p w(p), p = c x^-lam, is convex.
+
+    The sign of f'' is that of a quadratic A p^2 - B p + (lam+1) in p, so f
+    is convex for p below its smaller root; the margin covers rounding.  For
+    e^{-np} the root is u_-/n with u_- = 2(lam+1)/((3lam+1) + sqrt(5lam^2+2lam+1)).
+    """
+    if kernel is Kernel.BINOMIAL:
+        A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
+        B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
+    else:
+        A = lam * n * n
+        B = (3.0 * lam + 1.0) * n
+    C = lam + 1.0
+    p_minus = 2.0 * C / (B + math.sqrt(B * B - 4.0 * A * C))
+    return (c / p_minus) ** (1.0 / lam) * (1.0 + 1e-9)
+
+
+def power_tail_integral(c: float, lam: float, n: float, y: float, kernel: Kernel) -> float:
+    """integral_y^inf p w(p) dx for p = c x^-lam, where p(y) < 1.
+
+    Substituting q = p(x) gives (c^{1/lam}/lam) B_{p(y)}(a, n+1) for (1-p)^n
+    and (c^{1/lam}/lam) n^{1/lam-1} gamma(a, n p(y)) for e^{-np}, with
+    a = 1 - 1/lam.  Their series B_x(a,b) = x^a (1-x)^b / a * F(a+b, 1; a+1; x)
+    and gamma(a,u) = u^a e^{-u} / a * M(1; a+1; u) have positive terms whose
+    ratios fall towards x and 0, so the sums are accurate to a few ulps; the
+    prefactor simplifies to c y^{1-lam}/(lam-1) times (1-x)^{n+1} or e^{-nx}.
+    Past the convex range (u = n x > 1, em_gap's integral from y = 1) the
+    series would need some u terms; there gamma(a, u) = Gamma(a) - Gamma(a, u),
+    with Gamma(a, u) = R(a, u) u^a e^{-u} from ``_upper_gamma_ratio``.  At
+    n = 0 the prefactor is the integral itself, taken directly: the series
+    would sum 1/(1-x) and multiply by 1-x, which moves it by an ulp.
+    """
+    if n == 0.0:
+        return c * y ** (1.0 - lam) / (lam - 1.0)
+    x = c * y ** -lam
+    a = 1.0 - 1.0 / lam
+    binomial = kernel is Kernel.BINOMIAL
+    if not binomial and n * x > 1.0:
+        u = n * x
+        lower = math.gamma(a) - _upper_gamma_ratio(a, u) * math.exp(a * math.log(u) - u)
+        return c ** (1.0 / lam) / lam * n ** (-a) * lower
+    term = total = 1.0
+    j = 0.0
+    while term > 1e-17 * total:
+        term *= (a + n + 1.0 + j) / (a + 1.0 + j) * x if binomial else n * x / (a + 1.0 + j)
+        total += term
+        j += 1.0
+    damp = math.exp((n + 1.0) * math.log1p(-x)) if binomial else math.exp(-n * x)
+    return c * y ** (1.0 - lam) / (lam - 1.0) * damp * total
+
+
+def _upper_gamma_ratio(a: float, x: float) -> float:
+    """R(a, x) = Gamma(a, x) e^x x^-a for x > 0 from the continued fraction
+    1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), which holds for every
+    real a, negative ones included.
+
+    Lentz's method finds the depth at which the convergents agree to an ulp;
+    that convergent is then evaluated from the bottom up, which stays within
+    a few ulps where Lentz's running product drifts by dozens at small x.
+    For a <= 0 and x >= 1/4, and for 0 < a < 1 and x > 1, every partial
+    denominator stays above half its b, so none vanishes.
+    """
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        if abs(c * d - 1.0) <= 2.2e-16:
+            break
+    else:
+        raise AlphatailError(f"continued fraction for Gamma({a}, {x}) did not converge")
+    t = 0.0
+    for k in range(i, 0, -1):
+        t = -k * (k - a) / (x + 2.0 * k + 1.0 - a + t)
+    return 1.0 / (x + 1.0 - a + t)
+
+
+def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
+                            kernel: Kernel) -> tuple[float, float]:
+    """[lo, hi] on integral_y^inf p w(p) dx for p = c/(j ln^lam j), j = x+k0-1,
+    where n p(y) < 1.
+
+    Expanding w(p) = sum_m (-1)^m a_m p^m, with a_m = C(n,m) for (1-p)^n and
+    n^m/m! for e^{-np}, and substituting u = ln j integrates every term: with
+    u0 = ln(y+k0-1) and q = p(y) the integral is
+    c u0^{1-lam} [1/(lam-1) + sum_{m>=1} (-1)^m a_m q^m R(1-(m+1)lam, m u0)].
+    The kernel's partial sums alternate around it (Bonferroni inequalities,
+    Taylor's theorem), so the integral lies between the last two partial
+    sums; the terms shrink like (nq)^m/m!.  At n = 0 only the first term is
+    left, taken as c u0^{1-lam}/(lam-1) at both ends.
+    """
+    j = y + k0 - 1.0
+    u0 = math.log(j)
+    if n == 0.0:
+        return (c * u0 ** (1.0 - lam) / (lam - 1.0),) * 2
+    q = c / (j * u0 ** lam)
+    binomial = kernel is Kernel.BINOMIAL
+    prev = total = 1.0 / (lam - 1.0)
+    coef = 1.0
+    for m in range(1, 1000):
+        coef *= ((n + 1.0 - m) if binomial else n) * q / m
+        term = coef * _upper_gamma_ratio(1.0 - (m + 1.0) * lam, m * u0)
+        prev, total = total, total + (-term if m % 2 else term)
+        if term <= 1e-17 * total:
+            break
+    else:
+        raise AlphatailError(f"log-power tail series at n p(y) = {n * q} did not converge")
+    scale = c * u0 ** (1.0 - lam)
+    return scale * min(prev, total), scale * max(prev, total)
+
+
+def _logpower_convex_at(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> bool:
+    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, is convex on [x, inf).
+
+    With u = ln j and A = 1 + lam/u, p' = -pA/j and p'' = p(A^2+A+lam/u^2)/j^2,
+    so f'' >= 0 wherever (1-(n+1)p)(1-p)(1+1/A) >= 2np for (1-p)^n and
+    (1-np)(1+1/A) >= 2np for e^{-np}.  The left sides grow and the right
+    sides fall with x, so one point covers the tail; the margin covers
+    rounding.
+    """
+    j = x + k0 - 1.0
+    u = math.log(j)
+    p = c / (j * u ** lam)
+    gain = 1.0 + u / (u + lam)  # 1 + 1/A
+    if kernel is Kernel.BINOMIAL:
+        lhs = (1.0 - (n + 1.0) * p) * (1.0 - p) * gain
+    else:
+        lhs = (1.0 - n * p) * gain
+    return lhs >= 2.0 * n * p * (1.0 + 1e-9)
+
+
+class Sandwich(NamedTuple):
+    """A power-type tail of sum_k p_k w(p_k) in closed form, at one n and
+    kernel: p on the continuous index, [lo, hi] on integral_y^inf p w(p) dx,
+    and whether p w(p) is convex on [x, inf)."""
+
+    n: float
+    kernel: Kernel
+    p: Callable[[float], float]
+    integral: Callable[[float], tuple[float, float]]
+    convex: Callable[[float], bool]
+
+    def bracket(self, K: int) -> tuple[float, float]:
+        """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
+        trapezoid lower and midpoint upper sandwich of the integral."""
+        p1 = self.p(K + 1.0)
+        f1 = p1 * self.kernel.at(p1, self.n)
+        return self.integral(K + 1.0)[0] + 0.5 * f1, self.integral(K + 0.5)[1]
+
+
+def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
+                  kernel: Kernel) -> Optional[Sandwich]:
+    """The closed-form sandwich of the power or log-power tail p_k = c g(k)
+    at n, None for any other family.  At n = 0 the kernel is 1 and the
+    bracket is on the tail mass."""
+    if kind is FamilyKind.POWER:
+        lam = params["lambda"]
+        x_c = _power_convex_from(c, lam, n, kernel)
+        return Sandwich(n, kernel, lambda x: c * x ** -lam,
+                        lambda y: (power_tail_integral(c, lam, n, y, kernel),) * 2,
+                        lambda x: x >= x_c)
+    if kind is FamilyKind.LOG_POWER:
+        lam, k0 = params["lambda"], params["k0"]
+        return Sandwich(n, kernel, lambda x: c / ((x + k0 - 1.0) * math.log(x + k0 - 1.0) ** lam),
+                        lambda y: _logpower_tail_integral(c, lam, k0, n, y, kernel),
+                        lambda x: _logpower_convex_at(c, lam, k0, n, x, kernel))
+    return None
+
+
 def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
     """Certified bracket [lo, hi] for the unnormalized tail sum over k > K.
 
     Valid whenever K >= _head_length(kind).  Geometric tails are exact,
-    super-geometric tails use a ratio bound, power-type tails use the convex
-    sandwich (trapezoid lower / midpoint upper), which shrinks like K^-2
-    regardless of the exponent.
+    super-geometric tails use a ratio bound, power and log-power tails are
+    ``tail_sandwich`` at c = 1 and n = 0 (trapezoid lower / midpoint upper),
+    whose relative width shrinks like K^-2 regardless of the exponent.
     """
     if kind is FamilyKind.GEOMETRIC:
         a = p["a"]
@@ -215,18 +430,10 @@ def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
         if rho >= 1.0:
             return 0.0, math.inf
         return g1, g1 / (1.0 - rho)
-    if kind is FamilyKind.POWER:
-        lam = p["lambda"]
-        integral = lambda a: a ** (1.0 - lam) / (lam - 1.0)  # noqa: E731
-        gk1 = (K + 1.0) ** (-lam)
-        return integral(K + 1.0) + 0.5 * gk1, integral(K + 0.5)
-    if kind is FamilyKind.LOG_POWER:
-        lam, k0 = p["lambda"], p["k0"]
-        integral = lambda a: math.log(a) ** (1.0 - lam) / (lam - 1.0)  # noqa: E731
-        j = K + k0  # first shifted index beyond the tail cut
-        wj = 1.0 / (j * math.log(j) ** lam)
-        return integral(j) + 0.5 * wj, integral(j - 0.5)
-    raise InvalidParams(f"no tail bracket for {kind}")
+    sandwich = tail_sandwich(kind, 1.0, p, 0.0, Kernel.BINOMIAL)
+    if sandwich is None:
+        raise InvalidParams(f"no tail bracket for {kind}")
+    return sandwich.bracket(K)
 
 
 def _normalize_closed_form(kind: FamilyKind, p: dict) -> tuple[float, float]:

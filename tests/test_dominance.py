@@ -10,6 +10,7 @@ from alphatail import (
     DominanceReport,
     DominanceVerdict,
     FiniteSupport,
+    InvalidParams,
     catalog,
     dominates,
     format_spec,
@@ -118,6 +119,17 @@ class TestContract:
     def test_finite_q_rejected(self, geom2, uniform2):
         with pytest.raises(FiniteSupport):
             dominates(uniform2, geom2)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(depth=0), dict(depth=2.5), dict(depth=math.nan),
+        dict(probe_limit=0), dict(probe_limit=2.5), dict(probe_limit=-1),
+        dict(growth_threshold=0), dict(growth_threshold=2.5),
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_integer_arguments_are_checked(self, geom2, kwargs):
+        # growth_threshold = 0 reported geometric:a=2 as not dominated by
+        # itself; probe_limit = 0 or 2.5 gave UNDETERMINED with no counts
+        with pytest.raises(InvalidParams, match=f"{next(iter(kwargs))} must be a positive integer"):
+            dominates(geom2, geom2, **kwargs)
 
     def test_growth_threshold_is_callers(self, geom2, congregated2):
         relaxed = dominates(geom2, congregated2, depth=50, growth_threshold=100)

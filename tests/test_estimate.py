@@ -152,6 +152,14 @@ class TestSampling:
         with pytest.raises(InvalidParams):
             sample(geom2, 10, seed=-1)
 
+    @pytest.mark.parametrize("n, seed", [
+        (2.5, 1), (0, 1), (-3, 1), (math.nan, 1), ("10", 1),
+        (10, 2.5), (10, math.nan), (10, "1"), (10, -1),
+    ], ids=repr)
+    def test_n_and_seed_must_be_integers(self, geom2, n, seed):
+        with pytest.raises(InvalidParams, match="n must be a positive|seed must be a nonnegative"):
+            sample(geom2, n, seed)
+
     def test_seed_sensitivity(self, geom2):
         assert sample(geom2, 1000, seed=1) != sample(geom2, 1000, seed=2)
 
@@ -208,11 +216,13 @@ class TestSampling:
         with pytest.raises(DepthExceeded):
             sample(shallow, 500, seed=0)
 
-    def test_cdf_that_stalls_in_floating_point_raises(self):
-        # the float CDF of geometric a=3 tops out at 1 - 2^-52, so the
-        # largest draw 1 - 2^-53 would otherwise be searched for forever
-        d = make_distribution(parse_spec("geometric:a=3"))
-        with pytest.raises(SamplerLimit):
+    @pytest.mark.parametrize("a, reached", [("3", "0.9999999999999998"), ("1.0001", "0.9999999999996189")])
+    def test_cdf_that_stalls_in_floating_point_raises(self, a, reached):
+        # the float CDF of geometric a=3 tops out at 1 - 2^-52, that of
+        # a=1.0001 further below, so the largest draw 1 - 2^-53 would
+        # otherwise be searched for up to the 2^24-letter cap
+        d = make_distribution(parse_spec(f"geometric:a={a}"))
+        with pytest.raises(SamplerLimit, match=f"the CDF stops at {reached} in floating point"):
             grown_cdf(d, 1.0 - 2.0 ** -53)
 
     def test_heavy_draw_refused_before_growing(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alphatail import tail_index
+from alphatail import tail_index, zoo
 from alphatail.cli import _parse_schedule
 from alphatail import (
     AlphatailError,
@@ -192,7 +192,12 @@ LOGPOWER_REFS = [
 LOGPOWER_LOWER_TERM_CAPS = {1000: 1 << 3, 223872: 1 << 10, 10 ** 8: 1 << 16}
 
 
-BINOMIAL, POISSON = tail_index._Kernel.BINOMIAL, tail_index._Kernel.POISSON
+BINOMIAL, POISSON = zoo.Kernel.BINOMIAL, zoo.Kernel.POISSON
+
+
+def _sandwich(dist: Distribution, n: float, kernel) -> zoo.Sandwich:
+    """The closed-form sandwich ``tail_index`` closes dist's tail with at n."""
+    return zoo.tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
 
 
 def _kernel_cases(ns, lams):
@@ -226,7 +231,7 @@ class TestPowerClosure:
         # a cap short of the convex point still ends in the lower term
         # w(p_{K+1}) * (lower tail mass), and that bracket holds too
         cap = LOGPOWER_LOWER_TERM_CAPS[n]
-        assert not tail_index._sandwich(logpower2, float(n), BINOMIAL).convex(cap + 0.5)
+        assert not _sandwich(logpower2, float(n), BINOMIAL).convex(cap + 0.5)
         capped = tn(logpower2, n, eps=1e-9, max_terms=cap)
         assert capped.terms_used == cap
         assert _brackets(capped, float(ref))
@@ -252,7 +257,7 @@ class TestPowerClosure:
     def test_convexity_starts_at_x_c(self, n, lam, kernel):
         mp = pytest.importorskip("mpmath")
         c = 0.6
-        x_c = tail_index._power_convex_from(c, lam, float(n), kernel)
+        x_c = zoo._power_convex_from(c, lam, float(n), kernel)
         with mp.workdps(40):
             m_c, m_lam = mp.mpf(c), mp.mpf(lam)
             if kernel is BINOMIAL:
@@ -268,9 +273,9 @@ class TestPowerClosure:
     def test_tail_integral_matches_mpmath(self, n, lam, kernel):
         mp = pytest.importorskip("mpmath")
         c = 0.6
-        x_c = tail_index._power_convex_from(c, lam, float(n), kernel)
+        x_c = zoo._power_convex_from(c, lam, float(n), kernel)
         for y in (x_c, 10 * x_c, 1000 * x_c):
-            got = tail_index._power_tail_integral(c, lam, float(n), y, kernel)
+            got = zoo.power_tail_integral(c, lam, float(n), y, kernel)
             with mp.workdps(40):
                 m_c, m_lam, m_y = mp.mpf(c), mp.mpf(lam), mp.mpf(y)
                 a, x = 1 - 1 / m_lam, m_c * m_y ** -m_lam
@@ -288,7 +293,7 @@ class TestPowerClosure:
         mp = pytest.importorskip("mpmath")
         ns = sorted({m << j for j in range(54) for m in (1, 3) if 2 <= m << j <= 2 ** 53})
         for n in (n for n in ns if n * c > 1.0):
-            got = tail_index._power_tail_integral(c, lam, float(n), 1.0, POISSON)
+            got = zoo.power_tail_integral(c, lam, float(n), 1.0, POISSON)
             with mp.workdps(40):
                 m_c, m_lam = mp.mpf(c), mp.mpf(lam)
                 a = 1 - 1 / m_lam
@@ -299,7 +304,7 @@ class TestPowerClosure:
 def _logpower_first_convex(c: float, lam: float, k0: int, n: int, kernel) -> float:
     """The least x >= 1 that passes the log-power convexity check, by
     bisection: the check is monotone in x."""
-    convex = lambda x: tail_index._logpower_convex_at(c, lam, k0, float(n), x, kernel)  # noqa: E731
+    convex = lambda x: zoo._logpower_convex_at(c, lam, k0, float(n), x, kernel)  # noqa: E731
     lo, hi = 1.0, 2.0 ** 60
     if convex(lo):
         return lo
@@ -319,7 +324,7 @@ class TestLogPowerClosure:
         for u0 in (math.log(2.5), math.log(10.0), math.log(1025.5), math.log(1e7)):
             for m in range(1, 21):
                 a, x = 1.0 - (m + 1) * lam, m * u0
-                got = tail_index._upper_gamma_ratio(a, x)
+                got = zoo._upper_gamma_ratio(a, x)
                 with mp.workdps(80):
                     want = mp.gammainc(a, x) * mp.exp(x) * mp.mpf(x) ** -a
                 assert abs(got - float(want)) <= 2e-15 * float(want), (m, u0)
@@ -329,7 +334,7 @@ class TestLogPowerClosure:
         # the orders 1 - 1/lam of em_gap's integral, at u = n c > 1
         mp = pytest.importorskip("mpmath")
         for x in (1 + 1e-7, 1.5, 2.0, math.pi, 10.0, 123.4, 1e4, 1e8, 1e12, 1e15):
-            got = tail_index._upper_gamma_ratio(a, x)
+            got = zoo._upper_gamma_ratio(a, x)
             with mp.workdps(40):
                 want = mp.gammainc(a, x) * mp.exp(x) * mp.mpf(x) ** -a
             assert abs(got - float(want)) <= 2e-15 * float(want), x
@@ -340,7 +345,7 @@ class TestLogPowerClosure:
         c, k0 = 0.6, 2
         x_c = _logpower_first_convex(c, lam, k0, n, kernel)
         for y in (x_c, 10 * x_c, 1000 * x_c):
-            lo, hi = tail_index._logpower_tail_integral(c, lam, k0, float(n), y, kernel)
+            lo, hi = zoo._logpower_tail_integral(c, lam, k0, float(n), y, kernel)
             with mp.workdps(40):
                 m_c, m_lam = mp.mpf(c), mp.mpf(lam)
                 u0 = mp.log(mp.mpf(y) + k0 - 1)
@@ -419,10 +424,10 @@ class TestClosedFormBlocks:
         # the computed width up and down between block ends
         dist = make_distribution(parse_spec(spec_text))
         eps = 1e-9
-        sandwich = tail_index._sandwich(dist, float(n), BINOMIAL)
+        sandwich = _sandwich(dist, float(n), BINOMIAL)
 
         def closes(K):
-            lo, hi = sandwich.bracket(float(n), K, BINOMIAL)
+            lo, hi = sandwich.bracket(K)
             return n * max(hi - lo, math.ulp(hi)) <= eps or hi - lo <= math.ulp(hi)
 
         iv = tn(dist, n, eps)
@@ -565,6 +570,17 @@ class TestPowerTailLimit:
             with mp.workdps(30):
                 want = float(mp.gamma(1 - 1 / mp.mpf(lam))) / lam
             assert power_tail_limit(1.0, lam) == pytest.approx(want, rel=1e-12)
+
+    def test_scaling_is_n_to_the_minus_one_over_lambda_times_t_n(self):
+        # the limit is that of n^{1-1/lam} zeta_n = n^{-1/lam} t_n; at
+        # lam = 1.5 and n = 1e8 that is 2.2e-9 from it, while
+        # n^{1/lam} zeta_n is 437 and still growing
+        dist = make_distribution(parse_spec("power:lambda=1.5"))
+        n = 10 ** 8
+        t = tn(dist, n).value
+        limit = power_tail_limit(dist.norm_constant, 1.5)
+        assert abs(t * n ** (-1 / 1.5) / limit - 1.0) < 5e-9
+        assert t / n * n ** (1 / 1.5) > 400
 
     def test_validation(self):
         with pytest.raises(InvalidParams):

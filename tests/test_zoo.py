@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from alphatail import zoo
 from alphatail import (
     DepthExceeded,
     DiffusionRun,
@@ -100,6 +101,103 @@ def test_mass_certificate_on_grid(spec_text):
         assert partial <= 1.0 + 1e-12
         assert partial + dist.tail_mass_bound(K) >= 1.0 - 1e-10
         assert partial + dist.tail_mass_lower(K) <= 1.0 + 1e-10
+
+
+# (norm_constant, mass_halfwidth, [(tail_mass_bound(K), tail_mass_lower(K))
+# for K in TAIL_KS]) as float.hex(), computed while the power and log-power
+# mass brackets still had formulas of their own in zoo, before they became
+# the series sandwich at n = 0
+TAIL_KS = (1, 10, 255, 10 ** 3, 10 ** 6)
+PINNED_TAILS = {
+    "power:lambda=1.01": ("0x1.45cc0d45476d1p-7", "0x1.f5e4ab2631896p-51", [
+        ("0x1.faff80de88ff2p-1", "0x1.face332038399p-1"),
+        ("0x1.f13a4abd04698p-1", "0x1.f138ec2d6c3bcp-1"),
+        ("0x1.e19b897551d93p-1", "0x1.e19b88d976951p-1"),
+        ("0x1.db140065d1e01p-1", "0x1.db14005bc61c2p-1"),
+        ("0x1.bb5ef4d12f2adp-1", "0x1.bb5ef4d12f2a3p-1"),
+    ]),
+    "power:lambda=1.5": ("0x1.87fafd259c5f5p-2", "0x1.06a4c820d19b5p-49", [
+        ("0x1.400cf92a9f620p-1", "0x1.37d18a73ac09cp-1"),
+        ("0x1.e3df0326db677p-3", "0x1.e37d8b9d245c2p-3"),
+        ("0x1.885d20b3c405dp-5", "0x1.885cfbe4e5c66p-5"),
+        ("0x1.8c8ea2fce6c73p-6", "0x1.8c8ea08e5019cp-6"),
+        ("0x1.91634a7858d5fp-11", "0x1.91634a7858ac8p-11"),
+    ]),
+    "power:lambda=2": ("0x1.37423899a155bp-1", "0x1.b1efe4933b486p-49", [
+        ("0x1.9f02f6222c724p-2", "0x1.8512c6c009ab2p-2"),
+        ("0x1.da4c87027bf04p-5", "0x1.d951a894fdcc6p-5"),
+        ("0x1.37de27ad7811bp-9", "0x1.37ddd9b5ee266p-9"),
+        ("0x1.3e91d1472344ep-11", "0x1.3e91cc11a0dd4p-11"),
+        ("0x1.4660d2a8e5c55p-21", "0x1.4660d2a8e56bap-21"),
+    ]),
+    "power:lambda=3": ("0x1.a9efc35d12237p-1", "0x1.b52d3645c27c2p-50", [
+        ("0x1.7a9c3be0f3adbp-3", "0x1.3f73d285cd9a9p-3"),
+        ("0x1.ee82eaf191ddbp-9", "0x1.eb8a04442b3e4p-9"),
+        ("0x1.ab9af369bf081p-18", "0x1.ab99b3206f359p-18"),
+        ("0x1.be2e3a56fa80bp-22", "0x1.be2e2475ce198p-22"),
+        ("0x1.d4525e191e12ep-42", "0x1.d4525e191c90ap-42"),
+    ]),
+    "logpower:lambda=1.5,k0=5": ("0x1.3a6187e0c5d94p-1", "0x1.256e8b1845767p-48", [
+        ("0x1.e190fdba690a0p-1", "0x1.e0a6bb12101a7p-1"),
+        ("0x1.807f5a2abf5c5p-1", "0x1.806f47fd3edb8p-1"),
+        ("0x1.0aaf2d55c32a5p-1", "0x1.0aaf29a3f0e79p-1"),
+        ("0x1.de4e93f2b226ep-2", "0x1.de4e939b3f15ep-2"),
+        ("0x1.5252eceb67ee1p-2", "0x1.5252eceb67ec2p-2"),
+    ]),
+    "logpower:lambda=2,k0=2": ("0x1.e55e022e5eb29p-2", "0x1.21aa357a9b981p-48", [
+        ("0x1.08dab8696436ep-1", "0x1.fcd303b156e73p-2"),
+        ("0x1.8d75accb91466p-3", "0x1.8d33e3dd076f0p-3"),
+        ("0x1.5dfecb0f39b06p-4", "0x1.5dfec06779742p-4"),
+        ("0x1.18fed4e345f91p-4", "0x1.18fed475b567bp-4"),
+        ("0x1.190e6eba20916p-5", "0x1.190e6eba208e3p-5"),
+    ]),
+    "logpower:lambda=3,k0=17": ("0x1.f714208ff90eep+3", "0x1.93dbf3327a295p-45", [
+        ("0x1.eb46adcca3687p-1", "0x1.eb01866bcdb7cp-1"),
+        ("0x1.76be7218f515cp-1", "0x1.76ab3b0f231cbp-1"),
+        ("0x1.004f58a9589aep-2", "0x1.004f491a59355p-2"),
+        ("0x1.4fc8078164039p-3", "0x1.4fc806677ad3dp-3"),
+        ("0x1.515f9b26babb1p-5", "0x1.515f9b26bab2fp-5"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("spec_text", list(PINNED_TAILS))
+def test_power_type_tails_are_pinned(spec_text):
+    dist = make_distribution(parse_spec(spec_text))
+    norm, halfwidth, tails = PINNED_TAILS[spec_text]
+    assert (dist.norm_constant.hex(), dist.mass_halfwidth.hex()) == (norm, halfwidth)
+    assert [(dist.tail_mass_bound(K).hex(), dist.tail_mass_lower(K).hex()) for K in TAIL_KS] == tails
+
+
+def test_mass_bracket_is_the_sandwich_written_out():
+    # at n = 0 the kernel is 1 and the tail integrals are y^{1-lam}/(lam-1)
+    # and ln(j)^{1-lam}/(lam-1), j = y+k0-1, in closed form, so the mass
+    # bracket is bit for bit the trapezoid/midpoint sandwich written out
+    rng = np.random.default_rng(16)
+    for _ in range(2000):
+        lam = float(rng.uniform(1.01, 7.3))
+        K = int(2.0 ** rng.uniform(0.0, 27.0))
+        lo = (K + 1.0) ** (1.0 - lam) / (lam - 1.0) + 0.5 * (K + 1.0) ** -lam
+        hi = (K + 0.5) ** (1.0 - lam) / (lam - 1.0)
+        assert zoo._tail_bracket(FamilyKind.POWER, {"lambda": lam}, K) == (lo, hi)
+        k0 = int(rng.choice([2, 3, 5, 17]))
+        j = K + k0
+        lo = math.log(j) ** (1.0 - lam) / (lam - 1.0) + 0.5 / (j * math.log(j) ** lam)
+        hi = math.log(j - 0.5) ** (1.0 - lam) / (lam - 1.0)
+        assert zoo._tail_bracket(FamilyKind.LOG_POWER, {"lambda": lam, "k0": k0}, K) == (lo, hi)
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_mass_bracket_contains_hurwitz_zeta(lam):
+    # at n = 0 the series sandwich brackets the unnormalized tail mass
+    # sum_{k>K} k^-lam, which is Hurwitz's zeta(lam, K+1)
+    mp = pytest.importorskip("mpmath")
+    sandwich = zoo.tail_sandwich(FamilyKind.POWER, 1.0, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
+    for K in (1, 10, 10 ** 3, 10 ** 6):
+        lo, hi = sandwich.bracket(K)
+        with mp.workdps(40):
+            want = float(mp.zeta(lam, K + 1))
+        assert lo < want < hi, K
 
 
 @pytest.mark.parametrize("spec_text", [
