@@ -77,12 +77,15 @@ def dominates(
     (the sampler's), up to the first index past its head where
     p_i <= q_{depth+1}.  If the probe limit or the end of P's level table
     comes first, the verdict is UNDETERMINED.  ``depth``, ``probe_limit``
-    and ``growth_threshold`` must be positive integers (NumPy's included);
-    anything else raises InvalidParams before any scan.
+    and ``growth_threshold`` must be positive integers (NumPy's included),
+    the threshold at least 2, since Q against itself puts one value in each
+    interval; anything else raises InvalidParams before any scan.
     """
     depth = positive_integer(depth, "depth")
     probe_limit = positive_integer(probe_limit, "probe_limit")
     growth_threshold = positive_integer(growth_threshold, "growth_threshold")
+    if growth_threshold < 2:
+        raise InvalidParams(f"growth_threshold must be at least 2, got {growth_threshold!r}")
     if q_dist.support_size() is not None:
         raise FiniteSupport("the dominating distribution must have infinite support")
     if p_dist.support_size() is not None:

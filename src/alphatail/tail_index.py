@@ -7,9 +7,11 @@ together with a certified ``trunc_error`` so that the true quantity lies in
 ``[value, value + trunc_error]`` up to float rounding.  Closed forms are
 summed in index-ordered blocks of 2^10, 2^11, ..., 2^16 values and then
 2^16 each, small enough to stay in cache, each with NumPy's pairwise sum,
-and the block sums with ``math.fsum``; a level table (a finite vector or a
-constructed prefix) is summed with one ``math.fsum``, so its value does not
-depend on the order of its levels and a finite vector's ``trunc_error`` is
+and the block sums with ``math.fsum``; a level table's sum (a finite
+vector's or a constructed prefix's) is ``math.fsum``'s correctly rounded
+one, computed from the terms within 2^-60 of the largest with the rest
+certified below half an ulp (``_exact_sum``), so its value does not depend
+on the order of its levels and a finite vector's ``trunc_error`` is
 exactly 0.  That sum runs over the levels whose term can be nonzero: those
 with p > 0 in float for n up to 2**53, those with -746 < ln(n p) < ln 800
 beyond, one slice of the levels in non-increasing order of p, found by
@@ -75,6 +77,7 @@ _FLOAT_N_LIMIT = 1 << 53
 _EXP_OVERFLOW = 709.0
 _EXP_UNDERFLOW = -745.0
 _LN_800 = math.log(800.0)
+_EXACT_SUM_MIN = 128        # shorter level tables go straight to math.fsum
 _FIRST_BLOCK = 1 << 10      # closed-form blocks double from 2^10 values
 _DOUBLINGS = 6              # six times, then stay at 2^16, which fits in cache
 _MAX_BLOCK = _FIRST_BLOCK << _DOUBLINGS
@@ -284,6 +287,27 @@ def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, f
     return [(math.fsum(s) + lo, width, K) for s, (K, lo, width) in zip(sums, stops)]
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """``math.fsum(terms.tolist())`` bit for bit for a nonnegative float64
+    array, with only the head, the terms >= max * 2^-60, summed exactly.
+
+    The head's sum S rounds to s = fsum(head), so S >= s - (gap below s)/2,
+    and the total lies in [S, S + B], B the rest's pairwise sum widened past
+    its rounding.  If S + B < s + ulp(s)/2, tested exactly by the sign of
+    one more fsum, the total rounds to s too; every other array, short ones
+    and those with a non-finite or zero maximum included, goes to fsum whole.
+    """
+    top = float(terms.max()) if len(terms) >= _EXACT_SUM_MIN else math.nan
+    if math.isfinite(top):
+        is_head = terms >= top * 2.0 ** -60
+        head, rest = terms[is_head].tolist(), terms[~is_head]
+        s = math.fsum(head)
+        bound = float(rest.sum()) * (1.0 + 1e-9) + len(rest) * 5e-324
+        if math.fsum(head + [bound, -s, -math.ulp(s) / 2.0]) < 0.0:
+            return s
+    return math.fsum(terms.tolist())
+
+
 def _huge_n_window(l2: np.ndarray, ln_n: float) -> np.ndarray:
     """Indices of the levels with -746 < ln(n p) < ln 800 in a table of
     log2 p in non-increasing order: at n past 2**53, ln(n p) <= -746 or
@@ -309,8 +333,8 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
 
     Works from ln n and log2 probabilities only; the asymptotic handling of
     -n*log1p(-p) is exact to double precision once n exceeds 2**53.  Only
-    the levels of ``_huge_n_window`` are summed, with one ``math.fsum``, so
-    the value is bit for bit that of the whole table.
+    the levels of ``_huge_n_window`` are summed, by ``_exact_sum``, so the
+    value is bit for bit the fsum of the whole table.
     """
     if dist.prefix_length is None:
         raise InvalidParams(
@@ -329,7 +353,7 @@ def _eval_t_large(dist: Distribution, n: int) -> tuple[float, float, int]:
         # -n log1p(-p) = n p (1 + O(p)) stays near or below 800 in the window
         g = x - np.exp(ln_n + ln_neg_l1p)
         t_terms = counts * np.exp(np.maximum(g, -746.0)) * (g > _EXP_UNDERFLOW)
-    value = math.fsum(t_terms.tolist())
+    value = _exact_sum(t_terms)
     z_tr = ln_n + LN2 * dist.beyond_prefix_log2_mass
     # never certify zero beyond a table that leaves mass, even past underflow
     floor = 5e-324 if z_tr > -math.inf else 0.0
@@ -345,7 +369,8 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     """(value, trunc, terms) for sum_k p_k w(p_k) on the zeta scale at every
     n of ns, all within the float-exact range: a closed form's blocks, or a
     level table's L (see ``Kernel.log_weight``), are shared by all of ns,
-    and each result is bit for bit that of its n on its own.  A target
+    and each result is bit for bit that of its n on its own; a level
+    table's terms at each n are summed by ``_exact_sum``.  A target
     ``eps_t`` that is not positive (NaN included) raises InvalidParams
     before any work."""
     if not ns:
@@ -360,7 +385,7 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     out = L if len(ns) == 1 else np.empty_like(L)
     factor = counts * p
     trunc = dist.tail_mass_bound(dist.prefix_length)
-    return [(math.fsum(_terms(L, big, n, factor, out).tolist()), trunc, dist.prefix_length)
+    return [(_exact_sum(_terms(L, big, n, factor, out)), trunc, dist.prefix_length)
             for n in ns]
 
 

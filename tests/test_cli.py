@@ -203,6 +203,12 @@ class TestDominates:
         assert doc["verdict"] == "dominated_within"
         assert {"k", "count_in_interval"} == set(doc["records"][0])
 
+    def test_growth_threshold_one_exits_2(self, run):
+        code, out, err = run("dominates", "--q", "geometric:a=2", "--p", "geometric:a=2",
+                             "--growth-threshold", "1")
+        assert (code, out) == (2, "")
+        assert "growth_threshold must be at least 2" in err
+
     def test_finite_p_exit_3(self, run):
         code, _, err = run("dominates", "--q", "geometric:a=2", "--p", "finite:p=0.5;0.5")
         assert code == 3

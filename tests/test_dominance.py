@@ -131,6 +131,15 @@ class TestContract:
         with pytest.raises(InvalidParams, match=f"{next(iter(kwargs))} must be a positive integer"):
             dominates(geom2, geom2, **kwargs)
 
+    def test_growth_threshold_below_two_is_refused(self, geom2):
+        # Q against itself holds exactly one value per interval, so a
+        # threshold of 1 reported geometric:a=2 as not dominated by itself
+        with pytest.raises(InvalidParams, match="growth_threshold must be at least 2, got 1"):
+            dominates(geom2, geom2, depth=50, growth_threshold=1)
+        report = dominates(geom2, geom2, depth=50, growth_threshold=np.int64(2))
+        assert (report.verdict, report.max_count) == (DominanceVerdict.DOMINATED_WITHIN, 1)
+        assert type(report.growth_threshold) is int
+
     def test_growth_threshold_is_callers(self, geom2, congregated2):
         relaxed = dominates(geom2, congregated2, depth=50, growth_threshold=100)
         assert relaxed.verdict is DominanceVerdict.DOMINATED_WITHIN

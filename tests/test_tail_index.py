@@ -808,6 +808,59 @@ class TestHugeN:
             assert iv.trunc_error == 0.0
 
 
+# Terms with exponents from -1074 to 10, subnormals and zeros of both signs
+# among them; an array repeats them by drawing from the pool.
+SUM_TERMS = st.one_of(
+    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 10)),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -1022]),
+)
+
+
+@st.composite
+def near_ties(draw) -> np.ndarray:
+    """A head just below the midpoint above its largest term, a rest that
+    may or may not carry it past, and zeros that may pass the cutoff."""
+    top = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-900, 10)))
+    half = math.ulp(top) / 2.0
+    rest = [math.ldexp(half, -draw(st.integers(55, 130))) for _ in range(draw(st.integers(0, 40)))]
+    terms = [top, half - math.ldexp(half, -draw(st.integers(1, 120)))] + rest
+    return np.array(draw(st.permutations(terms + [0.0] * draw(st.integers(0, 300)))))
+
+
+class TestExactSum:
+    @given(st.lists(SUM_TERMS, max_size=200), st.integers(0, 1800), st.integers(0, 2 ** 32 - 1))
+    def test_equals_fsum(self, pool, length, seed):
+        rng = np.random.default_rng(seed)
+        terms = np.array(pool + (rng.choice(pool, length).tolist() if pool else []), dtype=float)
+        rng.shuffle(terms)
+        assert tail_index._exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+    @given(near_ties())
+    def test_equals_fsum_near_a_tie(self, terms):
+        assert tail_index._exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+    @pytest.mark.parametrize("head, rest", [
+        # the head's sum is 1 + 2^-53 - 2^-106; the rest carries the total
+        # to 1 + 2^-53 + 2^-106, past the midpoint
+        ([1.0, 2.0 ** -53 - 2.0 ** -106], [2.0 ** -105]),
+        # the head's sum 1 + 2^-53 - 2^-107 - 2^-112 lies less than the rest
+        # below the midpoint, but its excess over 1 rounds to 2^-53 - 2^-106
+        ([1.0, 2.0 ** -53 - 2.0 ** -59, 2.0 ** -59 - 2.0 ** -107 - 2.0 ** -112],
+         [2.0 ** -107 + 2.0 ** -111]),
+    ])
+    def test_rest_decides_the_rounding(self, head, rest):
+        # the head alone rounds to 1.0, the whole array to 1 + 2^-52
+        terms = np.array(head + rest + [0.0] * 200)
+        assert math.fsum(head) == 1.0
+        assert tail_index._exact_sum(terms) == math.fsum(terms.tolist()) == 1.0 + 2.0 ** -52
+
+    @pytest.mark.parametrize("terms", [[], [0.0] * 200, [-0.0] * 200, [1.0, math.inf] * 100,
+                                       [1.0, math.nan] * 100, [2.0 ** -1074] * 300])
+    def test_edge_arrays(self, terms):
+        terms = np.array(terms, dtype=float)
+        assert tail_index._exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+
 # The full-table sums that summing only the live levels must reproduce bit for
 # bit: every level of the table enters, including those whose term is 0.
 
