@@ -34,12 +34,19 @@ analytically by ``zoo.tail_sandwich``, with which ``zoo`` also normalizes
 them; ``zoo`` describes its tail integrals (incomplete beta and gamma
 functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
 ``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
-sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``.  The
-lower end is added to ``value`` and the width, never less than one ulp of
-the upper end, is the ``trunc_error``; the sum stops once it reaches that
-floor, which no later term narrows.  Other infinite tails use a
-dyadic-block upper bound built from the family's tail-mass certificate,
-valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound reads
+sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``, about
+``|f'(K)|/8`` apart.  A log-power tail where ``f'''' >= 0`` as well closes
+with second-order Euler-Maclaurin instead: with a = K+1 the sum lies within
+``|f'''(a)|/384`` below ``int_a^inf f + f(a)/2 - f'(a)/12``, a width that
+falls like K^-4 rather than K^-2, so at ``eps = 1e-9`` the tail closes at the
+first block end past the onset of ``f'''' >= 0``.  The lower end is added to
+``value`` and the width, never less than one ulp of the upper end, is the
+``trunc_error``; the sum stops once it reaches that floor, which later
+blocks lower only as the tail falls past a power of two (for
+``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` the floor is above eps from n
+of about 1.45e8).  Other infinite tails use a dyadic-block upper bound
+built from the family's tail-mass certificate, valid for both kernels
+since ``p(1-p)^n <= p e^{-np}``.  Neither bound reads
 the head sum, so the stop is found before any block is summed, with a
 search over block ends for where the sandwich closes.  ``eps`` is a target
 on the t_n scale; a tail that cannot certify it within ``max_terms``

@@ -23,8 +23,14 @@ The closed-form tails of power and log-power families live here, in
 ``w(p) = (1-p)^n`` or ``e^{-np}`` (``Kernel``) at any n >= 0, for the mass
 bracket above and for the series evaluator in ``tail_index`` alike.  Once
 ``f(x) = p w(p)`` is convex on ``[K+1/2, inf)`` the sum lies between the
-trapezoid and midpoint sandwiches of its tail integral.  For power tails
-``p_k = c k^-lam`` that integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``,
+trapezoid and midpoint sandwiches of its tail integral, a bracket about
+``|f'(K)|/8`` wide.  Log-power tails close with second-order
+Euler-Maclaurin once ``f'''' >= 0`` there too: ``int + f/2 - f'/12`` less
+``[0, |f'''|/384]`` at ``K+1``, with ``f'`` and ``f'''`` in closed form and
+``f'''' >= 0`` certified by one point test; at n = 0, where ``f = p``,
+it holds wherever ``p < 1``.  Power tails keep the first-order sandwich
+until the benchmark's power references are corrected.  For power tails
+``p_k = c k^-lam`` the integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``,
 an incomplete beta function, for ``(1-p)^n`` and
 ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
 function, for ``e^{-np}``.  For log-power tails ``p_k = c/(j ln^lam j)``,
@@ -368,23 +374,135 @@ def _logpower_convex_at(c: float, lam: float, k0: int, n: float, x: float, kerne
     return lhs >= 2.0 * n * p * (1.0 + 1e-9)
 
 
+class _LogPowerPoint(NamedTuple):
+    """f = g(p), g(p) = p w(p), p = c/(j ln^lam j), j = x+k0-1, at one x:
+    what f's derivatives and the test of f'''' >= 0 share.
+
+    With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k, where R_1 = A = 1 + lam s and
+    R_{k+1} = (A+k) R_k + s^2 dR_k/ds, so R_2 = A(A+1) + lam s^2 and
+    R_3 = (A+2) R_2 + lam s^2 (2A+1+2s).  Each R_k is a polynomial in s with
+    nonnegative coefficients, k! at s = 0: p is completely monotone.  For
+    either kernel g^(m)(p) p^(m-1) = (-1)^(m+1) g'(p) e_m (m-t)/(1-t), with
+    t = (n+1)p, r = p/(1-p) and e_m = n(n-1)...(n-m+2) r^(m-1) for (1-p)^n,
+    and t = np, r = p and e_m = (np)^(m-1) for e^{-np}; every e_m is
+    nonnegative at integer n.
+    """
+
+    j: float
+    p: float
+    s: float
+    A: float
+    R2: float
+    R3: float
+    t: float
+    r: float
+    e2: float
+    e3: float
+    e4: float
+
+
+def _logpower_point(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> _LogPowerPoint:
+    """The ``_LogPowerPoint`` at x."""
+    j = x + k0 - 1.0
+    u = math.log(j)
+    s = 1.0 / u
+    A = 1.0 + lam * s
+    R2 = A * (A + 1.0) + lam * s * s
+    p = c / (j * u ** lam)
+    if kernel is Kernel.BINOMIAL:
+        t, r, n1, n2 = (n + 1.0) * p, p / (1.0 - p), n - 1.0, n - 2.0
+    else:
+        t, r, n1, n2 = n * p, p, n, n
+    e2 = n * r
+    e3 = e2 * n1 * r
+    return _LogPowerPoint(j, p, s, A, R2, (A + 2.0) * R2 + lam * s * s * (2.0 * A + 1.0 + 2.0 * s),
+                          t, r, e2, e3, e3 * n2 * r)
+
+
+def _logpower_fourth_from(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> bool:
+    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, has f'''' >= 0 on
+    [x, inf), which the second-order bracket needs.
+
+    By Faa di Bruno and ``_LogPowerPoint``, f'''' j^4 (1-t)/(p g'(p) R_4) =
+    (1-t) + 6 e3 (3-t) a - e4 (4-t) b - e2 (2-t) g, with a = A^2 R_2/R_4,
+    b = A^4/R_4 and g = (3 R_2^2 + 4 A R_3)/R_4.  Along the tail p and s
+    fall, and:
+    - R_3 >= (A+2) R_2 and R_4 >= (A+3) R_3 bound b and g by
+      B = A^3/((A+1)(A+2)(A+3)) and G = 3 R_2/((A+2)(A+3)) + 4A/(A+3),
+      which grow with s, so B and G at x bound the whole tail's;
+    - d ln a/d ln p <= d = lam s^2 (4+2s)/A^2, which grows with s, so
+      a >= a(x) (p/p(x))^d.
+    So f'''' >= 0 wherever Q(p) = (1-t) + 6 e3 (3-t) a(x) (p/p(x))^d
+    - e4 (4-t) B - e2 (2-t) G >= 0.  r dQ/dp is at most
+    -e2 + 18 a(x) e3 (1+r)(2+d+2r) - G e2 (2-2t-tr), and dQ/dp's bound
+    grows with p; where that is <= 0 at x, Q rises along the tail, so
+    Q(p(x)) >= 0 covers it.  t < 1 keeps the signs of g^(m); the margins
+    cover rounding.
+    """
+    q = _logpower_point(c, lam, k0, n, x, kernel)
+    A, s, t, r, e2, e3 = q.A, q.s, q.t, q.r, q.e2, q.e3
+    if t >= 1.0:
+        return False
+    R4 = (A + 3.0) * q.R3 + lam * s * s * (3.0 * A * (A + 2.0) + 2.0
+                                           + 3.0 * s * (3.0 * lam * s + 2.0 * s + 4.0))
+    a = A * A * q.R2 / R4
+    d = lam * s * s * (4.0 + 2.0 * s) / (A * A)
+    B = A ** 3 / ((A + 1.0) * (A + 2.0) * (A + 3.0))
+    G = 3.0 * q.R2 / ((A + 2.0) * (A + 3.0)) + 4.0 * A / (A + 3.0)
+    margin = 1.0 + 1e-9
+    rises = 18.0 * a * e3 * (1.0 + r) * (2.0 + d + 2.0 * r) * margin <= e2 * (1.0 + G * (2.0 - t * (2.0 + r)))
+    Q_plus, Q_minus = (1.0 - t) + 6.0 * e3 * (3.0 - t) * a, q.e4 * (4.0 - t) * B + e2 * (2.0 - t) * G
+    return rises and Q_plus >= Q_minus * margin
+
+
+def _power_bracket(c: float, lam: float, n: float, kernel: Kernel, K: int) -> tuple[float, float]:
+    """[lo, hi] on sum_{k>K} f(k), f = p w(p), p = c x^-lam, once f is convex
+    on [K+1/2, inf): the trapezoid lower and midpoint upper sandwich of its
+    integral, about |f'(K)|/8 wide.  Power tails keep this first-order
+    bracket alone until the benchmark's power references are corrected;
+    then they take the second-order one where f'''' >= 0, as
+    ``_logpower_bracket`` does."""
+    p1 = c * (K + 1.0) ** -lam
+    f1 = p1 * kernel.at(p1, n)
+    return (power_tail_integral(c, lam, n, K + 1.0, kernel) + 0.5 * f1,
+            power_tail_integral(c, lam, n, K + 0.5, kernel))
+
+
+def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
+                      K: int) -> tuple[float, float]:
+    """[lo, hi] on sum_{k>K} f(k), f = p w(p), p = c/(j ln^lam j), once f is
+    convex on [K+1/2, inf): second-order Euler-Maclaurin from a = K+1 where
+    f'''' >= 0 there too, and the first-order sandwich before, which closes
+    a loose eps sooner than the onset of f'''' >= 0.
+
+    sum_{k>=a} f(k) = int_a^inf f + f(a)/2 - f'(a)/12 + f'''(a)/720 + R with
+    R = -int_a^inf B4({x}) f''''(x)/24 dx and B4(x) = x^2(1-x)^2 - 1/30; the
+    constant cancels the f''' term, and 0 <= x^2(1-x)^2 <= 1/16 puts the sum
+    in [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12], I the integral's
+    bracket: about |f'''|/384 wide, against |f'|/8 for the first-order one.
+    f' and f''' come from ``_LogPowerPoint`` and the chain rule.
+    """
+    q = _logpower_point(c, lam, k0, n, K + 1.0, kernel)
+    f = q.p * kernel.at(q.p, n)
+    lo, hi = _logpower_tail_integral(c, lam, k0, n, K + 1.0, kernel)
+    if not _logpower_fourth_from(c, lam, k0, n, K + 0.5, kernel):
+        return lo + 0.5 * f, _logpower_tail_integral(c, lam, k0, n, K + 0.5, kernel)[1]
+    A, t = q.A, q.t
+    lead = f * q.r / q.p                                        # p g'(p)/(1-t)
+    df = lead * (1.0 - t) * A / q.j                             # -f'
+    d3f = lead * ((1.0 - t) * q.R3 + q.e3 * (3.0 - t) * A ** 3
+                  - 3.0 * q.e2 * (2.0 - t) * A * q.R2) / q.j ** 3   # -f'''
+    head = 0.5 * f + df / 12.0
+    return lo + head - d3f / 384.0, hi + head
+
+
 class Sandwich(NamedTuple):
     """A power-type tail of sum_k p_k w(p_k) in closed form, at one n and
-    kernel: p on the continuous index, [lo, hi] on integral_y^inf p w(p) dx,
-    and whether p w(p) is convex on [x, inf)."""
+    kernel: ``bracket(K)`` is [lo, hi] on sum_{k>K} p_k w(p_k), sound once
+    p w(p) is convex on [K+1/2, inf), which ``convex(K + 1/2)`` tests."""
 
-    n: float
-    kernel: Kernel
-    p: Callable[[float], float]
-    integral: Callable[[float], tuple[float, float]]
+    bracket: Callable[[int], tuple[float, float]]
     convex: Callable[[float], bool]
-
-    def bracket(self, K: int) -> tuple[float, float]:
-        """[lo, hi] on sum_{k>K} p_k w(p_k) once f is convex on [K+1/2, inf):
-        trapezoid lower and midpoint upper sandwich of the integral."""
-        p1 = self.p(K + 1.0)
-        f1 = p1 * self.kernel.at(p1, self.n)
-        return self.integral(K + 1.0)[0] + 0.5 * f1, self.integral(K + 0.5)[1]
 
 
 def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
@@ -395,13 +513,10 @@ def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
     if kind is FamilyKind.POWER:
         lam = params["lambda"]
         x_c = _power_convex_from(c, lam, n, kernel)
-        return Sandwich(n, kernel, lambda x: c * x ** -lam,
-                        lambda y: (power_tail_integral(c, lam, n, y, kernel),) * 2,
-                        lambda x: x >= x_c)
+        return Sandwich(lambda K: _power_bracket(c, lam, n, kernel, K), lambda x: x >= x_c)
     if kind is FamilyKind.LOG_POWER:
         lam, k0 = params["lambda"], params["k0"]
-        return Sandwich(n, kernel, lambda x: c / ((x + k0 - 1.0) * math.log(x + k0 - 1.0) ** lam),
-                        lambda y: _logpower_tail_integral(c, lam, k0, n, y, kernel),
+        return Sandwich(lambda K: _logpower_bracket(c, lam, k0, n, kernel, K),
                         lambda x: _logpower_convex_at(c, lam, k0, n, x, kernel))
     return None
 
@@ -411,8 +526,9 @@ def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
 
     Valid whenever K >= _head_length(kind).  Geometric tails are exact,
     super-geometric tails use a ratio bound, power and log-power tails are
-    ``tail_sandwich`` at c = 1 and n = 0 (trapezoid lower / midpoint upper),
-    whose relative width shrinks like K^-2 regardless of the exponent.
+    ``tail_sandwich`` at c = 1 and n = 0: the trapezoid/midpoint sandwich
+    for power, whose relative width shrinks like K^-2 regardless of the
+    exponent, and second-order Euler-Maclaurin for log-power, like K^-4.
     """
     if kind is FamilyKind.GEOMETRIC:
         a = p["a"]

@@ -158,13 +158,16 @@ class TestCertificates:
         iv = tn(geom2, 10 ** 4, eps=1e-9)
         assert iv.trunc_error <= 1e-9
 
-    def test_honest_trunc_when_capped(self):
-        # the log-power tail cannot certify 1e-12 at n=1e6 within the cap;
-        # the reported remainder must say so rather than pretend
-        logpower = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
-        iv = tn(logpower, 10 ** 6, eps=1e-12, max_terms=1 << 20)
+    @pytest.mark.parametrize("spec_text, cap", [
+        ("power:lambda=1.5", 1 << 20), ("logpower:lambda=2,k0=2", 1 << 12)])
+    def test_honest_trunc_when_capped(self, spec_text, cap):
+        # neither tail can certify 1e-12 at n=1e6 within its cap: the power
+        # sandwich is still too wide there, and the log-power cap falls
+        # short of f'''' >= 0; the reported remainder must say so rather
+        # than pretend
+        iv = tn(make_distribution(parse_spec(spec_text)), 10 ** 6, eps=1e-12, max_terms=cap)
         assert iv.trunc_error > 1e-12
-        assert iv.terms_used == 1 << 20
+        assert iv.terms_used == cap
 
     def test_finite_has_zero_trunc(self, uniform10):
         assert tn(uniform10, 12345).trunc_error == 0.0
@@ -188,7 +191,7 @@ LOGPOWER_REFS = [
     (223872, "13458.32563118769524461052"),
     (10 ** 8, "3639634.907342783999780465"),
 ]
-# per row, a max_terms below the first index where p(1-p)^n is convex
+# per row, a max_terms below the first index where p(1-p)^n has f'''' >= 0
 LOGPOWER_LOWER_TERM_CAPS = {1000: 1 << 3, 223872: 1 << 10, 10 ** 8: 1 << 16}
 
 
@@ -314,6 +317,55 @@ def _logpower_first_convex(c: float, lam: float, k0: int, n: int, kernel) -> flo
     return hi
 
 
+def _logpower_first_valid(c: float, lam: float, k0: int, n: int, kernel) -> float:
+    """The least x >= 1 that passes the log-power test of f'''' >= 0, by
+    bisection: the test is monotone in x."""
+    valid = lambda x: zoo._logpower_fourth_from(c, lam, k0, float(n), x, kernel)  # noqa: E731
+    lo, hi = 1.0, 2.0 ** 60
+    if valid(lo):
+        return lo
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi) if hi < 4.0 * lo else math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if valid(mid) else (mid, hi)
+    return hi
+
+
+def _logpower_f(mp, c: float, lam: float, k0: int, n: int, kernel):
+    """f(x) = p w(p), p = c/(j ln^lam j), j = x+k0-1, in mpmath, and w - 1."""
+    m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+    if kernel is BINOMIAL:
+        w1 = lambda q: mp.expm1(n * mp.log1p(-q))  # noqa: E731
+    else:
+        w1 = lambda q: mp.expm1(-n * q)  # noqa: E731
+    p = lambda x: m_c / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
+    return (lambda x: p(x) * (1 + w1(p(x)))), w1
+
+
+def _logpower_tail_mp(c: float, lam: float, k0: int, n: int, kernel, K: int, head: int = 200):
+    """sum_{k>K} p_k w(p_k) at 40 digits: the terms up to M = K + head, then
+    the integral from M in u = ln j, less f(M)/2 and three Euler-Maclaurin
+    terms at M."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        f, w1 = _logpower_f(mp, c, lam, k0, n, kernel)
+        m_c, m_lam = mp.mpf(c), mp.mpf(lam)
+        M = K + head
+        u0 = mp.log(M + k0 - 1)
+        # in u = ln j: c u^-lam (w(p) - 1) decays like e^-u, and the rest
+        # integrates exactly
+        integral = m_c * u0 ** (1 - m_lam) / (m_lam - 1) + mp.quad(
+            lambda u: m_c * u ** -m_lam * w1(m_c * mp.exp(-u) * u ** -m_lam), [u0, mp.inf])
+        em = f(mp.mpf(M)) / 2 + mp.fsum(mp.bernoulli(2 * i) / mp.factorial(2 * i) * mp.diff(f, M, 2 * i - 1)
+                                        for i in range(1, 4))
+        return mp.fsum(f(mp.mpf(k)) for k in range(K + 1, M + 1)) + integral - em
+
+
+# (n, lam, kernel) for the second-order bracket: n = 0 is the tail mass,
+# where both kernels are 1
+SECOND_ORDER_CASES = [pytest.param(0, lam, BINOMIAL, id=f"0-{lam}") for lam in (1.5, 2.0, 3.0)] + \
+    _kernel_cases([1, 1000, 10 ** 6, 10 ** 8], [1.5, 2.0, 3.0])
+
+
 class TestLogPowerClosure:
     @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
     def test_gamma_ratio_matches_mpmath(self, lam):
@@ -349,12 +401,7 @@ class TestLogPowerClosure:
             with mp.workdps(40):
                 m_c, m_lam = mp.mpf(c), mp.mpf(lam)
                 u0 = mp.log(mp.mpf(y) + k0 - 1)
-                if kernel is BINOMIAL:
-                    w1 = lambda p: mp.expm1(n * mp.log1p(-p))  # noqa: E731
-                else:
-                    w1 = lambda p: mp.expm1(-n * p)  # noqa: E731
-                # in u = ln j: c u^-lam (w(p) - 1) decays like e^-u, and the
-                # rest integrates exactly
+                _, w1 = _logpower_f(mp, c, lam, k0, n, kernel)
                 rest = mp.quad(lambda u: m_c * u ** -m_lam * w1(m_c * mp.exp(-u) * u ** -m_lam),
                                [u0 + s for s in (0, 1, 4, 16, 64)] + [mp.inf])
                 want = float(m_c * u0 ** (1 - m_lam) / (m_lam - 1) + rest)
@@ -368,14 +415,57 @@ class TestLogPowerClosure:
         c = 0.6
         x_c = _logpower_first_convex(c, lam, k0, n, kernel)
         with mp.workdps(40):
-            m_c, m_lam = mp.mpf(c), mp.mpf(lam)
-            p = lambda x: m_c / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
-            if kernel is BINOMIAL:
-                f = lambda x: p(x) * (1 - p(x)) ** n  # noqa: E731
-            else:
-                f = lambda x: p(x) * mp.exp(-n * p(x))  # noqa: E731
+            f, _ = _logpower_f(mp, c, lam, k0, n, kernel)
             for scale in (1, 2, 100):
                 assert mp.diff(f, mp.mpf(x_c) * scale, 2) > 0
+
+    @pytest.mark.parametrize("k0", [2, 5])
+    @pytest.mark.parametrize("n, lam, kernel", SECOND_ORDER_CASES)
+    def test_fourth_derivative_from_first_certified_point(self, n, lam, kernel, k0):
+        # f'''' >= 0 in 40 digits on a log grid from the first point the test
+        # certifies; from n = 1000 on, that point lies within 7% of where
+        # f'''' turns nonnegative
+        mp = pytest.importorskip("mpmath")
+        c = 0.6
+        x_c = _logpower_first_valid(c, lam, k0, n, kernel)
+        with mp.workdps(40):
+            f, _ = _logpower_f(mp, c, lam, k0, n, kernel)
+            for scale in (1, 1 + 1e-6, 1.01, 1.1, 2, 10, 100, 1e4):
+                assert mp.diff(f, mp.mpf(x_c) * scale, 4) >= 0, scale
+            if n >= 1000:
+                assert mp.diff(f, mp.mpf(x_c) / 1.07, 4) < 0
+
+    @pytest.mark.parametrize("lam, k0, x, n, c, kernel", [
+        (100.92336039602623, 2, 2.1870240058093966, 11388512, 0.6862248977140428, BINOMIAL),
+        (53.26361037435437, 5, 1.3782924466707691, 7640288032486, 0.6948901014355571, POISSON),
+    ])
+    def test_fourth_derivative_test_needs_q_to_rise(self, lam, k0, x, n, c, kernel):
+        # Q >= 0 at x, so f'''' >= 0 there, yet f'''' < 0 just past x: only
+        # the check that Q rises along the tail refuses the point
+        mp = pytest.importorskip("mpmath")
+        assert not zoo._logpower_fourth_from(c, lam, k0, float(n), x, kernel)
+        with mp.workdps(60):
+            f, _ = _logpower_f(mp, c, lam, k0, n, kernel)
+            assert mp.diff(f, mp.mpf(x), 4) >= 0
+            assert min(mp.diff(f, mp.mpf(x) * s, 4) for s in (1.01, 1.02, 1.05, 1.1)) < 0
+
+    @pytest.mark.parametrize("n, lam, kernel", SECOND_ORDER_CASES)
+    def test_second_order_bracket_contains_mpmath(self, n, lam, kernel):
+        # sum_{k>K} p_k w(p_k) in 40 digits lies in the bracket at the first
+        # certified K (and ten times past it up to n = 1000, beyond which
+        # the bracket is an ulp wide), within 4 ulps of rounding; where
+        # the bracket is wider than that, the sum lies inside it and away from
+        # both ends, as the Bernoulli kernel's mean 1/30 puts it
+        c = 0.6
+        for k0 in (2, 5):
+            K0 = max(1, math.ceil(_logpower_first_valid(c, lam, k0, n, kernel) - 0.5))
+            for K in (K0, 10 * K0 + 7) if n <= 1000 else (K0,):
+                lo, hi = zoo._logpower_bracket(c, lam, k0, float(n), kernel, K)
+                want = _logpower_tail_mp(c, lam, k0, n, kernel, K)
+                slack = 4.0 * math.ulp(hi)
+                assert lo - slack <= want <= hi + slack, (k0, K)
+                if hi - lo > 1e3 * slack:
+                    assert 0.3 < float((want - lo) / (hi - lo)) < 0.7, (k0, K)
 
 
 def _block_ends(terms: int) -> list[int]:
@@ -411,19 +501,19 @@ class TestClosedFormBlocks:
         assert iv.terms_used <= 3_600_000
         assert _brackets(iv, float(LOGPOWER_REFS[-1][1]))
 
-    @pytest.mark.parametrize("spec_text, n", [
-        ("logpower:lambda=2,k0=2", 1000),
-        ("logpower:lambda=2,k0=2", 223872),
-        ("logpower:lambda=2,k0=2", 89125094),
-        ("logpower:lambda=2,k0=2", 10 ** 8),
-        ("power:lambda=1.5", 10 ** 8),
+    @pytest.mark.parametrize("spec_text, n, eps", [
+        # at eps = 1e-9 the log-power stops at n = 1000 and 223,872 have no
+        # earlier convex block end to test; at 1e-12 n = 10,000 has one
+        ("logpower:lambda=2,k0=2", 10000, 1e-12),
+        ("logpower:lambda=2,k0=2", 89125094, 1e-9),
+        ("logpower:lambda=2,k0=2", 10 ** 8, 1e-9),
+        ("power:lambda=1.5", 10 ** 8, 1e-9),
     ])
-    def test_stops_at_the_first_closing_block(self, spec_text, n):
+    def test_stops_at_the_first_closing_block(self, spec_text, n, eps):
         # the search for the closing block skips bracket evaluations, yet no
         # earlier block end closes: near the one-ulp floor rounding moves
         # the computed width up and down between block ends
         dist = make_distribution(parse_spec(spec_text))
-        eps = 1e-9
         sandwich = _sandwich(dist, float(n), BINOMIAL)
 
         def closes(K):
@@ -435,6 +525,22 @@ class TestClosedFormBlocks:
         assert ends[-1] == iv.terms_used and closes(iv.terms_used)
         earlier = [K for K in ends[:-1] if sandwich.convex(K + 0.5)]
         assert earlier and not any(closes(K) for K in earlier)
+
+    @pytest.mark.parametrize("n", [1000, 223872, 89125094, 10 ** 8])
+    def test_logpower_stops_where_f4_turns_nonnegative(self, logpower2, n):
+        # at eps = 1e-9 the tail closes at the first block end where the
+        # second-order bracket holds, f'''' >= 0 beyond it
+        c = logpower2.norm_constant
+        fourth = lambda K: zoo._logpower_fourth_from(c, 2.0, 2, float(n), K + 0.5, BINOMIAL)  # noqa: E731
+        iv = tn(logpower2, n, 1e-9)
+        assert iv.trunc_error <= 1e-9 and fourth(iv.terms_used)
+        assert not any(fourth(K) for K in _block_ends(iv.terms_used)[:-1])
+
+    @pytest.mark.parametrize("n, ceiling", [(1000, 1024), (10 ** 6, 31744), (10 ** 8, 916480)])
+    def test_logpower_terms_ceilings(self, logpower2, n, ceiling):
+        # the first-order sandwich summed 31,744, 654,336 and 3,537,920 terms
+        iv = tn(logpower2, n)
+        assert iv.terms_used <= ceiling and iv.trunc_error <= 1e-9
 
     def test_memory_stays_below_16_mib(self, logpower2):
         # blocks that grew to 2^21 values peaked at 112 MiB, in 16 MiB arrays
@@ -531,7 +637,8 @@ class TestScaledPair:
     def test_width_floor_is_not_a_miss(self, logpower2):
         # eps = 1e-12 stops at the one-ulp floor, before the cap: no raise
         assert tn(logpower2, 10 ** 8, eps=1e-12).terms_used < tail_index.DEFAULT_MAX_TERMS
-        assert scaled_pair(logpower2, 10 ** 8, 0.5, eps=1e-12) == (363.96349073427854, 363.96349087124474)
+        # the first member is t_n / 1e4 within 1e-15 relative of LOGPOWER_REFS
+        assert scaled_pair(logpower2, 10 ** 8, 0.5, eps=1e-12) == (363.96349073427837, 363.9634908712446)
 
     def test_power_agreement_at_1e6(self, power2):
         a, b = scaled_pair(power2, 10 ** 6, 0.5)
@@ -703,7 +810,9 @@ def _digest(points) -> str:
 # point at a time with ``tn`` before schedules were evaluated in one sweep:
 # the benchmark's thick-tail verdict schedules for seeds 1 and 201
 # (eps 1e-6, max_terms 2^22), and the CLI schedule 1000:100000000:x3/2
-# (29 points, eps 1e-9, the default cap).
+# (29 points, eps 1e-9, the default cap).  The log-power rows were computed
+# again once those tails closed with the second-order bracket; every point
+# lies within 2 ulps of its 30-digit reference (bench/refs.py).
 CLI_SCHEDULE = _parse_schedule("1000:100000000:x3/2")
 PINNED_SCHEDULES = [pytest.param(*row, id=row_id) for row_id, row in [
     ("power2-seed1", ("power:lambda=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
@@ -711,17 +820,17 @@ PINNED_SCHEDULES = [pytest.param(*row, id=row_id) for row_id, row in [
     ("power1.5-seed1", ("power:lambda=1.5", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
      1e-6, 1 << 22, "45ee87d01edbe696abae3c46ed3305480e20c3addb06eea0ee0bf9f3bc046649", 364544)),
     ("logpower-seed1", ("logpower:lambda=2,k0=2", [3981, 15849, 63096, 251189, 1000000, 3981072, 15848932, 63095734],
-     1e-6, 1 << 22, "9cce87786d30119414b4f3f574a71cf6d55ebd893ed6df3d50c3f6a82b846549", 659456)),
+     1e-6, 1 << 22, "1cabaee16b64c9915c79867dcdc99636bb8542453f4c277886c2b39f1ac1b0dc", 630784)),
     ("power2-seed201", ("power:lambda=2", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
      1e-6, 1 << 22, "416fdd4b551d2cf0b6bcf62bf590a41ad00125e9802c7afa0c08af1a810a73ed", 83968)),
     ("power1.5-seed201", ("power:lambda=1.5", [2512, 10000, 39811, 158489, 630957, 2511886, 10000000, 39810717],
      1e-6, 1 << 22, "da707af9d0ce93362070ba8abfeff2a13382a762f1fba622a82a7fb9d6fbd447", 290816)),
     ("logpower-seed201", ("logpower:lambda=2,k0=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
-     1e-6, 1 << 22, "6899b6b2e4faadb72f9ec9085ef91f35bebeaddb41286dece8dfc2d8a9594f2f", 856064)),
+     1e-6, 1 << 22, "4cea869af96020a95ff64a80f4867456c78fc7beb2e774c53c9073b9f935fa0a", 827392)),
     ("power1.5-cli", ("power:lambda=1.5", CLI_SCHEDULE, 1e-9, 1 << 24,
      "3c7f511870afd301aea85d77d298c65527b0b51afbc9c2cf34dba047f9e6a8d6", 14486528)),
     ("logpower-cli", ("logpower:lambda=2,k0=2", CLI_SCHEDULE, 1e-9, 1 << 24,
-     "9cedb7c9fcac00b099c1084422cc9e203dd14bd8e0584132ed2b585354afc2f0", 27102208)),
+     "626cfd84c70a66f2af4818a9461e738c0a7ac4ee0f5011eeac78a0e0ffd403ec", 3007488)),
 ]]
 # unsorted, with duplicates, from the first block to far past the convex onset
 MIXED_NS = [7, 3, 10 ** 6, 3, 250, 3 * 10 ** 7, 40_000, 7]

@@ -104,9 +104,10 @@ def test_mass_certificate_on_grid(spec_text):
 
 
 # (norm_constant, mass_halfwidth, [(tail_mass_bound(K), tail_mass_lower(K))
-# for K in TAIL_KS]) as float.hex(), computed while the power and log-power
-# mass brackets still had formulas of their own in zoo, before they became
-# the series sandwich at n = 0
+# for K in TAIL_KS]) as float.hex(): the power rows computed while the power
+# and log-power mass brackets still had formulas of their own in zoo, before
+# they became the series sandwich at n = 0; the log-power rows with its
+# second-order bracket, each checked against 40-digit mpmath sums
 TAIL_KS = (1, 10, 255, 10 ** 3, 10 ** 6)
 PINNED_TAILS = {
     "power:lambda=1.01": ("0x1.45cc0d45476d1p-7", "0x1.f5e4ab2631896p-51", [
@@ -137,26 +138,26 @@ PINNED_TAILS = {
         ("0x1.be2e3a56fa80bp-22", "0x1.be2e2475ce198p-22"),
         ("0x1.d4525e191e12ep-42", "0x1.d4525e191c90ap-42"),
     ]),
-    "logpower:lambda=1.5,k0=5": ("0x1.3a6187e0c5d94p-1", "0x1.256e8b1845767p-48", [
-        ("0x1.e190fdba690a0p-1", "0x1.e0a6bb12101a7p-1"),
-        ("0x1.807f5a2abf5c5p-1", "0x1.806f47fd3edb8p-1"),
-        ("0x1.0aaf2d55c32a5p-1", "0x1.0aaf29a3f0e79p-1"),
-        ("0x1.de4e93f2b226ep-2", "0x1.de4e939b3f15ep-2"),
-        ("0x1.5252eceb67ee1p-2", "0x1.5252eceb67ec2p-2"),
+    "logpower:lambda=1.5,k0=5": ("0x1.3a6187e0c5d8dp-1", "0x1.1f3820ae4e598p-49", [
+        ("0x1.e1356fba78514p-1", "0x1.e133c8d648f29p-1"),
+        ("0x1.8079acc8ff937p-1", "0x1.8079a905b6e07p-1"),
+        ("0x1.0aaf2c198e3bap-1", "0x1.0aaf2c198da8dp-1"),
+        ("0x1.de4e93d5863e2p-2", "0x1.de4e93d5863d5p-2"),
+        ("0x1.5252eceb67ecfp-2", "0x1.5252eceb67ecfp-2"),
     ]),
-    "logpower:lambda=2,k0=2": ("0x1.e55e022e5eb29p-2", "0x1.21aa357a9b981p-48", [
-        ("0x1.08dab8696436ep-1", "0x1.fcd303b156e73p-2"),
-        ("0x1.8d75accb91466p-3", "0x1.8d33e3dd076f0p-3"),
-        ("0x1.5dfecb0f39b06p-4", "0x1.5dfec06779742p-4"),
-        ("0x1.18fed4e345f91p-4", "0x1.18fed475b567bp-4"),
-        ("0x1.190e6eba20916p-5", "0x1.190e6eba208e3p-5"),
+    "logpower:lambda=2,k0=2": ("0x1.e55e022e5eb22p-2", "0x1.5c225945ff3d0p-50", [
+        ("0x1.03a9ca293c7aap-1", "0x1.032f679a00d74p-1"),
+        ("0x1.8d5ded0a87228p-3", "0x1.8d5dd04125d21p-3"),
+        ("0x1.5dfec77f227e3p-4", "0x1.5dfec77f20abap-4"),
+        ("0x1.18fed4beb93a3p-4", "0x1.18fed4beb9390p-4"),
+        ("0x1.190e6eba20901p-5", "0x1.190e6eba20901p-5"),
     ]),
-    "logpower:lambda=3,k0=17": ("0x1.f714208ff90eep+3", "0x1.93dbf3327a295p-45", [
-        ("0x1.eb46adcca3687p-1", "0x1.eb01866bcdb7cp-1"),
-        ("0x1.76be7218f515cp-1", "0x1.76ab3b0f231cbp-1"),
-        ("0x1.004f58a9589aep-2", "0x1.004f491a59355p-2"),
-        ("0x1.4fc8078164039p-3", "0x1.4fc806677ad3dp-3"),
-        ("0x1.515f9b26babb1p-5", "0x1.515f9b26bab2fp-5"),
+    "logpower:lambda=3,k0=17": ("0x1.f714208ff906bp+3", "0x1.c3553c1f8d7e6p-49", [
+        ("0x1.eb2e41433c6bap-1", "0x1.eb2e31ce64fc2p-1"),
+        ("0x1.76b7cc8d65e08p-1", "0x1.76b7cacbede45p-1"),
+        ("0x1.004f5375742e5p-2", "0x1.004f537571784p-2"),
+        ("0x1.4fc8072358112p-3", "0x1.4fc80723580dep-3"),
+        ("0x1.515f9b26bab2dp-5", "0x1.515f9b26bab2dp-5"),
     ]),
 }
 
@@ -170,9 +171,9 @@ def test_power_type_tails_are_pinned(spec_text):
 
 
 def test_mass_bracket_is_the_sandwich_written_out():
-    # at n = 0 the kernel is 1 and the tail integrals are y^{1-lam}/(lam-1)
-    # and ln(j)^{1-lam}/(lam-1), j = y+k0-1, in closed form, so the mass
-    # bracket is bit for bit the trapezoid/midpoint sandwich written out
+    # at n = 0 the kernel is 1 and the power tail integral is
+    # y^{1-lam}/(lam-1) in closed form, so the power mass bracket is bit for
+    # bit the trapezoid/midpoint sandwich written out
     rng = np.random.default_rng(16)
     for _ in range(2000):
         lam = float(rng.uniform(1.01, 7.3))
@@ -180,11 +181,29 @@ def test_mass_bracket_is_the_sandwich_written_out():
         lo = (K + 1.0) ** (1.0 - lam) / (lam - 1.0) + 0.5 * (K + 1.0) ** -lam
         hi = (K + 0.5) ** (1.0 - lam) / (lam - 1.0)
         assert zoo._tail_bracket(FamilyKind.POWER, {"lambda": lam}, K) == (lo, hi)
-        k0 = int(rng.choice([2, 3, 5, 17]))
-        j = K + k0
-        lo = math.log(j) ** (1.0 - lam) / (lam - 1.0) + 0.5 / (j * math.log(j) ** lam)
-        hi = math.log(j - 0.5) ** (1.0 - lam) / (lam - 1.0)
-        assert zoo._tail_bracket(FamilyKind.LOG_POWER, {"lambda": lam, "k0": k0}, K) == (lo, hi)
+
+
+@pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0])
+def test_logpower_mass_bracket_contains_mpmath(lam):
+    # at n = 0 the log-power mass bracket is second-order Euler-Maclaurin:
+    # sum_{k>K} 1/(j ln^lam j), j = k+k0-1, in 40 digits lies in it within
+    # 4 ulps of rounding, and inside it where it is wider than that
+    mp = pytest.importorskip("mpmath")
+    for k0 in (2, 3, 17):
+        for K in (1, 2, 10, 255, 10 ** 3, 10 ** 6):
+            lo, hi = zoo._tail_bracket(FamilyKind.LOG_POWER, {"lambda": lam, "k0": k0}, K)
+            with mp.workdps(40):
+                m_lam = mp.mpf(lam)
+                g = lambda x: 1 / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
+                M = K + 200
+                em = g(mp.mpf(M)) / 2 + mp.fsum(
+                    mp.bernoulli(2 * i) / mp.factorial(2 * i) * mp.diff(g, M, 2 * i - 1) for i in range(1, 4))
+                want = (mp.fsum(g(mp.mpf(k)) for k in range(K + 1, M + 1))
+                        + mp.log(M + k0 - 1) ** (1 - m_lam) / (m_lam - 1) - em)
+            slack = 4.0 * math.ulp(hi)
+            assert lo - slack <= want <= hi + slack, (k0, K)
+            if hi - lo > 1e3 * slack:
+                assert lo < want < hi, (k0, K)
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
