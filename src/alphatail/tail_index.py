@@ -5,18 +5,18 @@ The central objects are the coverage deficit ``zeta_n = sum_k p_k (1-p_k)^n``
 ``t_n = n * zeta_n``.  Each evaluation returns a lower-bound ``value``
 together with a certified ``trunc_error`` so that the true quantity lies in
 ``[value, value + trunc_error]`` up to float rounding.  Closed forms are
-summed in index-ordered blocks of 2^10, 2^11, ..., 2^16 values and then
-2^16 each, small enough to stay in cache, each with NumPy's pairwise sum,
-and the block sums with ``math.fsum``; a level table's sum (a finite
-vector's or a constructed prefix's) is ``math.fsum``'s correctly rounded
-one, computed from the terms within 2^-60 of the largest with the rest
-certified below half an ulp (``_exact_sum``), so its value does not depend
-on the order of its levels and a finite vector's ``trunc_error`` is
-exactly 0.  That sum runs over the levels whose term can be nonzero: those
-with p > 0 in float for n up to 2**53, those with -746 < ln(n p) < ln 800
-beyond, one slice of the levels in non-increasing order of p, found by
-binary search.  Every other term is exactly 0, so the value is the full
-table's bit for bit.
+summed in the index-ordered blocks of ``zoo.block_end`` (64 values, where
+a thin tail usually closes, then 960, 2^11, ..., 2^16 and then 2^16 each,
+small enough to stay in cache), each with NumPy's pairwise sum, and the
+block sums with ``math.fsum``; a level table's sum (a finite vector's or
+a constructed prefix's) is ``math.fsum``'s correctly rounded one, computed
+from the terms within 2^-60 of the largest with the rest certified below
+half an ulp (``_exact_sum``), so its value does not depend on the order of
+its levels and a finite vector's ``trunc_error`` is exactly 0.  That sum
+runs over the levels whose term can be nonzero: those with p > 0 in float
+for n up to 2**53, those with -746 < ln(n p) < ln 800 beyond, one slice of
+the levels in non-increasing order of p, found by binary search.  Every
+other term is exactly 0, so the value is the full table's bit for bit.
 
 A schedule of n is evaluated in two steps.  Each n first finds where its
 head stops, from the tail certificates alone; then one sweep over the
@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AlphatailError, FiniteSupport, InvalidParams, positive_integer
-from .zoo import LN2, Distribution, FamilyKind, Kernel, power_tail_integral, tail_sandwich
+from .zoo import LN2, Distribution, FamilyKind, Kernel, block_end, power_tail_integral, tail_sandwich
 
 DEFAULT_EPS = 1e-9          # t_n-scale truncation target for CLI-level calls
 DEFAULT_MAX_TERMS = 1 << 24
@@ -85,9 +85,6 @@ _EXP_OVERFLOW = 709.0
 _EXP_UNDERFLOW = -745.0
 _LN_800 = math.log(800.0)
 _EXACT_SUM_MIN = 128        # shorter level tables go straight to math.fsum
-_FIRST_BLOCK = 1 << 10      # closed-form blocks double from 2^10 values
-_DOUBLINGS = 6              # six times, then stay at 2^16, which fits in cache
-_MAX_BLOCK = _FIRST_BLOCK << _DOUBLINGS
 # each end of a closed tail's bracket carries a few ulps of rounding, so near
 # its one-ulp floor the computed width moves by about 2 ulps between blocks
 _ROUNDING_ULPS = 3.0
@@ -141,27 +138,28 @@ class EmGap(NamedTuple):
 # Certified tail bounds for the series sum_{k>K} p_k w(p_k)
 # ---------------------------------------------------------------------------
 
-def _dyadic_series_tail(dist: Distribution, K: int, n: float, blocks: int = 60) -> float:
+def _dyadic_series_tail(dist: Distribution, K: int, n: float, mass: float, blocks: int = 60) -> float:
     """Generic bound from mass certificates: on (K 2^j, K 2^{j+1}] every term
-    is at most (block mass) * exp(-n p(K 2^{j+1})).
+    is at most (block mass) * exp(-n p(K 2^{j+1})); ``mass`` is the mass
+    bound beyond K, ``dist.tail_mass_bound(K)``.
     """
     total = 0.0
-    for j in range(blocks):
-        lo = K << j
-        hi = K << (j + 1)
+    for j in range(1, blocks + 1):
+        hi = K << j
         lp = dist.log_prob(hi + 1)
         damp = math.exp(-n * math.exp(lp)) if lp > -700.0 else 1.0
-        total += dist.tail_mass_bound(lo) * damp
+        total += mass * damp
+        mass = dist.tail_mass_bound(hi)
         if damp >= 1.0 - 1e-12:
-            # deeper blocks gain nothing; close with the raw mass bound
-            return total + dist.tail_mass_bound(hi)
-    return total + dist.tail_mass_bound(K << blocks)
+            break   # deeper blocks gain nothing; close with the raw mass bound
+    return total + mass
 
 
 def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
     """Certified zeta-scale bound on everything omitted beyond index K, for
     either kernel, from p(1-p)^n <= p e^{-np}."""
-    return min(dist.tail_mass_bound(K), _dyadic_series_tail(dist, K, n))
+    mass = dist.tail_mass_bound(K)
+    return min(mass, _dyadic_series_tail(dist, K, n, mass))
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +178,12 @@ def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | f
     return w
 
 
-def _block_end(i: int) -> int:
-    """The index K that ends block i = 0, 1, ...: blocks hold 2^10, 2^11, ...,
-    2^16 values (K = 130,048 after those seven), then 2^16 values each."""
-    d = min(i, _DOUBLINGS)
-    return _FIRST_BLOCK * ((2 << d) - 1) + (i - d) * _MAX_BLOCK
-
-
 def _first_block(i: int, max_terms: int, meets: Callable[[int], bool]) -> int:
     """The first block from i on that meets, or one that ends at
     ``max_terms`` or past it, if ``meets`` holds from some block on: steps
     of 1, 2, 4, ... blocks, then bisection inside the last step."""
     lo, step = i - 1, 1
-    while _block_end(lo + step) < max_terms and not meets(lo + step):
+    while block_end(lo + step) < max_terms and not meets(lo + step):
         lo, step = lo + step, 2 * step
     return lo + 1 + bisect.bisect_left(range(lo + 1, lo + step), True, key=meets)
 
@@ -202,7 +193,7 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     """(K, tail_lo, width): where the head of sum_k p_k w(p_k) over a closed
     form stops, and the lower end and width of the omitted tail's bracket.
 
-    The head is summed in blocks (see ``_block_end``) up to the first block
+    The head is summed in blocks (see ``zoo.block_end``) up to the first block
     end K where the bracket is narrower than eps_t / n or one ulp.  Power
     and log-power tails close with their sandwich once the summand is
     convex; other tails with the dyadic upper bound alone, which bounds
@@ -228,17 +219,19 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
         return n * max(w, math.ulp(hi)) <= eps_t or w <= math.ulp(hi)
 
     def nearly_closes(i: int) -> bool:
-        return closes(*bracket(min(_block_end(i), max_terms)), _ROUNDING_ULPS)
+        return closes(*bracket(min(block_end(i), max_terms)), _ROUNDING_ULPS)
 
     sandwich = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
     if sandwich is not None:
         # the search for the closing block and the stop test share evaluations
         bracket = functools.cache(sandwich.bracket)
-    i = 0
+    # a sandwich is tested from the second block end on: at 64 it seldom closes,
+    # and a log-power tail integral there, n p near 1, costs more than 960 terms
+    i = 0 if sandwich is None else 1
     searched = False
     tail_lo, tail_hi = 0.0, math.inf
     while True:
-        K = min(_block_end(i), max_terms)
+        K = min(block_end(i), max_terms)
         i += 1
         capped = K >= max_terms
         closed = sandwich is not None and sandwich.convex(K + 0.5)
@@ -262,35 +255,27 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
 
 
 def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, float, float]],
-           max_terms: int, kernel: Kernel) -> list[tuple[float, float, int]]:
+           kernel: Kernel) -> list[tuple[float, float, int]]:
     """(value, trunc, terms) at every n of ns from its stop (K, tail_lo,
     width): the head sum_{k<=K} p_k w(p_k) plus tail_lo, summed for all of
-    ns in one sweep over the blocks up to the largest K.
+    ns in one walk over ``dist.prob_blocks`` up to the largest K.
 
-    Each block's p = exp(log p), and its L and p > 0.99 test (see
-    ``Kernel.log_weight``), are computed once for every n whose K reaches
-    the block.  A block's terms are summed with NumPy's pairwise sum and the
-    block sums of each n with ``math.fsum``, as one n on its own does, so
-    every value is bit for bit that of its own evaluation.  The sweep holds
-    one block's arrays, whatever the number of n.
+    Each block's p, and its L and p > 0.99 test (see ``Kernel.log_weight``),
+    are computed once for every n whose K reaches the block.  A block's
+    terms are summed with NumPy's pairwise sum and the block sums of each n
+    with ``math.fsum``, as one n on its own does, so every value is bit for
+    bit that of its own evaluation.  The sweep holds one block's arrays,
+    whatever the number of n.
     """
     sums: list[list[float]] = [[] for _ in ns]
     live = range(len(ns))
-    i = K = 0
-    while True:
-        # the n whose K lies past this block's start; K is a block end
-        live = [j for j in live if stops[j][0] > K]
-        if not live:
-            break
-        hi = min(_block_end(i), max_terms)
-        p = dist.log_prob_block(K + 1, hi + 1)
-        np.exp(p, out=p)
+    for start, p in dist.prob_blocks(max(K for K, _, _ in stops) + 1):
+        # the n whose K reaches this block; every K ends a block (or the cap)
+        live = [j for j in live if stops[j][0] >= start]
         L, big = kernel.log_weight(p)
         out = L if len(live) == 1 else np.empty_like(L)
         for j in live:
             sums[j].append(float(_terms(L, big, ns[j], p, out).sum()))
-        K = hi
-        i += 1
     return [(math.fsum(s) + lo, width, K) for s, (K, lo, width) in zip(sums, stops)]
 
 
@@ -385,8 +370,7 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     if not eps_t > 0.0:
         raise InvalidParams(f"eps must be positive, got {eps_t!r}")
     if dist.prefix_length is None:
-        return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns],
-                      max_terms, kernel)
+        return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns], kernel)
     p, counts = dist.positive_levels()
     L, big = kernel.log_weight(p)
     out = L if len(ns) == 1 else np.empty_like(L)

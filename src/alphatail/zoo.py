@@ -76,8 +76,10 @@ NORM_CUTOFF = 1e-14
 
 _SMALLEST_SUBNORMAL = 5e-324
 _MAX_NORMALIZATION_TERMS = 1 << 27
-_FIRST_PROB_BLOCK = 64      # prob_blocks doubles from 64 values ...
-_MAX_PROB_BLOCK = 1 << 16   # ... up to this
+# a closed-form tail mass bound is widened by this many of its ulps, past the
+# rounding of its bracket and of the product with the normalizer (log-power
+# bounds computed up to 2.3 ulps below their 40-digit tails)
+_TAIL_ROUNDING_ULPS = 4.0
 
 DEFAULT_LOGPOWER_K0 = 2
 DEFAULT_CONGREGATED_DEPTH = 48
@@ -196,6 +198,16 @@ def _log_weight_block(kind: FamilyKind, p: dict, ks: np.ndarray) -> np.ndarray:
         out += lj
         return np.negative(out, out=out)
     raise InvalidParams(f"no closed form for {kind}")
+
+
+def block_end(i: int) -> int:
+    """The index K that ends block i = 0, 1, ... of the one block grid over
+    p_k: 64, then 1,024, 3,072, ..., 130,048 (blocks of 960 and then 2^11,
+    ..., 2^16 values), then 2^16 values each, a block that stays in cache."""
+    if i == 0:
+        return 64
+    d = min(i - 1, 6)
+    return (((2 << d) - 1) << 10) + ((i - 1 - d) << 16)
 
 
 def _log_weight(kind: FamilyKind, p: dict, k: int) -> float:
@@ -763,19 +775,21 @@ class Distribution:
         return math.log(self.norm_constant) + _log_weight(self.kind, self.spec.params, k)
 
     def prob_blocks(self, stop: int):
-        """Yield (first index, p_k) for k = 1 .. stop-1 in blocks that double
-        from 64 values up to 2^16, ending early at the end of a level table;
-        the one index-order walk of the sampler and the dominance scan.
-        Values that underflow read 0."""
+        """Yield (first index, p_k) for k = 1 .. stop-1 in the blocks of
+        ``block_end``, the last one cut at stop, ending early at the end of a
+        level table: the one index-order walk of the series sweep, the
+        sampler and the dominance scan.  Each block is exp taken in place on
+        ``log_prob_block``'s fresh array; values that underflow read 0."""
         if self.prefix_length is not None:
             stop = min(stop, self.prefix_length + 1)
-        start, block = 1, _FIRST_PROB_BLOCK
+        start, i = 1, 0
         while start < stop:
-            end = min(start + block, stop)
+            end = min(block_end(i) + 1, stop)
+            p = self.log_prob_block(start, end)
             with np.errstate(under="ignore"):
-                p = np.exp(self.log_prob_block(start, end))
+                np.exp(p, out=p)
             yield start, p
-            start, block = end, min(2 * block, _MAX_PROB_BLOCK)
+            start, i = end, i + 1
 
     def log_prob_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized log_prob over k in [start, stop)."""
@@ -791,7 +805,7 @@ class Distribution:
     # -- tail certification ----------------------------------------------------
 
     def tail_mass_bound(self, K: int) -> float:
-        """Certified U with sum_{k>K} p_k <= U."""
+        """Certified U with sum_{k>K} p_k <= U, float rounding included."""
         if K < 1:
             raise InvalidParams("K must be >= 1")
         if self._level_log2 is not None:
@@ -804,8 +818,9 @@ class Distribution:
             tail = math.fsum(math.exp(_log_weight(kind, p, k)) for k in range(K + 1, head + 1))
             tail += _tail_bracket(kind, p, head)[1]
         bound = self.norm_constant * tail
-        # never certify zero for an infinite tail, even past float underflow
-        return max(bound, _SMALLEST_SUBNORMAL)
+        # at least 4 subnormals even past float underflow: never zero for an
+        # infinite tail
+        return bound + _TAIL_ROUNDING_ULPS * math.ulp(bound)
 
     def tail_mass_lower(self, K: int) -> float:
         """Certified L with L <= sum_{k>K} p_k for closed forms past their

@@ -52,12 +52,14 @@ class TestTn:
 
     def test_json_schedule_is_pinned(self, run):
         # the output of one tn call per point, before the points of a
-        # schedule were evaluated together
+        # schedule were evaluated together; again once the first block of
+        # the series grid held 64 values, which moved some values by 1 ulp
+        # and no trunc_error or terms_used
         code, out, _ = run("tn", "--dist", "power:lambda=1.5",
                            "--schedule", "1000:100000000:x3/2", "--format", "json")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "a491a4caaf33e15f33e269502705f034f61c585e3c840189479b4c927c7ab297")
+                == "a14af133f5be18ed8b3f9b1d29955195d0ef4d0e33d96688de5e4527f493e96e")
 
     def test_values_are_finite(self, run):
         _, out, _ = run("tn", "--dist", "power:lambda=2", "--schedule", "16:4096:x4")

@@ -469,15 +469,47 @@ class TestLogPowerClosure:
 
 
 def _block_ends(terms: int) -> list[int]:
-    """The block ends of the closed-form loop up to ``terms``: blocks of
-    2^10, 2^11, ..., 2^16 values, then 2^16 values each."""
-    ends = [0]
+    """The ends of ``zoo.block_end``'s blocks up to the first at or past
+    ``terms``."""
+    ends = [zoo.block_end(0)]
     while ends[-1] < terms:
-        ends.append(ends[-1] + (1 << 10 << min(len(ends) - 1, 6)))
-    return ends[1:]
+        ends.append(zoo.block_end(len(ends)))
+    return ends
+
+
+# each thin tail's unnormalized weight g(k) in mpmath, normalized apart
+THIN_WEIGHTS = {
+    "geometric:a=2": lambda mp, k: mp.mpf(2) ** -k,
+    f"geometric:a={math.e!r}": lambda mp, k: mp.mpf(math.e) ** -k,
+    "gaussian:lambda=1": lambda mp, k: mp.exp(-k * k),
+    "tilted:lambda=1,r=-1": lambda mp, k: mp.exp(-k) / k,
+    "tilted:lambda=1,r=1": lambda mp, k: k * mp.exp(-k),
+}
 
 
 class TestClosedFormBlocks:
+    @pytest.mark.parametrize("kernel", [BINOMIAL, POISSON], ids=["binomial", "poisson"])
+    @pytest.mark.parametrize("n", [10, 10 ** 4, 10 ** 8])
+    @pytest.mark.parametrize("spec_text", list(THIN_WEIGHTS))
+    def test_thin_tails_stop_after_the_first_block(self, spec_text, n, kernel):
+        # the dyadic bound past k = 64 already meets eps on the t_n scale
+        # (for geometric:a=2 at n = 1e8, 5.4e-12), and the bracket holds the
+        # 40-digit sum of p_k w(p_k) over the first 400 letters, within
+        # terms_used ulps of float rounding
+        mp = pytest.importorskip("mpmath")
+        dist = make_distribution(parse_spec(spec_text))
+        value, trunc, terms = tail_index._series_points(
+            dist, [float(n)], 1e-9, tail_index.DEFAULT_MAX_TERMS, kernel)[0]
+        assert terms == zoo.block_end(0) == 64
+        assert n * trunc <= 1e-9
+        with mp.workdps(40):
+            g = [THIN_WEIGHTS[spec_text](mp, mp.mpf(k)) for k in range(1, 400)]
+            ps = [x / mp.fsum(g) for x in g]
+            w = (lambda p: mp.exp(n * mp.log1p(-p))) if kernel is BINOMIAL else (lambda p: mp.exp(-n * p))
+            want = mp.fsum(p * w(p) for p in ps)
+        slack = terms * math.ulp(value + trunc)
+        assert value - slack <= want <= value + trunc + slack
+
     def test_blocks_stay_at_most_2_16_values(self, logpower2, monkeypatch):
         sizes = []
         log_prob_block = Distribution.log_prob_block
@@ -812,25 +844,28 @@ def _digest(points) -> str:
 # (eps 1e-6, max_terms 2^22), and the CLI schedule 1000:100000000:x3/2
 # (29 points, eps 1e-9, the default cap).  The log-power rows were computed
 # again once those tails closed with the second-order bracket; every point
-# lies within 2 ulps of its 30-digit reference (bench/refs.py).
+# lies within 2 ulps of its 30-digit reference (bench/refs.py).  Six digests
+# were computed again once the series grid's first block held 64 values:
+# the first 1,024 terms became two block sums, which moved 8 of the 106
+# values by 1 ulp and no trunc_error or terms_used.
 CLI_SCHEDULE = _parse_schedule("1000:100000000:x3/2")
 PINNED_SCHEDULES = [pytest.param(*row, id=row_id) for row_id, row in [
     ("power2-seed1", ("power:lambda=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
-     1e-6, 1 << 22, "2019b0529f4a0a895400c84508434e84580b5217fb24ee5c41014fb38d01008c", 83968)),
+     1e-6, 1 << 22, "0f4724421f8db6bb4ac6e4184af8adc4bf0b8d5e2d8c6cead8cf41bdaca4a4c2", 83968)),
     ("power1.5-seed1", ("power:lambda=1.5", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
      1e-6, 1 << 22, "45ee87d01edbe696abae3c46ed3305480e20c3addb06eea0ee0bf9f3bc046649", 364544)),
     ("logpower-seed1", ("logpower:lambda=2,k0=2", [3981, 15849, 63096, 251189, 1000000, 3981072, 15848932, 63095734],
      1e-6, 1 << 22, "1cabaee16b64c9915c79867dcdc99636bb8542453f4c277886c2b39f1ac1b0dc", 630784)),
     ("power2-seed201", ("power:lambda=2", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
-     1e-6, 1 << 22, "416fdd4b551d2cf0b6bcf62bf590a41ad00125e9802c7afa0c08af1a810a73ed", 83968)),
+     1e-6, 1 << 22, "f75e8fe5913c315ebdb85be69327afc5b7401c7241e06644de6e92b276cc9e65", 83968)),
     ("power1.5-seed201", ("power:lambda=1.5", [2512, 10000, 39811, 158489, 630957, 2511886, 10000000, 39810717],
-     1e-6, 1 << 22, "da707af9d0ce93362070ba8abfeff2a13382a762f1fba622a82a7fb9d6fbd447", 290816)),
+     1e-6, 1 << 22, "eb7b57331ee7c791ce48a702d253aed01165fb91bed84960d9f77227fcb19192", 290816)),
     ("logpower-seed201", ("logpower:lambda=2,k0=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
-     1e-6, 1 << 22, "4cea869af96020a95ff64a80f4867456c78fc7beb2e774c53c9073b9f935fa0a", 827392)),
+     1e-6, 1 << 22, "5d11e3d5f47630d7e621dd72b9e036e62d5147914bc76d0e97f428c468f9b82e", 827392)),
     ("power1.5-cli", ("power:lambda=1.5", CLI_SCHEDULE, 1e-9, 1 << 24,
-     "3c7f511870afd301aea85d77d298c65527b0b51afbc9c2cf34dba047f9e6a8d6", 14486528)),
+     "0ffd513b1797931bf2b539f263610f9c0750b57bfa480b46e9f248ffab30e838", 14486528)),
     ("logpower-cli", ("logpower:lambda=2,k0=2", CLI_SCHEDULE, 1e-9, 1 << 24,
-     "626cfd84c70a66f2af4818a9461e738c0a7ac4ee0f5011eeac78a0e0ffd403ec", 3007488)),
+     "4ee127b1bef608c70efe04ad0bf1381d18c4aac85427f79f5f285d2a24886d76", 3007488)),
 ]]
 # unsorted, with duplicates, from the first block to far past the convex onset
 MIXED_NS = [7, 3, 10 ** 6, 3, 250, 3 * 10 ** 7, 40_000, 7]

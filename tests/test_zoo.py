@@ -107,57 +107,58 @@ def test_mass_certificate_on_grid(spec_text):
 # for K in TAIL_KS]) as float.hex(): the power rows computed while the power
 # and log-power mass brackets still had formulas of their own in zoo, before
 # they became the series sandwich at n = 0; the log-power rows with its
-# second-order bracket, each checked against 40-digit mpmath sums
+# second-order bracket, each checked against 40-digit mpmath sums; every
+# tail_mass_bound then 4 ulps higher once it was widened past its rounding
 TAIL_KS = (1, 10, 255, 10 ** 3, 10 ** 6)
 PINNED_TAILS = {
     "power:lambda=1.01": ("0x1.45cc0d45476d1p-7", "0x1.f5e4ab2631896p-51", [
-        ("0x1.faff80de88ff2p-1", "0x1.face332038399p-1"),
-        ("0x1.f13a4abd04698p-1", "0x1.f138ec2d6c3bcp-1"),
-        ("0x1.e19b897551d93p-1", "0x1.e19b88d976951p-1"),
-        ("0x1.db140065d1e01p-1", "0x1.db14005bc61c2p-1"),
-        ("0x1.bb5ef4d12f2adp-1", "0x1.bb5ef4d12f2a3p-1"),
+        ("0x1.faff80de88ff6p-1", "0x1.face332038399p-1"),
+        ("0x1.f13a4abd0469cp-1", "0x1.f138ec2d6c3bcp-1"),
+        ("0x1.e19b897551d97p-1", "0x1.e19b88d976951p-1"),
+        ("0x1.db140065d1e05p-1", "0x1.db14005bc61c2p-1"),
+        ("0x1.bb5ef4d12f2b1p-1", "0x1.bb5ef4d12f2a3p-1"),
     ]),
     "power:lambda=1.5": ("0x1.87fafd259c5f5p-2", "0x1.06a4c820d19b5p-49", [
-        ("0x1.400cf92a9f620p-1", "0x1.37d18a73ac09cp-1"),
-        ("0x1.e3df0326db677p-3", "0x1.e37d8b9d245c2p-3"),
-        ("0x1.885d20b3c405dp-5", "0x1.885cfbe4e5c66p-5"),
-        ("0x1.8c8ea2fce6c73p-6", "0x1.8c8ea08e5019cp-6"),
-        ("0x1.91634a7858d5fp-11", "0x1.91634a7858ac8p-11"),
+        ("0x1.400cf92a9f624p-1", "0x1.37d18a73ac09cp-1"),
+        ("0x1.e3df0326db67bp-3", "0x1.e37d8b9d245c2p-3"),
+        ("0x1.885d20b3c4061p-5", "0x1.885cfbe4e5c66p-5"),
+        ("0x1.8c8ea2fce6c77p-6", "0x1.8c8ea08e5019cp-6"),
+        ("0x1.91634a7858d63p-11", "0x1.91634a7858ac8p-11"),
     ]),
     "power:lambda=2": ("0x1.37423899a155bp-1", "0x1.b1efe4933b486p-49", [
-        ("0x1.9f02f6222c724p-2", "0x1.8512c6c009ab2p-2"),
-        ("0x1.da4c87027bf04p-5", "0x1.d951a894fdcc6p-5"),
-        ("0x1.37de27ad7811bp-9", "0x1.37ddd9b5ee266p-9"),
-        ("0x1.3e91d1472344ep-11", "0x1.3e91cc11a0dd4p-11"),
-        ("0x1.4660d2a8e5c55p-21", "0x1.4660d2a8e56bap-21"),
+        ("0x1.9f02f6222c728p-2", "0x1.8512c6c009ab2p-2"),
+        ("0x1.da4c87027bf08p-5", "0x1.d951a894fdcc6p-5"),
+        ("0x1.37de27ad7811fp-9", "0x1.37ddd9b5ee266p-9"),
+        ("0x1.3e91d14723452p-11", "0x1.3e91cc11a0dd4p-11"),
+        ("0x1.4660d2a8e5c59p-21", "0x1.4660d2a8e56bap-21"),
     ]),
     "power:lambda=3": ("0x1.a9efc35d12237p-1", "0x1.b52d3645c27c2p-50", [
-        ("0x1.7a9c3be0f3adbp-3", "0x1.3f73d285cd9a9p-3"),
-        ("0x1.ee82eaf191ddbp-9", "0x1.eb8a04442b3e4p-9"),
-        ("0x1.ab9af369bf081p-18", "0x1.ab99b3206f359p-18"),
-        ("0x1.be2e3a56fa80bp-22", "0x1.be2e2475ce198p-22"),
-        ("0x1.d4525e191e12ep-42", "0x1.d4525e191c90ap-42"),
+        ("0x1.7a9c3be0f3adfp-3", "0x1.3f73d285cd9a9p-3"),
+        ("0x1.ee82eaf191ddfp-9", "0x1.eb8a04442b3e4p-9"),
+        ("0x1.ab9af369bf085p-18", "0x1.ab99b3206f359p-18"),
+        ("0x1.be2e3a56fa80fp-22", "0x1.be2e2475ce198p-22"),
+        ("0x1.d4525e191e132p-42", "0x1.d4525e191c90ap-42"),
     ]),
     "logpower:lambda=1.5,k0=5": ("0x1.3a6187e0c5d8dp-1", "0x1.1f3820ae4e598p-49", [
-        ("0x1.e1356fba78514p-1", "0x1.e133c8d648f29p-1"),
-        ("0x1.8079acc8ff937p-1", "0x1.8079a905b6e07p-1"),
-        ("0x1.0aaf2c198e3bap-1", "0x1.0aaf2c198da8dp-1"),
-        ("0x1.de4e93d5863e2p-2", "0x1.de4e93d5863d5p-2"),
-        ("0x1.5252eceb67ecfp-2", "0x1.5252eceb67ecfp-2"),
+        ("0x1.e1356fba78518p-1", "0x1.e133c8d648f29p-1"),
+        ("0x1.8079acc8ff93bp-1", "0x1.8079a905b6e07p-1"),
+        ("0x1.0aaf2c198e3bep-1", "0x1.0aaf2c198da8dp-1"),
+        ("0x1.de4e93d5863e6p-2", "0x1.de4e93d5863d5p-2"),
+        ("0x1.5252eceb67ed3p-2", "0x1.5252eceb67ecfp-2"),
     ]),
     "logpower:lambda=2,k0=2": ("0x1.e55e022e5eb22p-2", "0x1.5c225945ff3d0p-50", [
-        ("0x1.03a9ca293c7aap-1", "0x1.032f679a00d74p-1"),
-        ("0x1.8d5ded0a87228p-3", "0x1.8d5dd04125d21p-3"),
-        ("0x1.5dfec77f227e3p-4", "0x1.5dfec77f20abap-4"),
-        ("0x1.18fed4beb93a3p-4", "0x1.18fed4beb9390p-4"),
-        ("0x1.190e6eba20901p-5", "0x1.190e6eba20901p-5"),
+        ("0x1.03a9ca293c7aep-1", "0x1.032f679a00d74p-1"),
+        ("0x1.8d5ded0a8722cp-3", "0x1.8d5dd04125d21p-3"),
+        ("0x1.5dfec77f227e7p-4", "0x1.5dfec77f20abap-4"),
+        ("0x1.18fed4beb93a7p-4", "0x1.18fed4beb9390p-4"),
+        ("0x1.190e6eba20905p-5", "0x1.190e6eba20901p-5"),
     ]),
     "logpower:lambda=3,k0=17": ("0x1.f714208ff906bp+3", "0x1.c3553c1f8d7e6p-49", [
-        ("0x1.eb2e41433c6bap-1", "0x1.eb2e31ce64fc2p-1"),
-        ("0x1.76b7cc8d65e08p-1", "0x1.76b7cacbede45p-1"),
-        ("0x1.004f5375742e5p-2", "0x1.004f537571784p-2"),
-        ("0x1.4fc8072358112p-3", "0x1.4fc80723580dep-3"),
-        ("0x1.515f9b26bab2dp-5", "0x1.515f9b26bab2dp-5"),
+        ("0x1.eb2e41433c6bep-1", "0x1.eb2e31ce64fc2p-1"),
+        ("0x1.76b7cc8d65e0cp-1", "0x1.76b7cacbede45p-1"),
+        ("0x1.004f5375742e9p-2", "0x1.004f537571784p-2"),
+        ("0x1.4fc8072358116p-3", "0x1.4fc80723580dep-3"),
+        ("0x1.515f9b26bab31p-5", "0x1.515f9b26bab2dp-5"),
     ]),
 }
 
@@ -183,6 +184,19 @@ def test_mass_bracket_is_the_sandwich_written_out():
         assert zoo._tail_bracket(FamilyKind.POWER, {"lambda": lam}, K) == (lo, hi)
 
 
+def _logpower_mass_mp(mp, lam: float, k0: int, K: int):
+    """sum_{k>K} 1/(j ln^lam j), j = k+k0-1, at mpmath's working precision:
+    the terms up to M = K + 200, then the integral from M less g(M)/2 and
+    three Euler-Maclaurin terms at M."""
+    m_lam = mp.mpf(lam)
+    g = lambda x: 1 / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
+    M = K + 200
+    em = g(mp.mpf(M)) / 2 + mp.fsum(
+        mp.bernoulli(2 * i) / mp.factorial(2 * i) * mp.diff(g, M, 2 * i - 1) for i in range(1, 4))
+    return (mp.fsum(g(mp.mpf(k)) for k in range(K + 1, M + 1))
+            + mp.log(M + k0 - 1) ** (1 - m_lam) / (m_lam - 1) - em)
+
+
 @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0])
 def test_logpower_mass_bracket_contains_mpmath(lam):
     # at n = 0 the log-power mass bracket is second-order Euler-Maclaurin:
@@ -193,13 +207,7 @@ def test_logpower_mass_bracket_contains_mpmath(lam):
         for K in (1, 2, 10, 255, 10 ** 3, 10 ** 6):
             lo, hi = zoo._tail_bracket(FamilyKind.LOG_POWER, {"lambda": lam, "k0": k0}, K)
             with mp.workdps(40):
-                m_lam = mp.mpf(lam)
-                g = lambda x: 1 / ((x + k0 - 1) * mp.log(x + k0 - 1) ** m_lam)  # noqa: E731
-                M = K + 200
-                em = g(mp.mpf(M)) / 2 + mp.fsum(
-                    mp.bernoulli(2 * i) / mp.factorial(2 * i) * mp.diff(g, M, 2 * i - 1) for i in range(1, 4))
-                want = (mp.fsum(g(mp.mpf(k)) for k in range(K + 1, M + 1))
-                        + mp.log(M + k0 - 1) ** (1 - m_lam) / (m_lam - 1) - em)
+                want = _logpower_mass_mp(mp, lam, k0, K)
             slack = 4.0 * math.ulp(hi)
             assert lo - slack <= want <= hi + slack, (k0, K)
             if hi - lo > 1e3 * slack:
@@ -217,6 +225,22 @@ def test_mass_bracket_contains_hurwitz_zeta(lam):
         with mp.workdps(40):
             want = float(mp.zeta(lam, K + 1))
         assert lo < want < hi, K
+
+
+@pytest.mark.parametrize("spec_text", [f"power:lambda={lam}" for lam in (1.5, 2.0, 3.0)] + [
+    f"logpower:lambda={lam},k0={k0}" for lam in (1.5, 2.0, 3.0) for k0 in (2, 17)])
+def test_tail_mass_bound_covers_its_rounding(spec_text):
+    # a closed form's mass bound is widened by 4 ulps past its rounding, so
+    # it is at or above norm_constant times the 40-digit tail: unwidened,
+    # log-power bounds fell up to 2 ulps below it (lambda = 3, k0 = 17 at
+    # K = 1e4 by 2.0, at K = 1e6 by 0.65)
+    mp = pytest.importorskip("mpmath")
+    dist = make_distribution(parse_spec(spec_text))
+    lam, k0 = dist.spec.params["lambda"], dist.spec.params.get("k0")
+    for K in (1, 10, 255, 4581, 10 ** 4, 10 ** 5, 10 ** 6):
+        with mp.workdps(40):
+            tail = mp.zeta(lam, K + 1) if k0 is None else _logpower_mass_mp(mp, lam, k0, K)
+            assert mp.mpf(dist.norm_constant) * tail <= dist.tail_mass_bound(K), K
 
 
 @pytest.mark.parametrize("spec_text", [
@@ -539,12 +563,18 @@ class TestProbBlocks:
         got = np.concatenate([p for _, p in blocks])
         assert got.tobytes() == want.tobytes()
 
-    def test_block_sizes_double_to_two_to_the_sixteen(self, geom2):
-        sizes = [64 << i for i in range(11)] + [1 << 16]
-        blocks = list(geom2.prob_blocks(1 + sum(sizes)))
-        assert [len(p) for _, p in blocks] == sizes
-        starts = np.cumsum([1] + sizes[:-1]).tolist()
-        assert [start for start, _ in blocks] == starts
+    def test_block_end_grid(self):
+        # 64, then blocks that double from 2^11 - 64 values to 2^16, then
+        # stay at 2^16
+        ends = [zoo.block_end(i) for i in range(10)]
+        assert ends == [64, 1024, 3072, 7168, 15360, 31744, 64512, 130048, 195584, 261120]
+
+    def test_blocks_end_on_the_grid(self, geom2):
+        ends = [zoo.block_end(i) for i in range(12)]
+        blocks = list(geom2.prob_blocks(ends[-1] + 1))
+        assert [start for start, _ in blocks] == [1] + [K + 1 for K in ends[:-1]]
+        assert [start + len(p) - 1 for start, p in blocks] == ends
+        assert max(len(p) for _, p in blocks) == 1 << 16
 
     def test_stop_cuts_the_last_block(self, geom2):
         assert [(start, len(p)) for start, p in geom2.prob_blocks(100)] == [(1, 64), (65, 35)]
