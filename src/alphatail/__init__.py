@@ -49,7 +49,6 @@ from .estimate import (
 )
 from .tail_index import (
     EmGap,
-    IndexSeries,
     IndexValue,
     OscillationState,
     em_gap,
@@ -80,7 +79,7 @@ __all__ = [
     "AlphatailError", "DepthExceeded", "DiffusionRun", "Distribution", "Domain",
     "DomainVerdict", "DominanceReport", "DominanceVerdict", "EmGap",
     "EstimatorReport", "FamilyKind", "FamilySpec", "FiniteSupport",
-    "FrequencyTable", "IndexSeries", "IndexValue", "InvalidBase",
+    "FrequencyTable", "IndexValue", "InvalidBase",
     "InvalidParams", "InvalidV", "Method", "NormalizationDivergent",
     "OscillationState", "SamplerLimit", "ScheduleTooShort",
     "SpecParseError", "StagesExceeded", "Statistic", "Thresholds", "TooLarge",

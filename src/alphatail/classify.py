@@ -128,11 +128,11 @@ def _fit_slope(pairs: Sequence[tuple[int, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in pts) / sxx
 
 
-def _tn_at(dist: Distribution, ns: Sequence[int], eps: float, max_terms: int) -> list[IndexValue]:
+def _tn_at(dist: Distribution, ns: Sequence[int], eps: float) -> list[IndexValue]:
     """t_n at each n of ns, in their order, from one schedule evaluation of
     their distinct values."""
     distinct = sorted(set(ns))
-    at = dict(zip(distinct, evaluate_series(dist, distinct, eps, max_terms).points))
+    at = dict(zip(distinct, evaluate_series(dist, distinct, eps)))
     return [at[n] for n in ns]
 
 
@@ -142,7 +142,6 @@ def classify_numeric(
     thresholds: Thresholds = Thresholds(),
     transient_probes: Optional[tuple[Sequence[int], Sequence[int]]] = None,
     eps: float = 1e-6,
-    max_terms: int = 1 << 22,
 ) -> DomainVerdict:
     """Semi-decide the domain from the t_n trajectory on a schedule.
 
@@ -162,7 +161,7 @@ def classify_numeric(
         raise ScheduleTooShort(
             f"schedule spans {decades:.2f} decades; need {thresholds.min_decades}"
         )
-    points = _tn_at(dist, schedule, eps, max_terms)
+    points = _tn_at(dist, schedule, eps)
     evidence = [(p.n, p.value) for p in points]
     half = len(points) // 2
     tail_pts = points[half:]
@@ -195,7 +194,7 @@ def classify_numeric(
 
     # Transient: caller-supplied witness subsequences
     if transient_probes is not None:
-        probes = _tn_at(dist, growing_ns + bounded_ns, eps, max_terms)
+        probes = _tn_at(dist, growing_ns + bounded_ns, eps)
         gvals, bvals = probes[:len(growing_ns)], probes[len(growing_ns):]
         diagnostics["probe_growing"] = [(v.n, v.value) for v in gvals]
         diagnostics["probe_bounded"] = [(v.n, v.value) for v in bvals]
@@ -221,9 +220,9 @@ def subsequence_probe(
     k_lo: int,
     k_hi: int,
     eps: float = 1e-6,
-    max_terms: int = 1 << 22,
 ) -> list[tuple[int, int, float]]:
-    """t evaluated along n_k = floor(1/p_k) for k in [k_lo, k_hi].
+    """t evaluated along n_k = floor(1/p_k) for k in [k_lo, k_hi], all n_k
+    in one schedule evaluation.
 
     Along this subsequence every infinite-support distribution keeps
     t_{n_k} above roughly 1/e, the uniform floor for limsup t_n.
@@ -232,14 +231,14 @@ def subsequence_probe(
         raise FiniteSupport("subsequence probe needs infinite support")
     if not 1 <= k_lo <= k_hi:
         raise InvalidParams("need 1 <= k_lo <= k_hi")
-    out = []
-    for k in range(k_lo, k_hi + 1):
+    ks = range(k_lo, k_hi + 1)
+    ns = []
+    for k in ks:
         p = dist.prob(k)
         if p <= 0.0:
             raise FiniteSupport(f"p_{k} vanished; support is not all-positive")
-        n_k = math.floor(1.0 / p)
-        out.append((k, n_k, tn(dist, n_k, eps, max_terms).value))
-    return out
+        ns.append(math.floor(1.0 / p))
+    return [(k, n_k, iv.value) for k, n_k, iv in zip(ks, ns, _tn_at(dist, ns, eps))]
 
 
 def diffusion_transient_probes(dist: Distribution, i_max: Optional[int] = None) -> tuple[list[int], list[int]]:

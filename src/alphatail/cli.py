@@ -138,9 +138,8 @@ def _emit(doc: dict, fmt: str, out_path: Optional[str], header: Sequence[str] = 
 
 def _cmd_tn(args) -> None:
     dist = make_distribution(parse_spec(args.dist))
-    series = evaluate_series(dist, _parse_schedule(args.schedule), args.eps)
-    records = [{"n": iv.n, "t_n": iv.value, "trunc_error": iv.trunc_error,
-                "terms_used": iv.terms_used} for iv in series.points]
+    records = [{"n": iv.n, "t_n": iv.value, "trunc_error": iv.trunc_error, "terms_used": iv.terms_used}
+               for iv in evaluate_series(dist, _parse_schedule(args.schedule), args.eps)]
     # the CSV keeps its three columns; JSON records also carry terms_used
     _emit({"records": records}, args.format or "csv", args.out, ["n", "t_n", "trunc_error"])
 
@@ -210,7 +209,7 @@ def _cmd_zoo(args) -> None:
 def _cmd_domain_t(args) -> None:
     dist = make_distribution(parse_spec(f"diffusion:stages={args.stages}"))
     ns = sorted({n for run in dist.runs for n in (run.n_probe, run.m_probe)})
-    t = dict(zip(ns, (iv.value for iv in evaluate_series(dist, ns).points)))
+    t = dict(zip(ns, (iv.value for iv in evaluate_series(dist, ns))))
     records = [{
         "i": run.stage,
         "d_i": run.d,

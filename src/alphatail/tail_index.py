@@ -18,7 +18,8 @@ for n up to 2**53, those with -746 < ln(n p) < ln 800 beyond, one slice of
 the levels in non-increasing order of p, found by binary search.  Every
 other term is exactly 0, so the value is the full table's bit for bit.
 
-A schedule of n is evaluated in two steps.  Each n first finds where its
+``evaluate_series`` evaluates a schedule of n in two steps and returns
+one ``IndexValue`` per n, in a plain list.  Each n first finds where its
 head stops, from the tail certificates alone; then one sweep over the
 blocks, up to the largest stop, sums the head of every n.  A block's p and
 log1p(-p) do not depend on n, so they are computed once for all the n whose
@@ -41,21 +42,22 @@ with second-order Euler-Maclaurin instead: with a = K+1 the sum lies within
 falls like K^-4 rather than K^-2, so at ``eps = 1e-9`` the tail closes at the
 first block end past the onset of ``f'''' >= 0``.  The lower end is added to
 ``value`` and the width, never less than one ulp of the upper end, is the
-``trunc_error``; the sum stops once it reaches that floor, which later
-blocks lower only as the tail falls past a power of two (for
-``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` the floor is above eps from n
-of about 1.45e8).  Other infinite tails use a dyadic-block upper bound
-built from the family's tail-mass certificate, valid for both kernels
-since ``p(1-p)^n <= p e^{-np}``.  Neither bound reads
-the head sum, so the stop is found before any block is summed, with a
-search over block ends for where the sandwich closes.  ``eps`` is a target
-on the t_n scale; a tail that cannot certify it within ``max_terms``
-summands stops at the cap.  If the summand is not yet convex there (a
-small ``max_terms``; for ``logpower:lambda=2,k0=2`` under the default cap,
-n above about 4.8e9), the sound lower term ``w(p_{K+1})`` times the
-certified lower tail mass joins ``value``; either way the honest, larger
-``trunc_error`` is reported instead of a guess.  Float rounding and the
-normalizer's halfwidth lie outside ``trunc_error``.
+``trunc_error``.  Later blocks lower that floor as the tail falls past a
+power of two, so the sum stops at it only when the floor at ``max_terms``
+is above eps too (for ``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the
+default cap, from n of about 2.88e8).  Other infinite tails use a
+dyadic-block upper bound built from the family's tail-mass certificate,
+valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound
+reads the head sum, so the stop is found before any block is summed, with
+a search over block ends for where the sandwich closes.  ``eps`` is a
+target on the t_n scale; a tail that cannot certify it within
+``max_terms`` summands (set on ``tn``, ``zeta1`` and ``evaluate_series``;
+``em_gap`` sums to 2^25) stops at the cap.  If the summand is not yet
+convex there (a small ``max_terms``; for ``logpower:lambda=2,k0=2`` under
+the default cap, n above about 4.8e9), the sound lower term
+``w(p_{K+1})`` times the certified lower tail mass joins ``value``; either
+way the honest, larger ``trunc_error`` is reported instead of a guess.
+Float rounding and the normalizer's halfwidth lie outside ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
 subsequences) is supported for ``(1-p)^n`` over level tables: terms are
@@ -79,6 +81,8 @@ from .zoo import LN2, Distribution, FamilyKind, Kernel, block_end, power_tail_in
 
 DEFAULT_EPS = 1e-9          # t_n-scale truncation target for CLI-level calls
 DEFAULT_MAX_TERMS = 1 << 24
+_EM_GAP_MAX_TERMS = 1 << 25    # power:lambda=2 at n = 2^48 to 2^49.6 takes 18.5M to 32.0M terms
+_OSCILLATION_CUTOFF, _OSCILLATION_TERMS = 1e-16, 200   # each sum's relative stop and length cap
 
 _FLOAT_N_LIMIT = 1 << 53
 _EXP_OVERFLOW = 709.0
@@ -106,16 +110,6 @@ class IndexValue:
     @property
     def upper(self) -> float:
         return self.value + self.trunc_error
-
-
-@dataclass(frozen=True)
-class IndexSeries:
-    schedule: list
-    points: list
-
-    def __post_init__(self):
-        if len(self.schedule) != len(self.points):
-            raise InvalidParams("schedule and points must align 1:1")
 
 
 @dataclass(frozen=True)
@@ -194,14 +188,15 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     form stops, and the lower end and width of the omitted tail's bracket.
 
     The head is summed in blocks (see ``zoo.block_end``) up to the first block
-    end K where the bracket is narrower than eps_t / n or one ulp.  Power
-    and log-power tails close with their sandwich once the summand is
-    convex; other tails with the dyadic upper bound alone, which bounds
-    p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that reaches
-    ``max_terms`` unmet before it is convex takes the lower bound w(p_{K+1})
-    times the certified lower tail mass, sound because p_k <= p_{K+1}
-    beyond K.  No rule reads the head sum, so K is found from the
-    certificates alone.
+    end K where the bracket is narrower than eps_t / n, or than one ulp of
+    its upper end if n ulps of the upper end at ``max_terms``, which no
+    width up to the cap undercuts, are above eps_t.  Power and log-power
+    tails close with their sandwich once the summand is convex; other tails
+    with the dyadic upper bound alone, which bounds p e^{-np} >= p (1-p)^n
+    and so serves both kernels.  A tail that reaches ``max_terms`` unmet
+    before it is convex takes the lower bound w(p_{K+1}) times the certified
+    lower tail mass, sound because p_k <= p_{K+1} beyond K.  No rule reads
+    the head sum, so K is found from the certificates alone.
 
     Once the summand is convex at a block end, ``_first_block`` searches the
     remaining block ends (up to ``max_terms``) for the first one where the
@@ -213,31 +208,33 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     sandwich's own at the block end reached and never rests on the search.
     """
     def closes(lo: float, hi: float, slack: float = 0.0) -> bool:
-        """Whether [lo, hi], less ``slack`` ulps, meets eps_t / n or the
-        one-ulp floor, which no later block narrows."""
+        """Whether [lo, hi], less ``slack`` ulps, meets eps_t / n, or the
+        one-ulp floor while the floor at the cap (convex beyond K) misses it."""
         w = hi - lo - slack * math.ulp(hi)
-        return n * max(w, math.ulp(hi)) <= eps_t or w <= math.ulp(hi)
+        return n * max(w, math.ulp(hi)) <= eps_t or (
+            w <= math.ulp(hi) and n * math.ulp(bracket(max_terms)[1]) > eps_t)
 
     def nearly_closes(i: int) -> bool:
         return closes(*bracket(min(block_end(i), max_terms)), _ROUNDING_ULPS)
 
-    sandwich = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
-    if sandwich is not None:
+    bracket = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
+    if bracket is not None:
         # the search for the closing block and the stop test share evaluations
-        bracket = functools.cache(sandwich.bracket)
+        bracket = functools.cache(bracket)
     # a sandwich is tested from the second block end on: at 64 it seldom closes,
     # and a log-power tail integral there, n p near 1, costs more than 960 terms
-    i = 0 if sandwich is None else 1
+    i = 0 if bracket is None else 1
     searched = False
     tail_lo, tail_hi = 0.0, math.inf
     while True:
         K = min(block_end(i), max_terms)
         i += 1
         capped = K >= max_terms
-        closed = sandwich is not None and sandwich.convex(K + 0.5)
+        ends = None if bracket is None else bracket(K)
+        closed = ends is not None
         if closed:
-            tail_lo, tail_hi = bracket(K)
-        elif K >= dist.k0_head and (capped or sandwich is None):
+            tail_lo, tail_hi = ends
+        elif K >= dist.k0_head and (capped or bracket is None):
             tail_hi = _series_tail_bound(dist, K, n)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
@@ -383,8 +380,11 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
 def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
                    kernel: Kernel) -> tuple[float, float]:
     """(value, trunc) of sum_k p_k w(p_k) at n for callers that keep only
-    ``value``: a series that stops at ``max_terms`` with n * trunc > eps
-    raises AlphatailError instead of returning an uncertified lower end."""
+    ``value``: n past 2**53 raises InvalidParams before any work, and a
+    series that stops at ``max_terms`` with n * trunc > eps raises
+    AlphatailError instead of returning an uncertified lower end."""
+    if n > _FLOAT_N_LIMIT:
+        raise InvalidParams(f"n = {n} lies past the float-exact range 2**53 of the {kernel.value} series")
     value, trunc, terms = _series_points(dist, [float(n)], eps, max_terms, kernel)[0]
     if terms == max_terms and n * trunc > eps:
         raise AlphatailError(f"the {kernel.value} series at n = {n} stops at max_terms = {max_terms} "
@@ -424,7 +424,7 @@ def tn(
 ) -> IndexValue:
     """Tail index t_n = n * zeta_n; the identity holds bit-exactly for every
     n in the float-exact range."""
-    return evaluate_series(dist, [n], eps, max_terms).points[0]
+    return evaluate_series(dist, [n], eps, max_terms)[0]
 
 
 def evaluate_series(
@@ -432,7 +432,7 @@ def evaluate_series(
     schedule: Sequence[int],
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
-) -> IndexSeries:
+) -> list[IndexValue]:
     """t_n along a strictly increasing schedule of positive integers, every
     point bit for bit ``tn``'s; a schedule that is not raises InvalidParams
     before any point is evaluated.  The points in the float-exact range are
@@ -453,7 +453,7 @@ def evaluate_series(
         else:
             value, trunc, terms = next(zetas)
             points.append(IndexValue(n, n * value, n * trunc, terms))
-    return IndexSeries(ns, points)
+    return points
 
 
 def scaled_pair(
@@ -461,19 +461,16 @@ def scaled_pair(
     n: int,
     delta: float,
     eps: float = DEFAULT_EPS,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[float, float]:
     """(n^{1-delta} sum p(1-p)^n, n^{1-delta} sum p e^{-np}), each member
-    certified to eps as zeta1 is: its sum's lower end, within eps/n.  A
-    member whose series stops at ``max_terms`` short of eps raises
-    AlphatailError, naming n, the width reached and eps."""
+    certified to eps as zeta1 is: its sum's lower end, within eps/n.  n past
+    2**53 raises InvalidParams, and a member still short of eps at
+    ``DEFAULT_MAX_TERMS`` AlphatailError, naming n, the width and eps."""
     if not 0.0 < delta < 1.0:
         raise InvalidParams("delta must lie in (0,1)")
     n = positive_integer(n)
-    if n > _FLOAT_N_LIMIT:
-        raise InvalidParams("scaled_pair requires n within the float-exact range")
     factor = float(n) ** (1.0 - delta)
-    s1, s2 = (_certified_sum(dist, n, eps, max_terms, kernel)[0] for kernel in Kernel)
+    s1, s2 = (_certified_sum(dist, n, eps, DEFAULT_MAX_TERMS, kernel)[0] for kernel in Kernel)
     return factor * s1, factor * s2
 
 
@@ -511,7 +508,7 @@ def oscillation_state(dist: Distribution, n: int) -> OscillationState:
     return OscillationState(n, k, c)
 
 
-def oscillation_t(c: float, rel_cutoff: float = 1e-16, max_terms: int = 200) -> float:
+def oscillation_t(c: float) -> float:
     """Limiting oscillation profile for unit-rate geometric tails:
 
         t(c) = c sum_{j>=0} e^j exp(-c e^j) + c sum_{j>=1} e^{-j} exp(-c e^{-j})
@@ -522,15 +519,15 @@ def oscillation_t(c: float, rel_cutoff: float = 1e-16, max_terms: int = 200) -> 
     if c <= 0.0:
         raise InvalidParams("c must be positive")
     acc = 0.0
-    for j in range(max_terms):
+    for j in range(_OSCILLATION_TERMS):
         term = c * math.exp(j - c * math.exp(j))
         acc += term
-        if term < rel_cutoff * acc:
+        if term < _OSCILLATION_CUTOFF * acc:
             break
-    for j in range(1, max_terms):
+    for j in range(1, _OSCILLATION_TERMS):
         term = c * math.exp(-j - c * math.exp(-j))
         acc += term
-        if term < rel_cutoff * acc:
+        if term < _OSCILLATION_CUTOFF * acc:
             break
     return acc
 
@@ -541,16 +538,15 @@ def geometric_band_ceiling() -> float:
     return math.e ** 2 * oscillation_t(1.0)
 
 
-def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
+def em_gap(dist: Distribution, n: int) -> EmGap:
     """Lattice sum vs integral for f_n(x) = n^{1-1/lam} c x^{-lam} e^{-n c x^{-lam}}.
 
     Returns the sum over k >= 1 (n^{1-1/lam} times the e^{-np} series, closed
     and certified as in ``scaled_pair``, so it equals that pair's second
     member at delta = 1/lam), the integral over [1, inf) (the same
     incomplete-gamma tail integral, from y = 1), and the certified unimodal
-    gap bound f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.  A
-    sum that stops at ``max_terms`` short of DEFAULT_EPS raises
-    AlphatailError, as in ``scaled_pair``.
+    gap bound f_n(x0) + 2 f_n(x(n)) with x(n) = (nc)^{1/lam} the mode.  It
+    raises as ``scaled_pair`` does, with DEFAULT_EPS and a cap of 2^25 terms.
     """
     if dist.kind is not FamilyKind.POWER:
         raise InvalidParams("the sum-integral gap is instantiated for power tails only")
@@ -561,7 +557,7 @@ def em_gap(dist: Distribution, n: int, max_terms: int = 1 << 25) -> EmGap:
     scale = nf ** (1.0 - 1.0 / lam)
     f_mode = 1.0 / (math.e * nf ** (1.0 / lam))
     bound = scale * c * math.exp(-nf * c) + 2.0 * f_mode
-    value, trunc = _certified_sum(dist, n, DEFAULT_EPS, max_terms, Kernel.POISSON)
+    value, trunc = _certified_sum(dist, n, DEFAULT_EPS, _EM_GAP_MAX_TERMS, Kernel.POISSON)
     lattice = scale * value
     integral = scale * power_tail_integral(c, lam, nf, 1.0, Kernel.POISSON)
     if abs(lattice - integral) > bound + scale * trunc:

@@ -19,12 +19,13 @@ the series sandwich below at n = 0, where the kernel is 1); summation stops
 once the bracket half-width falls below 1e-14.
 
 The closed-form tails of power and log-power families live here, in
-``tail_sandwich``: it brackets ``sum_{k>K} p_k w(p_k)`` for either kernel
-``w(p) = (1-p)^n`` or ``e^{-np}`` (``Kernel``) at any n >= 0, for the mass
-bracket above and for the series evaluator in ``tail_index`` alike.  Once
-``f(x) = p w(p)`` is convex on ``[K+1/2, inf)`` the sum lies between the
-trapezoid and midpoint sandwiches of its tail integral, a bracket about
-``|f'(K)|/8`` wide.  Log-power tails close with second-order
+``tail_sandwich``: it returns one function ``bracket(K)`` on
+``sum_{k>K} p_k w(p_k)`` for either kernel ``w(p) = (1-p)^n`` or
+``e^{-np}`` (``Kernel``) at any n >= 0, for the mass bracket above and for
+the series evaluator in ``tail_index`` alike.  It is None until
+``f(x) = p w(p)`` is convex on ``[K+1/2, inf)``; from there the sum lies
+between the trapezoid and midpoint sandwiches of its tail integral, a
+bracket about ``|f'(K)|/8`` wide.  Log-power tails close with second-order
 Euler-Maclaurin once ``f'''' >= 0`` there too: ``int + f/2 - f'/12`` less
 ``[0, |f'''|/384]`` at ``K+1``, with ``f'`` and ``f'''`` in closed form and
 ``f'''' >= 0`` certified by one point test; at n = 0, where ``f = p``,
@@ -508,28 +509,21 @@ def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
     return lo + head - d3f / 384.0, hi + head
 
 
-class Sandwich(NamedTuple):
-    """A power-type tail of sum_k p_k w(p_k) in closed form, at one n and
-    kernel: ``bracket(K)`` is [lo, hi] on sum_{k>K} p_k w(p_k), sound once
-    p w(p) is convex on [K+1/2, inf), which ``convex(K + 1/2)`` tests."""
-
-    bracket: Callable[[int], tuple[float, float]]
-    convex: Callable[[float], bool]
-
-
 def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
-                  kernel: Kernel) -> Optional[Sandwich]:
+                  kernel: Kernel) -> Optional[Callable[[int], Optional[tuple[float, float]]]]:
     """The closed-form sandwich of the power or log-power tail p_k = c g(k)
-    at n, None for any other family.  At n = 0 the kernel is 1 and the
-    bracket is on the tail mass."""
+    at n and kernel, None for any other family: ``bracket(K)`` is [lo, hi]
+    on sum_{k>K} p_k w(p_k) once p w(p) is convex on [K+1/2, inf), and None
+    before.  At n = 0 the kernel is 1, the bracket is on the tail mass, and
+    it is convex for every K >= 1."""
     if kind is FamilyKind.POWER:
         lam = params["lambda"]
         x_c = _power_convex_from(c, lam, n, kernel)
-        return Sandwich(lambda K: _power_bracket(c, lam, n, kernel, K), lambda x: x >= x_c)
+        return lambda K: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
     if kind is FamilyKind.LOG_POWER:
         lam, k0 = params["lambda"], params["k0"]
-        return Sandwich(lambda K: _logpower_bracket(c, lam, k0, n, kernel, K),
-                        lambda x: _logpower_convex_at(c, lam, k0, n, x, kernel))
+        return lambda K: (_logpower_bracket(c, lam, k0, n, kernel, K)
+                          if _logpower_convex_at(c, lam, k0, n, K + 0.5, kernel) else None)
     return None
 
 
@@ -558,10 +552,10 @@ def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
         if rho >= 1.0:
             return 0.0, math.inf
         return g1, g1 / (1.0 - rho)
-    sandwich = tail_sandwich(kind, 1.0, p, 0.0, Kernel.BINOMIAL)
-    if sandwich is None:
+    bracket = tail_sandwich(kind, 1.0, p, 0.0, Kernel.BINOMIAL)
+    if bracket is None:
         raise InvalidParams(f"no tail bracket for {kind}")
-    return sandwich.bracket(K)
+    return bracket(K)
 
 
 def _normalize_closed_form(kind: FamilyKind, p: dict) -> tuple[float, float]:

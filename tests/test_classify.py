@@ -127,7 +127,7 @@ class TestNumeric:
         dist = make_distribution(parse_spec("power:lambda=1.5"))
         sched = [5623, 22387211, 89125, 354813, 5623, 1412538, 5623413, 22387, 89125094]
         verdict = classify_numeric(dist, sched)
-        points = [tn(dist, n, 1e-6, 1 << 22) for n in sched]
+        points = [tn(dist, n, 1e-6) for n in sched]
         assert verdict.evidence == [(p.n, p.value) for p in points]
         assert verdict.diagnostics["max_upper"] == max(p.upper for p in points)
         assert verdict.diagnostics["final_upper"] == points[-1].upper
@@ -150,7 +150,7 @@ class TestTransient:
         verdict = classify_numeric(diffusion14, SCHEDULE, transient_probes=(growing, bounded))
         assert verdict.domain is Domain.TRANSIENT
         for key, ns in (("probe_growing", growing), ("probe_bounded", bounded)):
-            assert verdict.diagnostics[key] == [(n, tn(diffusion14, n, 1e-6, 1 << 22).value) for n in ns]
+            assert verdict.diagnostics[key] == [(n, tn(diffusion14, n, 1e-6).value) for n in ns]
 
     def test_growing_probe_lower_bound(self, diffusion14):
         """Along run-start reciprocals the run alone forces
@@ -190,6 +190,18 @@ class TestSubsequenceProbe:
         rows = subsequence_probe(geom_e, 5, 20)
         ns = [n for _, n, _ in rows]
         assert all(b >= a for a, b in zip(ns, ns[1:]))
+
+    @pytest.mark.parametrize("fixture", ["geom_e", "power2"])
+    def test_one_sweep_equals_one_tn_per_k(self, fixture, request, monkeypatch):
+        dist = request.getfixturevalue(fixture)
+        calls = []
+        evaluate_series = classify.evaluate_series
+        monkeypatch.setattr(classify, "evaluate_series", lambda *a: calls.append(a) or evaluate_series(*a))
+        rows = subsequence_probe(dist, 5, 25)
+        assert len(calls) == 1
+        assert rows == [(k, n, tn(dist, n, 1e-6).value) for k, n, _ in rows]
+        assert [k for k, _, _ in rows] == list(range(5, 26))
+        assert [n for _, n, _ in rows] == [math.floor(1.0 / dist.prob(k)) for k in range(5, 26)]
 
     def test_finite_rejected(self, uniform2):
         with pytest.raises(FiniteSupport):

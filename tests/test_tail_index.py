@@ -90,7 +90,7 @@ class TestZetaBasics:
 
     def test_numpy_integers_are_integers(self, geom2):
         assert tn(geom2, np.int64(100)) == tn(geom2, 100)
-        assert evaluate_series(geom2, np.array([16, 64])).points == evaluate_series(geom2, [16, 64]).points
+        assert evaluate_series(geom2, np.array([16, 64])) == evaluate_series(geom2, [16, 64])
 
     def test_schedule_checked_before_any_point(self, logpower2, monkeypatch):
         monkeypatch.setattr(tail_index, "_series_points", None)
@@ -198,8 +198,9 @@ LOGPOWER_LOWER_TERM_CAPS = {1000: 1 << 3, 223872: 1 << 10, 10 ** 8: 1 << 16}
 BINOMIAL, POISSON = zoo.Kernel.BINOMIAL, zoo.Kernel.POISSON
 
 
-def _sandwich(dist: Distribution, n: float, kernel) -> zoo.Sandwich:
-    """The closed-form sandwich ``tail_index`` closes dist's tail with at n."""
+def _sandwich(dist: Distribution, n: float, kernel):
+    """The closed-form sandwich ``tail_index`` closes dist's tail with at n:
+    K -> [lo, hi] on the tail beyond K, None before the summand is convex."""
     return zoo.tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
 
 
@@ -234,7 +235,7 @@ class TestPowerClosure:
         # a cap short of the convex point still ends in the lower term
         # w(p_{K+1}) * (lower tail mass), and that bracket holds too
         cap = LOGPOWER_LOWER_TERM_CAPS[n]
-        assert not _sandwich(logpower2, float(n), BINOMIAL).convex(cap + 0.5)
+        assert _sandwich(logpower2, float(n), BINOMIAL)(cap) is None
         capped = tn(logpower2, n, eps=1e-9, max_terms=cap)
         assert capped.terms_used == cap
         assert _brackets(capped, float(ref))
@@ -249,12 +250,24 @@ class TestPowerClosure:
     def test_logpower_stops_at_the_width_floor(self, logpower2):
         # at n = 3e8, eps = 1e-9 lies below n ulps of the tail: the sum stops
         # once the closed bracket is one ulp wide instead of running to the cap
+        # (n ulps of the bracket's upper end at the cap are 1.04e-9, still
+        # above eps, so no block end can certify it)
         n = 3 * 10 ** 8
         iv = tn(logpower2, n, eps=1e-9)
-        assert iv.terms_used < tail_index.DEFAULT_MAX_TERMS
+        assert (iv.terms_used, iv.trunc_error) == (2_292_736, 2.0816681711721685e-09)
         for cap in (1 << 22, 1 << 24):
             other = tn(logpower2, n, eps=1e-9, max_terms=cap)
             assert max(iv.value, other.value) <= min(iv.upper, other.upper)
+
+    @pytest.mark.parametrize("n, terms", [(160_000_000, 3_603_456), (199_526_231, 3_537_920),
+                                          (250_000_000, 3_472_384)])
+    def test_logpower_sums_past_a_floor_the_cap_lowers(self, logpower2, n, terms):
+        # the one-ulp floor is above eps at first, but n ulps of the upper
+        # end at the cap are not: the sum goes on to the first block end
+        # where the bracket meets eps, its upper end by then below 2^-5
+        # (stopping at the floor left 1.11e-9 to 1.73e-9)
+        iv = tn(logpower2, n, eps=1e-9)
+        assert iv.terms_used == terms and iv.trunc_error <= 1e-9
 
     @pytest.mark.parametrize("n, lam, kernel", _kernel_cases([1, 1000, 10 ** 8], [1.1, 1.5, 2.0, 7.0]))
     def test_convexity_starts_at_x_c(self, n, lam, kernel):
@@ -546,16 +559,17 @@ class TestClosedFormBlocks:
         # earlier block end closes: near the one-ulp floor rounding moves
         # the computed width up and down between block ends
         dist = make_distribution(parse_spec(spec_text))
-        sandwich = _sandwich(dist, float(n), BINOMIAL)
+        bracket = _sandwich(dist, float(n), BINOMIAL)
+        floor_misses_eps = n * math.ulp(bracket(tail_index.DEFAULT_MAX_TERMS)[1]) > eps
 
         def closes(K):
-            lo, hi = sandwich.bracket(K)
-            return n * max(hi - lo, math.ulp(hi)) <= eps or hi - lo <= math.ulp(hi)
+            lo, hi = bracket(K)
+            return n * max(hi - lo, math.ulp(hi)) <= eps or (hi - lo <= math.ulp(hi) and floor_misses_eps)
 
         iv = tn(dist, n, eps)
         ends = _block_ends(iv.terms_used)
         assert ends[-1] == iv.terms_used and closes(iv.terms_used)
-        earlier = [K for K in ends[:-1] if sandwich.convex(K + 0.5)]
+        earlier = [K for K in ends[:-1] if bracket(K) is not None]
         assert earlier and not any(closes(K) for K in earlier)
 
     @pytest.mark.parametrize("n", [1000, 223872, 89125094, 10 ** 8])
@@ -811,19 +825,40 @@ class TestEmGap:
         with pytest.raises(InvalidParams):
             em_gap(geom2, 100)
 
-    @pytest.mark.parametrize("n", [2 ** 50, 2 ** 60])
+    @pytest.mark.parametrize("n", [2 ** 50])
     def test_series_stopped_at_the_cap_raises(self, power2, n):
         with pytest.raises(AlphatailError, match=f"n = {n} stops at max_terms = 33554432"):
             em_gap(power2, n)
+
+    def test_refuses_n_past_the_float_range_before_summing(self, power2, monkeypatch):
+        # em_gap rounded n to a float and summed 2^25 terms before it raised
+        def no_blocks(*args):
+            raise AssertionError("em_gap summed a block")
+        monkeypatch.setattr(Distribution, "prob_blocks", no_blocks)
+        for call in (lambda: em_gap(power2, 2 ** 53 + 1), lambda: scaled_pair(power2, 2 ** 53 + 1, 0.5)):
+            with pytest.raises(InvalidParams, match="float-exact range"):
+                call()
+
+    def test_own_cap_certifies_past_the_series_default(self, power2, monkeypatch):
+        # at n = 2^48 the e^{-np} sum certifies DEFAULT_EPS with 18,545,664
+        # terms, more than DEFAULT_MAX_TERMS: em_gap keeps its own 2^25 cap
+        seen = []
+        series_points = tail_index._series_points
+
+        def recorded(*args):
+            seen.extend(series_points(*args))
+            return seen[-1:]
+        monkeypatch.setattr(tail_index, "_series_points", recorded)
+        r = em_gap(power2, 2 ** 48)
+        assert abs(r.lattice_sum - r.integral) <= r.bound
+        assert [terms for _, _, terms in seen] == [18_545_664]
+        assert 18_545_664 > tail_index.DEFAULT_MAX_TERMS
 
 
 class TestSeries:
     def test_schedule_evaluation(self, geom2):
         sched = [2 ** j for j in range(4, 13)]
-        series = evaluate_series(geom2, sched)
-        assert series.schedule == sched
-        assert len(series.points) == len(sched)
-        assert all(p.n == n for p, n in zip(series.points, sched))
+        assert [p.n for p in evaluate_series(geom2, sched)] == sched
 
     def test_schedule_must_increase(self, geom2):
         with pytest.raises(InvalidParams):
@@ -875,7 +910,7 @@ class TestScheduleSweep:
     @pytest.mark.parametrize("spec_text, schedule, eps, max_terms, digest, terms", PINNED_SCHEDULES)
     def test_pinned_points(self, spec_text, schedule, eps, max_terms, digest, terms):
         dist = make_distribution(parse_spec(spec_text))
-        points = evaluate_series(dist, schedule, eps, max_terms).points
+        points = evaluate_series(dist, schedule, eps, max_terms)
         assert sum(iv.terms_used for iv in points) == terms
         assert _digest(points) == digest
 
@@ -893,13 +928,13 @@ class TestScheduleSweep:
             assert scaled_pair(dist, n, 0.5) == (factor * zb[0], factor * zp[0])
             assert zeta1(dist, n) == IndexValue(n, *zb)
         ns = sorted(set(MIXED_NS))
-        assert evaluate_series(dist, ns).points == [tn(dist, n) for n in ns]
+        assert evaluate_series(dist, ns) == [tn(dist, n) for n in ns]
 
     def test_huge_n_mixed_in(self, diffusion14):
         probes = [r.n_probe for r in diffusion14.runs] + [r.m_probe for r in diffusion14.runs]
         ns = sorted(set(probes + [16 * 4 ** j for j in range(12)]))
         assert any(n > 2 ** 53 for n in ns) and any(n <= 2 ** 53 for n in ns)
-        assert evaluate_series(diffusion14, ns).points == [tn(diffusion14, n) for n in ns]
+        assert evaluate_series(diffusion14, ns) == [tn(diffusion14, n) for n in ns]
 
     def test_memory_of_one_block(self):
         # the sweep holds one block's p, L and scratch, however many points

@@ -219,9 +219,9 @@ def test_mass_bracket_contains_hurwitz_zeta(lam):
     # at n = 0 the series sandwich brackets the unnormalized tail mass
     # sum_{k>K} k^-lam, which is Hurwitz's zeta(lam, K+1)
     mp = pytest.importorskip("mpmath")
-    sandwich = zoo.tail_sandwich(FamilyKind.POWER, 1.0, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
+    bracket = zoo.tail_sandwich(FamilyKind.POWER, 1.0, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
     for K in (1, 10, 10 ** 3, 10 ** 6):
-        lo, hi = sandwich.bracket(K)
+        lo, hi = bracket(K)
         with mp.workdps(40):
             want = float(mp.zeta(lam, K + 1))
         assert lo < want < hi, K
