@@ -56,8 +56,8 @@ class InvalidV(InvalidParams):
 
 
 class SamplerLimit(AlphatailError):
-    """A draw needs a sampler CDF longer than its cap, or beyond the mass the
-    CDF can reach in floating point."""
+    """A sample larger than the sampler's cap on draws, or a draw past the
+    deepest letter it walks."""
 
 
 class TooLarge(InvalidParams):

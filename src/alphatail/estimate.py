@@ -1,12 +1,24 @@
 """Sampling and unbiased estimation of the tail index from iid data.
 
-``sample`` draws n uniforms and maps them through the prefix sums of p_k
-(inverse CDF); it is bit-reproducible for a given seed.  It sorts the draws
-once and counts them one CDF block at a time: letter k takes the draws in
-[cdf[k-2], cdf[k-1]), the draws below its entry minus those below the
-previous one (one search into the sorted sample per CDF entry).  Only one
-block of the CDF is held at a time, however far the tail reaches.  A sample
-holds at most _MAX_SAMPLE draws.
+``sample`` draws how many of the n draws land in each block of
+``dist.prob_blocks``, not the draws themselves: the multinomial by
+conditional binomials (Devroye, *Non-Uniform Random Variate Generation*,
+1986, ch. XI).  A block of mass b takes Binomial(left, b / (b + T)) of the
+draws left, T the certified mass past its end (``tail_mass_bound``), so no
+probability comes from 1 - a running sum, which cancels deep in a tail.  T
+is an upper bound, so each block's share is low by at most T's certified
+bracket: a relative 2e-5 of T at the first block end of a power tail, far
+less after.  The m draws of a block go into its letters through one
+multinomial or, when m is below the block's length, as m uniforms against
+its CDF.  The walk stops once no draw is left and holds one block at a
+time, whatever n; keys come out ascending.
+
+The walk ends at letter _MAX_LETTER or at the end of a level table.  The
+draws past that end are drawn first, one binomial on the certified mass
+beyond it, so a draw there raises SamplerLimit past the cap, or
+DepthExceeded past a constructed prefix, before any block is walked; the
+last block then takes every draw left.  A sample is bit-reproducible for a
+given seed and holds at most _MAX_SAMPLE draws.
 
 ``z1v`` implements the unbiased estimator of the coverage deficit: with m_y
 the number of letters seen y times in a sample of size n, for any order
@@ -45,8 +57,8 @@ from .zoo import Distribution
 
 _ORACLE_MAX_N = 12
 _ORACLE_MAX_K = 6
-_MAX_CDF_ENTRIES = 1 << 24  # letters one sample may sum p_k over
-_MAX_SAMPLE = 1 << 27       # 1 GiB of float64 draws
+_MAX_LETTER = 1 << 24       # the deepest letter a sample may reach
+_MAX_SAMPLE = 1 << 27       # draws per sample: bounds the estimator's work, not memory
 _BLOCK_VALUES = 1 << 16     # log1p terms per block of the Z_{1,v} running sum
 _EXP_ZERO = -746.0          # exp of anything below is exactly 0.0
 
@@ -119,57 +131,38 @@ def sample(dist: Distribution, n: int, seed: int) -> FrequencyTable:
     seed = positive_integer(seed, "seed", zero=True)
     if n > _MAX_SAMPLE:
         raise SamplerLimit(f"sample size {n} exceeds the cap of {_MAX_SAMPLE} draws")
-    u = np.random.default_rng(seed).random(n)
-    u.sort()
-    # letter k takes the draws in [cdf[k-2], cdf[k-1]): the draws below its
-    # entry minus those below the previous one
+    rng = np.random.default_rng(seed)
+    # the draws past the walk's end come first, so that the walk never
+    # starts for a sample it would refuse
+    end = min(dist.prefix_length or _MAX_LETTER, _MAX_LETTER)
+    beyond = dist.tail_mass_bound(end)
+    if rng.binomial(n, beyond):
+        if end < _MAX_LETTER:
+            raise DepthExceeded("a draw landed beyond the constructed family's prefix")
+        raise SamplerLimit(f"a draw landed beyond letter {_MAX_LETTER}")
     counts: dict = {}
-    below = 0
-    for start, cdf in _cdf_blocks(dist, float(u[-1])):
-        ends = np.concatenate(([below], np.searchsorted(u, cdf, side="left")))
-        ys = ends[1:] - ends[:-1]
-        seen = np.flatnonzero(ys)
-        counts.update(zip((seen + start).tolist(), ys[seen].tolist()))
-        below = int(ends[-1])
-    if below < n:
-        # a draw past the end of a table with no mass beyond is rounding
-        # dust and joins its last letter
-        last = start + len(cdf) - 1
-        counts[last] = counts.get(last, 0) + n - below
+    left = n
+    for start, p in dist.prob_blocks(end + 1):
+        b = float(p.sum())
+        # the certified mass between this block's end and the walk's: none
+        # at the walk's last block, which takes every draw left
+        rest = dist.tail_mass_bound(start + len(p) - 1) - beyond
+        m = int(rng.binomial(left, b / (b + rest))) if rest > 0.0 else left
+        if m == 0:
+            continue
+        if m < len(p):
+            cdf = np.cumsum(p)
+            seen, ys = np.unique(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"),
+                                 return_counts=True)
+        else:
+            ys = rng.multinomial(m, np.divide(p, b, out=p))
+            seen = np.flatnonzero(ys)
+            ys = ys[seen]
+        counts.update(zip((seen + start).tolist(), ys.tolist()))
+        left -= m
+        if left == 0:
+            break
     return FrequencyTable(n, counts)
-
-
-def _cdf_blocks(dist: Distribution, u_max: float):
-    """Yield (first letter, prefix sums of p_k) over ``dist.prob_blocks``,
-    up to the first block that exceeds u_max or the end of a level table, so
-    the CDF runs less than one block past the letter it needs; at most
-    _MAX_CDF_ENTRIES letters, refused up front when the certified tail mass
-    beyond the cap already exceeds 1 - u_max.  A table that ends below
-    u_max must hold all the mass; otherwise the draw needs letters it does
-    not have.
-
-    Each block is summed on from the running total, which gives the same
-    floats as one cumsum over the whole prefix."""
-    if dist.tail_mass_lower(_MAX_CDF_ENTRIES) > 1.0 - u_max:
-        raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
-    reached = 0.0
-    for start, p in dist.prob_blocks(_MAX_CDF_ENTRIES + 1):
-        cdf = np.cumsum(np.concatenate(([reached], p)))[1:]
-        yield start, cdf
-        top = float(cdf[-1])
-        if top > u_max:
-            return
-        if top <= reached and dist.prefix_length is None:
-            # later blocks of a closed form hold smaller values, which round
-            # away as well; a table ends by itself
-            raise SamplerLimit(
-                f"the CDF stops at {reached!r} in floating point, below the draw {u_max!r}"
-            )
-        reached = top
-    if (dist.prefix_length or math.inf) > _MAX_CDF_ENTRIES:
-        raise SamplerLimit(f"a draw of {u_max!r} needs more than {_MAX_CDF_ENTRIES} letters")
-    if dist.support_size() is None:
-        raise DepthExceeded("a draw landed beyond the constructed family's prefix")
 
 
 def turing(freq: FrequencyTable) -> float:

@@ -259,7 +259,11 @@ def _power_convex_from(c: float, lam: float, n: float, kernel: Kernel) -> float:
     The sign of f'' is that of a quadratic A p^2 - B p + (lam+1) in p, so f
     is convex for p below its smaller root; the margin covers rounding.  For
     e^{-np} the root is u_-/n with u_- = 2(lam+1)/((3lam+1) + sqrt(5lam^2+2lam+1)).
+    At n = 0 either kernel is 1 and f = p is convex everywhere; the start is
+    where p = 1, the (1-p)^n quadratic's double root.
     """
+    if n == 0.0:
+        return c ** (1.0 / lam) * (1.0 + 1e-9)
     if kernel is Kernel.BINOMIAL:
         A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
         B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)

@@ -1,8 +1,8 @@
 """Sampling, the unbiased estimator, and the exact enumeration oracle."""
 
-import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from alphatail import estimate
 from alphatail import (
+    DepthExceeded,
     FamilyKind,
     FamilySpec,
     FrequencyTable,
@@ -55,41 +56,68 @@ def z1v_product_form(freq: FrequencyTable, v: int) -> float:
     return front * acc
 
 
-def grown_cdf(dist, u_max: float) -> np.ndarray:
-    """The sampler's CDF blocks for a largest draw u_max, concatenated."""
-    return np.concatenate([cdf for _, cdf in estimate._cdf_blocks(dist, u_max)])
-
-
 def sample_by_lookup(dist, n: int, seed: int) -> FrequencyTable:
-    """The sampler's per-draw form: search every draw in the concatenated CDF
-    blocks, clamp draws past the end of a table onto its last letter, and
-    count with np.unique; kept as the reference for counting the sorted
-    sample block by block."""
-    u = np.random.default_rng(seed).random(n)
-    u_max = float(u.max())
-    cdf = grown_cdf(dist, u_max)
-    letters = np.searchsorted(cdf, u, side="right") + 1
-    if u_max >= cdf[-1]:
-        letters = np.minimum(letters, len(cdf))
-    ks, ys = np.unique(letters, return_counts=True)
-    return FrequencyTable(n, {int(k): int(y) for k, y in zip(ks, ys)})
+    """A second sampler, by inversion: n sorted uniforms counted against
+    the running sum of p_k over ``prob_blocks``, one block at a time, until
+    every draw is placed; a draw past the float sum of a finite table joins
+    its last positive letter.  It shares no code with ``sample`` past
+    ``prob_blocks``."""
+    u = np.sort(np.random.default_rng(seed).random(n))
+    counts, reached, below = {}, 0.0, 0
+    for start, p in dist.prob_blocks(1 << 24):
+        cdf = reached + np.cumsum(p)
+        ends = np.searchsorted(u, cdf, side="left")  # draws below each entry
+        ys = np.diff(ends, prepend=below)
+        seen = np.flatnonzero(ys)
+        counts.update(zip((seen + start).tolist(), ys[seen].tolist()))
+        below, reached = int(ends[-1]), float(cdf[-1])
+        if below == n:
+            return FrequencyTable(n, counts)
+        if p.any():
+            last = start + int(np.flatnonzero(p)[-1])
+    if dist.support_size() is None:
+        raise SamplerLimit("a draw lies past the letters walked")
+    counts[last] = counts.get(last, 0) + n - below
+    return FrequencyTable(n, counts)
 
 
-def drop_table_end(monkeypatch):
-    """Make the sampler's CDF end one entry early, as a table whose float
-    sum rounds below the largest draw would."""
-    blocks = estimate._cdf_blocks
-
-    def short_table(dist, u_max):
-        *head, (start, cdf) = blocks(dist, u_max)
-        return iter([*head, (start, cdf[:-1])])
-
-    monkeypatch.setattr(estimate, "_cdf_blocks", short_table)
+def normal_score(stat: float, df: int) -> float:
+    """A chi-square statistic on df degrees of freedom as a standard normal
+    score, by Wilson and Hilferty's cube root (1931)."""
+    h = 2.0 / (9.0 * df)
+    return ((stat / df) ** (1.0 / 3.0) - (1.0 - h)) / math.sqrt(h)
 
 
-def assert_same_sample(got: FrequencyTable, want: FrequencyTable):
-    assert got == want
-    assert list(got.counts) == list(want.counts)  # key order too
+def chi_square_z(observed, expected) -> float:
+    """Pearson's goodness of fit over the cells, those expecting fewer than
+    5 pooled into one; a cell that expects nothing must see nothing."""
+    o, e = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    assert not o[e <= 0.0].any()
+    o, e = o[e > 0.0], e[e > 0.0]
+    small = e < 5.0
+    if small.any():
+        o = np.append(o[~small], o[small].sum())
+        e = np.append(e[~small], e[small].sum())
+    return normal_score(float(((o - e) ** 2 / e).sum()), len(e) - 1)
+
+
+def homogeneity_z(a: Counter, b: Counter) -> float:
+    """Pearson's two-sample test that a and b count draws of one law, the
+    keys seen fewer than 10 times in both pooled into one."""
+    keys = sorted(set(a) | set(b))
+    rare = [k for k in keys if a[k] + b[k] < 10]
+    rows = [(a[k], b[k]) for k in keys if a[k] + b[k] >= 10]
+    rows.append((sum(a[k] for k in rare), sum(b[k] for k in rare)))
+    t = np.array([r for r in rows if sum(r)], dtype=float)
+    if len(t) < 2:
+        return -math.inf  # one cell: nothing to tell apart
+    e = t.sum(axis=1, keepdims=True) * t.sum(axis=0) / t.sum()
+    return normal_score(float(((t - e) ** 2 / e).sum()), len(t) - 1)
+
+
+# a correct sampler fails a law test below with probability about 1e-6
+# (one or two normal tails past 4.75); the seeds are fixed
+LAW_Z = 4.75
 
 
 def z1v_exact(counts, n: int, v: int) -> Fraction:
@@ -106,6 +134,13 @@ FINITE_GRID = [
 
 def finite(vec):
     return make_distribution(FamilySpec(FamilyKind.FINITE, {"p": list(vec)}))
+
+
+# mass on the letters either side of the first three block ends (64, 1,024,
+# 3,072) and one past them: four blocks, each walked with a few draws
+ACROSS_BLOCKS = [{1: 0.4, 64: 0.1, 65: 0.25, 1024: 0.1, 1025: 0.1, 3073: 0.05}.get(k, 0.0)
+                 for k in range(1, 3074)]
+CATALOG = [format_spec(s) for s in catalog()]
 
 
 class TestFrequencyTable:
@@ -189,25 +224,6 @@ class TestSampling:
         f = sample(d, 10 ** 3, seed=5)
         assert set(f.counts) == {1, 202}
 
-    def test_grown_cdf_is_one_cumsum(self):
-        d = make_distribution(parse_spec("power:lambda=2"))
-        cdf = grown_cdf(d, 1.0 - 1e-4)
-        with np.errstate(under="ignore"):
-            ref = np.cumsum(np.exp(d.log_prob_block(1, len(cdf) + 1)))
-        assert len(cdf) > 4096  # seven blocks
-        assert np.array_equal(cdf, ref)
-
-    def test_grown_cdf_stops_within_one_capped_block(self):
-        # blocks that kept doubling built 4,194,240 entries for ~3.04e6 letters
-        d = make_distribution(parse_spec("power:lambda=2"))
-        u_max = 1.0 - 2e-7
-        cdf = grown_cdf(d, u_max)
-        needed = int(np.searchsorted(cdf, u_max, side="right")) + 1
-        assert needed <= len(cdf) < needed + (1 << 16)
-        with np.errstate(under="ignore"):
-            ref = np.cumsum(np.exp(d.log_prob_block(1, len(cdf) + 1)))
-        assert np.array_equal(cdf, ref)
-
     def test_draw_beyond_prefix_raises(self):
         # a two-pair prefix only covers 93.75% of the mass, so a large
         # sample is certain to need letters the construction never built
@@ -216,31 +232,37 @@ class TestSampling:
         with pytest.raises(DepthExceeded):
             sample(shallow, 500, seed=0)
 
-    @pytest.mark.parametrize("a, reached", [("3", "0.9999999999999998"), ("1.0001", "0.9999999999996189")])
-    def test_cdf_that_stalls_in_floating_point_raises(self, a, reached):
-        # the float CDF of geometric a=3 tops out at 1 - 2^-52, that of
-        # a=1.0001 further below, so the largest draw 1 - 2^-53 would
-        # otherwise be searched for up to the 2^24-letter cap
-        d = make_distribution(parse_spec(f"geometric:a={a}"))
-        with pytest.raises(SamplerLimit, match=f"the CDF stops at {reached} in floating point"):
-            grown_cdf(d, 1.0 - 2.0 ** -53)
-
-    def test_heavy_draw_refused_before_growing(self):
-        # log-power keeps ~3% of its mass beyond 2^24 letters
+    def test_heavy_draw_refused_before_growing(self, monkeypatch):
+        # log-power keeps ~3% of its mass beyond 2^24 letters; the draws
+        # there are counted before a block of p_k is walked
         d = make_distribution(parse_spec("logpower:lambda=2,k0=2"))
+        walked = []
+        monkeypatch.setattr(type(d), "prob_blocks", lambda self, stop: walked.append(stop))
         with pytest.raises(SamplerLimit):
             sample(d, 100, seed=1)
+        shallow = make_distribution(parse_spec("pairavg:base=(geometric:a=2),depth=2"))
+        with pytest.raises(DepthExceeded):
+            sample(shallow, 500, seed=0)
+        assert walked == []
 
-    def test_cdf_cap_during_growth(self, monkeypatch):
-        # no certified lower tail mass here, so only the growth loop sees the cap
-        monkeypatch.setattr(estimate, "_MAX_CDF_ENTRIES", 1000)
+    @pytest.mark.parametrize("spec_text, n, seed", [
+        ("power:lambda=1.5", 10 ** 4, 2), ("power:lambda=1.5", 10 ** 6, 1),
+        ("logpower:lambda=2,k0=2", 100, 1)])
+    def test_draws_past_the_cap_are_refused(self, spec_text, n, seed):
+        with pytest.raises(SamplerLimit, match="beyond letter 16777216"):
+            sample(make_distribution(parse_spec(spec_text)), n, seed)
+
+    def test_cap_inside_a_long_table(self, monkeypatch):
+        # a level table longer than the cap is refused from its own mass
+        # past the cap, about 6e-4 here: some 6 of 1e4 draws
+        monkeypatch.setattr(estimate, "_MAX_LETTER", 1000)
         d = make_distribution(parse_spec("pairavg:base=(power:lambda=2),depth=4096"))
-        assert d.tail_mass_lower(1000) == 0.0
-        with pytest.raises(SamplerLimit):
-            grown_cdf(d, 1.0 - 1e-4)
+        assert d.prefix_length > 1000
+        with pytest.raises(SamplerLimit, match="beyond letter 1000"):
+            sample(d, 10 ** 4, seed=1)
 
     def test_heavy_tail_sample_memory(self):
-        # one CDF block is held at a time, not the 4.5e6 letters it reaches
+        # one block of p_k is held at a time, not the 1.5e6 letters reached
         d = make_distribution(parse_spec("power:lambda=2"))
         tracemalloc.start()
         try:
@@ -248,84 +270,17 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 << 20
+        assert peak <= 4 << 20
 
-    @pytest.mark.parametrize("spec_text", [format_spec(s) for s in catalog()])
-    def test_counts_match_per_draw_lookup(self, spec_text):
-        dist = make_distribution(parse_spec(spec_text))
-        for n in (1, 2, 64, 10 ** 3, 10 ** 5):
-            for seed in range(1, 21):
-                try:
-                    want = sample_by_lookup(dist, n, seed)
-                except SamplerLimit:
-                    with pytest.raises(SamplerLimit):
-                        sample(dist, n, seed)
-                    continue
-                assert_same_sample(sample(dist, n, seed), want)
-
-    @pytest.mark.parametrize("spec_text, n, seed, longer", [
-        ("power:lambda=2", 100, 5, True),   # 960 CDF entries
-        ("power:lambda=2", 100, 1, False),  # 64
-        ("power:lambda=2", 10 ** 4, 2, True),
-        ("power:lambda=2", 10 ** 4, 4, False),
-        ("geometric:a=2", 1, 1, True),
-        ("geometric:a=2", 10 ** 4, 1, False),
-    ])
-    def test_both_counting_paths(self, spec_text, n, seed, longer):
-        # a CDF longer than the sample and one shorter count alike
-        dist = make_distribution(parse_spec(spec_text))
-        u_max = float(np.random.default_rng(seed).random(n).max())
-        assert (len(grown_cdf(dist, u_max)) > n) == longer
-        assert_same_sample(sample(dist, n, seed), sample_by_lookup(dist, n, seed))
-
-    @pytest.mark.parametrize("n", [1, 10 ** 3])
-    def test_draws_past_a_table_end_join_its_last_letter(self, monkeypatch, n):
-        # without its last entry the table ends at 0.8, so every draw above
-        # lands past cdf[-1]; n = 1 puts one draw against a 2-entry table
-        d = finite([0.5, 0.3, 0.2])
-        drop_table_end(monkeypatch)
-        clamped = 0
-        for seed in range(1, 21):
-            u = np.random.default_rng(seed).random(n)
-            clamped += int((u >= 0.8).sum())
-            f = sample(d, n, seed)
-            assert set(f.counts) <= {1, 2}
-            assert_same_sample(f, sample_by_lookup(d, n, seed))
-        assert clamped > 0
-
-    def test_table_end_in_a_later_block(self, monkeypatch):
-        # 100 letters take blocks of 64 and 36; the draws past the shortened
-        # table join letter 99, counted from the last block's first letter
-        d = finite([0.01] * 100)
-        drop_table_end(monkeypatch)
-        f = sample(d, 10 ** 3, seed=3)
-        assert max(f.counts) == 99
-        assert_same_sample(f, sample_by_lookup(d, 10 ** 3, seed=3))
-
-    @pytest.mark.parametrize("n, picks", [(10 ** 3, [10, 500, 999]), (3, [0, 1, 2])])
-    def test_draw_equal_to_a_cdf_entry_takes_the_next_letter(self, monkeypatch, n, picks):
-        # CDF entries placed on draws themselves: 3 of 1000 draws, and all
-        # 3 draws against 4 entries
-        u = np.sort(np.random.default_rng(9).random(n))
-        cdf = np.append(u[picks], 1.0)
-        monkeypatch.setattr(estimate, "_cdf_blocks", lambda dist, u_max: iter([(1, cdf)]))
-        f = sample(finite([0.25] * 4), n, seed=9)
-        assert_same_sample(f, sample_by_lookup(finite([0.25] * 4), n, seed=9))
-        assert f.counts.get(1, 0) == picks[0]
-
-    @pytest.mark.parametrize("spec_text, n, seed, digest", [
-        ("geometric:a=2", 10 ** 5, 1,
-         "1261744ac130cbbf57ae374d52f1344a68221357230f8d65bc97d45f47a3d705"),
-        ("power:lambda=2", 100, 7,
-         "3223360f460e04849d5c8b7abfef291c24140d6ac5aba6294232fa63dc5588e3"),
-        ("diffusion:stages=8", 10 ** 3, 3,
-         "b26289038bc13c4b65475ae64c1a6977a30a0eac6b7f840c37c3f6051a82263b"),
-        ("pairavg:base=(geometric:a=2)", 64, 20,
-         "98baef6f2efc8a90975c638ef83bc4ec32d1653ba79cd04172e40614bbc74d3b"),
-    ])
-    def test_seeded_samples_are_pinned(self, spec_text, n, seed, digest):
-        f = sample(make_distribution(parse_spec(spec_text)), n, seed)
-        assert hashlib.sha256(repr(sorted(f.counts.items())).encode()).hexdigest() == digest
+    def test_memory_does_not_grow_with_n(self, geom2):
+        # 2^27 draws are counted, not held; as float64 they take 1 GiB
+        tracemalloc.start()
+        try:
+            f = sample(geom2, 2 ** 27, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.n == 2 ** 27 and peak < 1 << 20
 
     def test_sample_size_cap(self, geom2, monkeypatch):
         tracemalloc.start()
@@ -340,6 +295,87 @@ class TestSampling:
         assert sample(geom2, 100, seed=1).n == 100
         with pytest.raises(SamplerLimit):
             sample(geom2, 101, seed=1)
+
+
+class TestSamplingLaw:
+    """The sampler's law, not its draw stream: count vectors against the
+    exact multinomial, the estimator's mean against zeta_v, every catalog
+    family's letters against p_k and against a second sampler."""
+
+    @pytest.mark.parametrize("vec, n", [
+        ([0.5, 0.3, 0.2], 2),           # m < block length: uniforms against its CDF
+        ([0.5, 0.3, 0.2], 5),           # one multinomial
+        ([0.4, 0.3, 0.2, 0.1], 3),
+        ([0.4, 0.3, 0.2, 0.1], 6),
+        (ACROSS_BLOCKS, 3),
+        (ACROSS_BLOCKS, 6),
+    ], ids=["3-letters-n2", "3-letters-n5", "4-letters-n3", "4-letters-n6",
+            "across-blocks-n3", "across-blocks-n6"])
+    def test_count_vectors_follow_the_multinomial(self, vec, n):
+        d, reps = finite(vec), 3000
+        support = [k for k, p in enumerate(vec, start=1) if p > 0.0]
+        probs = [d.prob(k) for k in support]
+        seen = Counter()
+        for seed in range(reps):
+            f = sample(d, n, seed)
+            assert set(f.counts) <= set(support)
+            seen[tuple(f.counts.get(k, 0) for k in support)] += 1
+        cells = list(estimate._count_vectors(len(support), n))
+        pmf = [math.factorial(n) * math.prod(p ** y / math.factorial(y) for p, y in zip(probs, ys))
+               for ys in cells]
+        assert sum(seen[ys] for ys in cells) == reps
+        assert chi_square_z([seen[ys] for ys in cells], [reps * q for q in pmf]) < LAW_Z
+
+    @pytest.mark.parametrize("vec, n", [
+        ([0.5, 0.3, 0.2], 8), ([0.4, 0.3, 0.2, 0.1], 3), (ACROSS_BLOCKS, 12)])
+    def test_seed_mean_of_z1v_is_zeta(self, vec, n):
+        d, reps = finite(vec), 3000
+        vs = sorted({1, n // 2, n - 1})
+        z = np.array([estimator_report(sample(d, n, seed), vs).z1v for seed in range(reps)])
+        se = z.std(axis=0, ddof=1) / math.sqrt(reps)
+        for v, mean, s in zip(vs, z.mean(axis=0), se):
+            assert abs(mean - float(exact_zeta(d, v))) < LAW_Z * s, v
+
+    @pytest.mark.parametrize("spec_text", CATALOG)
+    def test_letters_follow_p(self, spec_text):
+        # the draws of the samples that stay inside the cap are iid from
+        # p_k given k <= the walk's end; keys ascend
+        d, n, reps = make_distribution(parse_spec(spec_text)), 20, 500
+        end = min(d.prefix_length or estimate._MAX_LETTER, estimate._MAX_LETTER)
+        kept, pooled = 0, Counter()
+        for seed in range(reps):
+            try:
+                f = sample(d, n, seed)
+            except SamplerLimit:
+                continue
+            assert list(f.counts) == sorted(f.counts)
+            kept, pooled = kept + 1, pooled + Counter(f.counts)
+        L = min(end, 4096)
+        inside = 1.0 - d.tail_mass_bound(end)
+        expected = [kept * n * d.prob(k) / inside for k in range(1, L + 1)]
+        observed = [pooled[k] for k in range(1, L + 1)]
+        beyond = sum(y for k, y in pooled.items() if k > L)
+        assert kept >= reps // 2
+        assert chi_square_z(observed + [beyond], expected + [kept * n - sum(expected)]) < LAW_Z
+
+    @pytest.mark.parametrize("spec_text", [s for s in CATALOG if not s.startswith("logpower")])
+    def test_same_law_as_lookup(self, spec_text):
+        # two-sample chi-square on the pooled letters and on the number of
+        # singletons; log-power's lookup would walk to the cap for ~40% of
+        # the samples, the draws the sampler refuses up front
+        d, n, reps = make_distribution(parse_spec(spec_text)), 50, 300
+        letters, singles = [Counter(), Counter()], [Counter(), Counter()]
+        for side, draw in enumerate((sample, sample_by_lookup)):
+            # seeds apart: on one seed both would read the same uniforms
+            for seed in range(side * reps, (side + 1) * reps):
+                try:
+                    f = draw(d, n, seed)
+                except SamplerLimit:
+                    continue
+                letters[side].update(f.counts)
+                singles[side][f.n1] += 1
+        for a, b in (letters, singles):
+            assert homogeneity_z(a, b) < LAW_Z
 
 
 class TestTuring:

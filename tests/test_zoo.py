@@ -227,6 +227,24 @@ def test_mass_bracket_contains_hurwitz_zeta(lam):
         assert lo < want < hi, K
 
 
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kernel", list(zoo.Kernel), ids=lambda k: k.name)
+def test_power_sandwich_at_n_zero(lam, kernel):
+    # at n = 0 both kernels are 1: e^{-np}'s convexity quadratic has
+    # A = B = 0 and no root, and the bracket is the mass bracket
+    mp = pytest.importorskip("mpmath")
+    c = 0.6
+    bracket = zoo.tail_sandwich(FamilyKind.POWER, c, {"lambda": lam}, 0.0, kernel)
+    mass = zoo.tail_sandwich(FamilyKind.POWER, c, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
+    assert zoo._power_convex_from(c, lam, 0.0, kernel) == c ** (1.0 / lam) * (1.0 + 1e-9)
+    for K in (1, 64, 10 ** 3, 10 ** 6):
+        assert bracket(K) == mass(K)
+        lo, hi = bracket(K)
+        with mp.workdps(40):
+            want = float(c * mp.zeta(lam, K + 1))
+        assert lo < want < hi, K
+
+
 @pytest.mark.parametrize("spec_text", [f"power:lambda={lam}" for lam in (1.5, 2.0, 3.0)] + [
     f"logpower:lambda={lam},k0={k0}" for lam in (1.5, 2.0, 3.0) for k0 in (2, 17)])
 def test_tail_mass_bound_covers_its_rounding(spec_text):
