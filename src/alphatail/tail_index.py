@@ -34,27 +34,29 @@ Truncation bounds are family-aware.  Power and log-power tails are closed
 analytically by ``zoo.tail_sandwich``, with which ``zoo`` also normalizes
 them; ``zoo`` describes its tail integrals (incomplete beta and gamma
 functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
-``[K+1/2, inf)`` the omitted sum lies between the trapezoid and midpoint
-sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and ``int_{K+1/2}^inf f``, about
-``|f'(K)|/8`` apart.  A log-power tail where ``f'''' >= 0`` as well closes
-with second-order Euler-Maclaurin instead: with a = K+1 the sum lies within
-``|f'''(a)|/384`` below ``int_a^inf f + f(a)/2 - f'(a)/12``, a width that
-falls like K^-4 rather than K^-2, so at ``eps = 1e-9`` the tail closes at the
-first block end past the onset of ``f'''' >= 0``.  The lower end is added to
-``value`` and the width, never less than one ulp of the upper end, is the
-``trunc_error``.  Later blocks lower that floor as the tail falls past a
-power of two, so the sum stops at it only when the floor at ``max_terms``
-is above eps too (for ``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the
-default cap, from n of about 2.88e8).  Other infinite tails use a
+``[K+1/2, inf)`` a power tail's omitted sum lies between the trapezoid and
+midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and
+``int_{K+1/2}^inf f``, about ``|f'(K)|/8`` apart.  A log-power tail closes
+with second-order Euler-Maclaurin instead, once ``t = (n+1) p_{K+1}`` has
+fallen to 4: with a = K+1 the sum lies within a stated bound on
+``int_a^inf |f''''|/720`` of ``int_a^inf f + f(a)/2 - f'(a)/12 +
+f'''(a)/720``, a width that falls like K^-4 rather than K^-2, so at
+``eps = 1e-9`` and n up to 1e8 the tail closes at the first block end
+where t <= 4.  The lower end is added to ``value`` and the width, never
+less than one ulp of the upper end, is the ``trunc_error``.  Later blocks
+lower that floor as the tail falls past a power of two, so the sum stops
+at it only when the floor at ``max_terms`` is above eps too (for
+``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the default cap, from n
+of about 2.88e8).  Other infinite tails use a
 dyadic-block upper bound built from the family's tail-mass certificate,
 valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound
 reads the head sum, so the stop is found before any block is summed, with
 a search over block ends for where the sandwich closes.  ``eps`` is a
 target on the t_n scale; a tail that cannot certify it within
 ``max_terms`` summands (set on ``tn``, ``zeta1`` and ``evaluate_series``;
-``em_gap`` sums to 2^25) stops at the cap.  If the summand is not yet
-convex there (a small ``max_terms``; for ``logpower:lambda=2,k0=2`` under
-the default cap, n above about 4.8e9), the sound lower term
+``em_gap`` sums to 2^25) stops at the cap.  If the bracket has not opened
+there (a small ``max_terms``; for ``logpower:lambda=2,k0=2`` under the
+default cap, n above about 3.9e10), the sound lower term
 ``w(p_{K+1})`` times the certified lower tail mass joins ``value``; either
 way the honest, larger ``trunc_error`` is reported instead of a guess.
 Float rounding and the normalizer's halfwidth lie outside ``trunc_error``.
@@ -191,14 +193,15 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     end K where the bracket is narrower than eps_t / n, or than one ulp of
     its upper end if n ulps of the upper end at ``max_terms``, which no
     width up to the cap undercuts, are above eps_t.  Power and log-power
-    tails close with their sandwich once the summand is convex; other tails
-    with the dyadic upper bound alone, which bounds p e^{-np} >= p (1-p)^n
-    and so serves both kernels.  A tail that reaches ``max_terms`` unmet
-    before it is convex takes the lower bound w(p_{K+1}) times the certified
+    tails close with their sandwich once it opens (``zoo.tail_sandwich``:
+    where the summand turns convex, or t falls to 4); other tails with the
+    dyadic upper bound alone, which bounds p e^{-np} >= p (1-p)^n and so
+    serves both kernels.  A tail that reaches ``max_terms`` unmet before
+    its sandwich opens takes the lower bound w(p_{K+1}) times the certified
     lower tail mass, sound because p_k <= p_{K+1} beyond K.  No rule reads
     the head sum, so K is found from the certificates alone.
 
-    Once the summand is convex at a block end, ``_first_block`` searches the
+    Once the sandwich is open at a block end, ``_first_block`` searches the
     remaining block ends (up to ``max_terms``) for the first one where the
     sandwich comes within ``_ROUNDING_ULPS`` of closing, and the block ends
     before it are not tested.  The slack keeps the search at or before the
@@ -209,7 +212,7 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     """
     def closes(lo: float, hi: float, slack: float = 0.0) -> bool:
         """Whether [lo, hi], less ``slack`` ulps, meets eps_t / n, or the
-        one-ulp floor while the floor at the cap (convex beyond K) misses it."""
+        one-ulp floor while the floor at the cap (open beyond K) misses it."""
         w = hi - lo - slack * math.ulp(hi)
         return n * max(w, math.ulp(hi)) <= eps_t or (
             w <= math.ulp(hi) and n * math.ulp(bracket(max_terms)[1]) > eps_t)

@@ -22,15 +22,17 @@ The closed-form tails of power and log-power families live here, in
 ``tail_sandwich``: it returns one function ``bracket(K)`` on
 ``sum_{k>K} p_k w(p_k)`` for either kernel ``w(p) = (1-p)^n`` or
 ``e^{-np}`` (``Kernel``) at any n >= 0, for the mass bracket above and for
-the series evaluator in ``tail_index`` alike.  It is None until
-``f(x) = p w(p)`` is convex on ``[K+1/2, inf)``; from there the sum lies
-between the trapezoid and midpoint sandwiches of its tail integral, a
+the series evaluator in ``tail_index`` alike.  For power tails it is None
+until ``f(x) = p w(p)`` is convex on ``[K+1/2, inf)``; from there the sum
+lies between the trapezoid and midpoint sandwiches of its tail integral, a
 bracket about ``|f'(K)|/8`` wide.  Log-power tails close with second-order
-Euler-Maclaurin once ``f'''' >= 0`` there too: ``int + f/2 - f'/12`` less
-``[0, |f'''|/384]`` at ``K+1``, with ``f'`` and ``f'''`` in closed form and
-``f'''' >= 0`` certified by one point test; at n = 0, where ``f = p``,
-it holds wherever ``p < 1``.  Power tails keep the first-order sandwich
-until the benchmark's power references are corrected.  For power tails
+Euler-Maclaurin from ``a = K+1`` once ``t = (n+1) p(a)`` (``n p(a)`` for
+``e^{-np}``) is at most 4, where their tail integral is good to 6e-16:
+``int + f/2 - f'/12 + f'''/720`` within ``W = L* C/(2160 j^3)``, a bound
+on ``int |f''''|/720`` from the closed-form derivatives, with no sign test;
+at n = 0, where ``f = p`` and ``f'''' >= 0``, it is the one-sided
+``int + f/2 - f'/12`` less ``[0, |f'''|/384]``.  Power tails keep the
+first-order sandwich (see ``_power_bracket``).  For power tails
 ``p_k = c k^-lam`` the integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``,
 an incomplete beta function, for ``(1-p)^n`` and
 ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -340,7 +342,7 @@ def _upper_gamma_ratio(a: float, x: float) -> float:
 def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
                             kernel: Kernel) -> tuple[float, float]:
     """[lo, hi] on integral_y^inf p w(p) dx for p = c/(j ln^lam j), j = x+k0-1,
-    where n p(y) < 1.
+    where t = (n+1) p(y) for (1-p)^n, n p(y) for e^{-np}, is at most 4.
 
     Expanding w(p) = sum_m (-1)^m a_m p^m, with a_m = C(n,m) for (1-p)^n and
     n^m/m! for e^{-np}, and substituting u = ln j integrates every term: with
@@ -348,8 +350,12 @@ def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
     c u0^{1-lam} [1/(lam-1) + sum_{m>=1} (-1)^m a_m q^m R(1-(m+1)lam, m u0)].
     The kernel's partial sums alternate around it (Bonferroni inequalities,
     Taylor's theorem), so the integral lies between the last two partial
-    sums; the terms shrink like (nq)^m/m!.  At n = 0 only the first term is
-    left, taken as c u0^{1-lam}/(lam-1) at both ends.
+    sums; the terms shrink like (nq)^m/m!.  Up to t = 4 both ends lie within
+    6e-16 relative of the 40-digit integral (lam = 1.5, 2, 3, both kernels,
+    n = 1e4, 1e6, 1e8); beyond, the alternating terms grow before they
+    shrink, and the cancellation drifts the ends to 1.2e-14 at t = 8 and
+    1.7e-11 at t = 16.  At n = 0 only the first term is left, taken as
+    c u0^{1-lam}/(lam-1) at both ends.
     """
     j = y + k0 - 1.0
     u0 = math.log(j)
@@ -371,114 +377,15 @@ def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
     return scale * min(prev, total), scale * max(prev, total)
 
 
-def _logpower_convex_at(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> bool:
-    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, is convex on [x, inf).
-
-    With u = ln j and A = 1 + lam/u, p' = -pA/j and p'' = p(A^2+A+lam/u^2)/j^2,
-    so f'' >= 0 wherever (1-(n+1)p)(1-p)(1+1/A) >= 2np for (1-p)^n and
-    (1-np)(1+1/A) >= 2np for e^{-np}.  The left sides grow and the right
-    sides fall with x, so one point covers the tail; the margin covers
-    rounding.
-    """
-    j = x + k0 - 1.0
-    u = math.log(j)
-    p = c / (j * u ** lam)
-    gain = 1.0 + u / (u + lam)  # 1 + 1/A
-    if kernel is Kernel.BINOMIAL:
-        lhs = (1.0 - (n + 1.0) * p) * (1.0 - p) * gain
-    else:
-        lhs = (1.0 - n * p) * gain
-    return lhs >= 2.0 * n * p * (1.0 + 1e-9)
-
-
-class _LogPowerPoint(NamedTuple):
-    """f = g(p), g(p) = p w(p), p = c/(j ln^lam j), j = x+k0-1, at one x:
-    what f's derivatives and the test of f'''' >= 0 share.
-
-    With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k, where R_1 = A = 1 + lam s and
-    R_{k+1} = (A+k) R_k + s^2 dR_k/ds, so R_2 = A(A+1) + lam s^2 and
-    R_3 = (A+2) R_2 + lam s^2 (2A+1+2s).  Each R_k is a polynomial in s with
-    nonnegative coefficients, k! at s = 0: p is completely monotone.  For
-    either kernel g^(m)(p) p^(m-1) = (-1)^(m+1) g'(p) e_m (m-t)/(1-t), with
-    t = (n+1)p, r = p/(1-p) and e_m = n(n-1)...(n-m+2) r^(m-1) for (1-p)^n,
-    and t = np, r = p and e_m = (np)^(m-1) for e^{-np}; every e_m is
-    nonnegative at integer n.
-    """
-
-    j: float
-    p: float
-    s: float
-    A: float
-    R2: float
-    R3: float
-    t: float
-    r: float
-    e2: float
-    e3: float
-    e4: float
-
-
-def _logpower_point(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> _LogPowerPoint:
-    """The ``_LogPowerPoint`` at x."""
-    j = x + k0 - 1.0
-    u = math.log(j)
-    s = 1.0 / u
-    A = 1.0 + lam * s
-    R2 = A * (A + 1.0) + lam * s * s
-    p = c / (j * u ** lam)
-    if kernel is Kernel.BINOMIAL:
-        t, r, n1, n2 = (n + 1.0) * p, p / (1.0 - p), n - 1.0, n - 2.0
-    else:
-        t, r, n1, n2 = n * p, p, n, n
-    e2 = n * r
-    e3 = e2 * n1 * r
-    return _LogPowerPoint(j, p, s, A, R2, (A + 2.0) * R2 + lam * s * s * (2.0 * A + 1.0 + 2.0 * s),
-                          t, r, e2, e3, e3 * n2 * r)
-
-
-def _logpower_fourth_from(c: float, lam: float, k0: int, n: float, x: float, kernel: Kernel) -> bool:
-    """Whether f = p w(p), p = c/(j ln^lam j), j = x+k0-1, has f'''' >= 0 on
-    [x, inf), which the second-order bracket needs.
-
-    By Faa di Bruno and ``_LogPowerPoint``, f'''' j^4 (1-t)/(p g'(p) R_4) =
-    (1-t) + 6 e3 (3-t) a - e4 (4-t) b - e2 (2-t) g, with a = A^2 R_2/R_4,
-    b = A^4/R_4 and g = (3 R_2^2 + 4 A R_3)/R_4.  Along the tail p and s
-    fall, and:
-    - R_3 >= (A+2) R_2 and R_4 >= (A+3) R_3 bound b and g by
-      B = A^3/((A+1)(A+2)(A+3)) and G = 3 R_2/((A+2)(A+3)) + 4A/(A+3),
-      which grow with s, so B and G at x bound the whole tail's;
-    - d ln a/d ln p <= d = lam s^2 (4+2s)/A^2, which grows with s, so
-      a >= a(x) (p/p(x))^d.
-    So f'''' >= 0 wherever Q(p) = (1-t) + 6 e3 (3-t) a(x) (p/p(x))^d
-    - e4 (4-t) B - e2 (2-t) G >= 0.  r dQ/dp is at most
-    -e2 + 18 a(x) e3 (1+r)(2+d+2r) - G e2 (2-2t-tr), and dQ/dp's bound
-    grows with p; where that is <= 0 at x, Q rises along the tail, so
-    Q(p(x)) >= 0 covers it.  t < 1 keeps the signs of g^(m); the margins
-    cover rounding.
-    """
-    q = _logpower_point(c, lam, k0, n, x, kernel)
-    A, s, t, r, e2, e3 = q.A, q.s, q.t, q.r, q.e2, q.e3
-    if t >= 1.0:
-        return False
-    R4 = (A + 3.0) * q.R3 + lam * s * s * (3.0 * A * (A + 2.0) + 2.0
-                                           + 3.0 * s * (3.0 * lam * s + 2.0 * s + 4.0))
-    a = A * A * q.R2 / R4
-    d = lam * s * s * (4.0 + 2.0 * s) / (A * A)
-    B = A ** 3 / ((A + 1.0) * (A + 2.0) * (A + 3.0))
-    G = 3.0 * q.R2 / ((A + 2.0) * (A + 3.0)) + 4.0 * A / (A + 3.0)
-    margin = 1.0 + 1e-9
-    rises = 18.0 * a * e3 * (1.0 + r) * (2.0 + d + 2.0 * r) * margin <= e2 * (1.0 + G * (2.0 - t * (2.0 + r)))
-    Q_plus, Q_minus = (1.0 - t) + 6.0 * e3 * (3.0 - t) * a, q.e4 * (4.0 - t) * B + e2 * (2.0 - t) * G
-    return rises and Q_plus >= Q_minus * margin
-
-
 def _power_bracket(c: float, lam: float, n: float, kernel: Kernel, K: int) -> tuple[float, float]:
     """[lo, hi] on sum_{k>K} f(k), f = p w(p), p = c x^-lam, once f is convex
     on [K+1/2, inf): the trapezoid lower and midpoint upper sandwich of its
     integral, about |f'(K)|/8 wide.  Power tails keep this first-order
-    bracket alone until the benchmark's power references are corrected;
-    then they take the second-order one where f'''' >= 0, as
-    ``_logpower_bracket`` does."""
+    bracket alone while the benchmark's power:lambda=1.5 references are
+    stale: on grid rows 47-53 they sit 17,492 to 18,161 ulps of the upper
+    end below tn's lower end, inside the check's allowance of terms_used +
+    10^4 ulps only because the head runs to 195,584 or 261,120 terms; a
+    closure stopping at 7,168 terms would be allowed 17,168 and fail it."""
     p1 = c * (K + 1.0) ** -lam
     f1 = p1 * kernel.at(p1, n)
     return (power_tail_integral(c, lam, n, K + 1.0, kernel) + 0.5 * f1,
@@ -486,48 +393,87 @@ def _power_bracket(c: float, lam: float, n: float, kernel: Kernel, K: int) -> tu
 
 
 def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
-                      K: int) -> tuple[float, float]:
-    """[lo, hi] on sum_{k>K} f(k), f = p w(p), p = c/(j ln^lam j), once f is
-    convex on [K+1/2, inf): second-order Euler-Maclaurin from a = K+1 where
-    f'''' >= 0 there too, and the first-order sandwich before, which closes
-    a loose eps sooner than the onset of f'''' >= 0.
+                      K: int) -> Optional[tuple[float, float]]:
+    """[lo, hi] on sum_{k>K} f(k), f = g(p), g(p) = p w(p), p = c/(j ln^lam j),
+    j = x+k0-1, by second-order Euler-Maclaurin from a = K+1 wherever
+    t = (n+1) p(a) for (1-p)^n, n p(a) for e^{-np}, is at most 4, and None
+    beyond: there the tail integral drifts from its 40-digit value (1.2e-14
+    relative at t = 8, 1.7e-11 at t = 16).
 
-    sum_{k>=a} f(k) = int_a^inf f + f(a)/2 - f'(a)/12 + f'''(a)/720 + R with
-    R = -int_a^inf B4({x}) f''''(x)/24 dx and B4(x) = x^2(1-x)^2 - 1/30; the
-    constant cancels the f''' term, and 0 <= x^2(1-x)^2 <= 1/16 puts the sum
+    sum_{k>=a} f(k) = I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f,
+    with R = -int_a^inf B4({x}) f''''(x)/24 dx and B4(x) = x^2(1-x)^2 - 1/30.
+    With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k, where R_1 = A = 1 + lam s and
+    R_{k+1} = (A+k) R_k + s^2 dR_k/ds: every R_k is a polynomial in s with
+    nonnegative coefficients, k! at s = 0.  For either kernel
+    g^(m)(p) p^m = (-1)^(m+1) L e_m (m-t), where L = p g'(p)/(1-t) = p w(p) r
+    and e_m = n(n-1)...(n-m+2) r^(m-1) with r = p/(1-p) for (1-p)^n, and
+    r = p, e_m = (np)^(m-1) for e^{-np}, each nonnegative at integer n.  By
+    Faa di Bruno -f' = L (1-t) A/j, -f''' = L [(1-t) R_3 + e_3 (3-t) A^3
+    - 3 e_2 (2-t) A R_2]/j^3 and f'''' = L [(1-t) R_4 + 6 e_3 (3-t) A^2 R_2
+    - e_4 (4-t) A^4 - e_2 (2-t) (3 R_2^2 + 4 A R_3)]/j^4.
+
+    At n = 0, f = p and f'''' >= 0, so 0 <= x^2(1-x)^2 <= 1/16 puts the sum
     in [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12], I the integral's
-    bracket: about |f'''|/384 wide, against |f'|/8 for the first-order one.
-    f' and f''' come from ``_LogPowerPoint`` and the chain rule.
+    bracket.  At n > 0 the sign is not known, and |B4| <= 1/30 gives
+    |R| <= int_a^inf |f''''|/720.  Past a, s, t, every R_k and every e_k
+    fall and |m-t| <= max(m, t(a)), while L rises up to p = 1/n and falls
+    beyond; so |f''''| <= L* C/j^4, with C the bracket of f'''' in absolute
+    values and max(m, t(a)) for |m-t|, and L* = L at min(p(a), 1/n).  As
+    int_a^inf j^-4 dx = 1/(3 j^3), the sum lies within W = L* C/(2160 j^3)
+    of I + f/2 - f'/12 + f'''/720.
     """
-    q = _logpower_point(c, lam, k0, n, K + 1.0, kernel)
-    f = q.p * kernel.at(q.p, n)
+    j = float(K + k0)
+    u = math.log(j)
+    s = 1.0 / u
+    A = 1.0 + lam * s
+    R2 = A * (A + 1.0) + lam * s * s
+    R3 = (A + 2.0) * R2 + lam * s * s * (2.0 * A + 1.0 + 2.0 * s)
+    p = c / (j * u ** lam)
+    binomial = kernel is Kernel.BINOMIAL
+    if binomial:
+        t, r, n1, n2 = (n + 1.0) * p, p / (1.0 - p), n - 1.0, n - 2.0
+    else:
+        t, r, n1, n2 = n * p, p, n, n
+    if t > 4.0:
+        return None
+    e2 = n * r
+    e3 = e2 * n1 * r
+    f = p * kernel.at(p, n)
+    lead = f * r / p                                            # L
     lo, hi = _logpower_tail_integral(c, lam, k0, n, K + 1.0, kernel)
-    if not _logpower_fourth_from(c, lam, k0, n, K + 0.5, kernel):
-        return lo + 0.5 * f, _logpower_tail_integral(c, lam, k0, n, K + 0.5, kernel)[1]
-    A, t = q.A, q.t
-    lead = f * q.r / q.p                                        # p g'(p)/(1-t)
-    df = lead * (1.0 - t) * A / q.j                             # -f'
-    d3f = lead * ((1.0 - t) * q.R3 + q.e3 * (3.0 - t) * A ** 3
-                  - 3.0 * q.e2 * (2.0 - t) * A * q.R2) / q.j ** 3   # -f'''
+    df = lead * (1.0 - t) * A / j                               # -f'
+    d3f = lead * ((1.0 - t) * R3 + e3 * (3.0 - t) * A ** 3
+                  - 3.0 * e2 * (2.0 - t) * A * R2) / j ** 3     # -f'''
     head = 0.5 * f + df / 12.0
-    return lo + head - d3f / 384.0, hi + head
+    if n == 0.0:
+        return lo + head - d3f / 384.0, hi + head
+    R4 = (A + 3.0) * R3 + lam * s * s * (3.0 * A * (A + 2.0) + 2.0
+                                         + 3.0 * s * (3.0 * lam * s + 2.0 * s + 4.0))
+    C = (R4 * max(1.0, t) + 6.0 * e3 * A * A * R2 * max(3.0, t) + e3 * n2 * r * A ** 4 * max(4.0, t)
+         + e2 * (3.0 * R2 * R2 + 4.0 * A * R3) * max(2.0, t))
+    if n * p > 1.0:                                             # L* at p = 1/n
+        p = 1.0 / n
+        lead = p * kernel.at(p, n) / (1.0 - p if binomial else 1.0)
+    W = lead * C / (2160.0 * j ** 3)
+    mid = head - d3f / 720.0
+    return lo + mid - W, hi + mid + W
 
 
 def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
                   kernel: Kernel) -> Optional[Callable[[int], Optional[tuple[float, float]]]]:
     """The closed-form sandwich of the power or log-power tail p_k = c g(k)
     at n and kernel, None for any other family: ``bracket(K)`` is [lo, hi]
-    on sum_{k>K} p_k w(p_k) once p w(p) is convex on [K+1/2, inf), and None
-    before.  At n = 0 the kernel is 1, the bracket is on the tail mass, and
-    it is convex for every K >= 1."""
+    on sum_{k>K} p_k w(p_k), and None before it opens: for power where
+    p w(p) turns convex on [K+1/2, inf), for log-power where t = (n+1) p or
+    n p at K+1 falls to 4.  At n = 0 the kernel is 1, the bracket is on the
+    tail mass, and it is open for every K >= 1."""
     if kind is FamilyKind.POWER:
         lam = params["lambda"]
         x_c = _power_convex_from(c, lam, n, kernel)
         return lambda K: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
     if kind is FamilyKind.LOG_POWER:
         lam, k0 = params["lambda"], params["k0"]
-        return lambda K: (_logpower_bracket(c, lam, k0, n, kernel, K)
-                          if _logpower_convex_at(c, lam, k0, n, K + 0.5, kernel) else None)
+        return lambda K: _logpower_bracket(c, lam, k0, n, kernel, K)
     return None
 
 
