@@ -167,8 +167,8 @@ def _cmd_classify(args) -> None:
 
 def _cmd_oscillate(args) -> None:
     lo, hi, points = args.cmin, args.cmax, args.grid
-    if not (0.0 < lo < hi) or points < 2:
-        raise InvalidParams("need 0 < cmin < cmax and grid >= 2")
+    if not (0.0 < lo < hi) or not 2 <= points <= MAX_SCHEDULE_POINTS:
+        raise InvalidParams(f"need 0 < cmin < cmax and 2 <= grid <= {MAX_SCHEDULE_POINTS}")
     records = []
     for i in range(points):
         c = lo + (hi - lo) * i / (points - 1)

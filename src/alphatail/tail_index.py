@@ -50,8 +50,8 @@ at it only when the floor at ``max_terms`` is above eps too (for
 of about 2.88e8).  Other infinite tails use a
 dyadic-block upper bound built from the family's tail-mass certificate,
 valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound
-reads the head sum, so the stop is found before any block is summed, with
-a search over block ends for where the sandwich closes.  ``eps`` is a
+reads the head sum, so the stop is found before any block is summed: the
+first block end, tested in order, where the bracket closes.  ``eps`` is a
 target on the t_n scale; a tail that cannot certify it within
 ``max_terms`` summands (set on ``tn``, ``zeta1`` and ``evaluate_series``;
 ``em_gap`` sums to 2^25) stops at the cap.  If the bracket has not opened
@@ -74,7 +74,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -91,9 +91,6 @@ _EXP_OVERFLOW = 709.0
 _EXP_UNDERFLOW = -745.0
 _LN_800 = math.log(800.0)
 _EXACT_SUM_MIN = 128        # shorter level tables go straight to math.fsum
-# each end of a closed tail's bracket carries a few ulps of rounding, so near
-# its one-ulp floor the computed width moves by about 2 ulps between blocks
-_ROUNDING_ULPS = 3.0
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,16 @@ class EmGap(NamedTuple):
 # Certified tail bounds for the series sum_{k>K} p_k w(p_k)
 # ---------------------------------------------------------------------------
 
-def _dyadic_series_tail(dist: Distribution, K: int, n: float, mass: float, blocks: int = 60) -> float:
-    """Generic bound from mass certificates: on (K 2^j, K 2^{j+1}] every term
-    is at most (block mass) * exp(-n p(K 2^{j+1})); ``mass`` is the mass
-    bound beyond K, ``dist.tail_mass_bound(K)``.
+def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
+    """Certified zeta-scale bound on everything omitted beyond index K, for
+    either kernel, from p(1-p)^n <= p e^{-np}: the smaller of the tail mass
+    bound and a sum over the dyadic blocks (K 2^{j-1}, K 2^j], j = 1, ...,
+    60, of each block's mass bound times exp(-n p(K 2^j + 1)), which bounds
+    its every term, plus the raw mass bound beyond the last block summed.
     """
+    bound = mass = dist.tail_mass_bound(K)
     total = 0.0
-    for j in range(1, blocks + 1):
+    for j in range(1, 61):
         hi = K << j
         lp = dist.log_prob(hi + 1)
         damp = math.exp(-n * math.exp(lp)) if lp > -700.0 else 1.0
@@ -148,14 +148,7 @@ def _dyadic_series_tail(dist: Distribution, K: int, n: float, mass: float, block
         mass = dist.tail_mass_bound(hi)
         if damp >= 1.0 - 1e-12:
             break   # deeper blocks gain nothing; close with the raw mass bound
-    return total + mass
-
-
-def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
-    """Certified zeta-scale bound on everything omitted beyond index K, for
-    either kernel, from p(1-p)^n <= p e^{-np}."""
-    mass = dist.tail_mass_bound(K)
-    return min(mass, _dyadic_series_tail(dist, K, n, mass))
+    return min(bound, total + mass)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +167,6 @@ def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | f
     return w
 
 
-def _first_block(i: int, max_terms: int, meets: Callable[[int], bool]) -> int:
-    """The first block from i on that meets, or one that ends at
-    ``max_terms`` or past it, if ``meets`` holds from some block on: steps
-    of 1, 2, 4, ... blocks, then bisection inside the last step."""
-    lo, step = i - 1, 1
-    while block_end(lo + step) < max_terms and not meets(lo + step):
-        lo, step = lo + step, 2 * step
-    return lo + 1 + bisect.bisect_left(range(lo + 1, lo + step), True, key=meets)
-
-
 def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
           kernel: Kernel) -> tuple[int, float, float]:
     """(K, tail_lo, width): where the head of sum_k p_k w(p_k) over a closed
@@ -199,35 +182,17 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     serves both kernels.  A tail that reaches ``max_terms`` unmet before
     its sandwich opens takes the lower bound w(p_{K+1}) times the certified
     lower tail mass, sound because p_k <= p_{K+1} beyond K.  No rule reads
-    the head sum, so K is found from the certificates alone.
-
-    Once the sandwich is open at a block end, ``_first_block`` searches the
-    remaining block ends (up to ``max_terms``) for the first one where the
-    sandwich comes within ``_ROUNDING_ULPS`` of closing, and the block ends
-    before it are not tested.  The slack keeps the search at or before the
-    first block end that closes, although near the one-ulp floor rounding
-    moves the computed width up and down from one block end to the next.
-    From there every block end is tested again, so the stop is the
-    sandwich's own at the block end reached and never rests on the search.
+    the head sum, so K is found from the certificates alone, testing every
+    block end in order: near the one-ulp floor rounding moves the computed
+    width up and down between block ends, so the rule is not monotone in K.
     """
-    def closes(lo: float, hi: float, slack: float = 0.0) -> bool:
-        """Whether [lo, hi], less ``slack`` ulps, meets eps_t / n, or the
-        one-ulp floor while the floor at the cap (open beyond K) misses it."""
-        w = hi - lo - slack * math.ulp(hi)
-        return n * max(w, math.ulp(hi)) <= eps_t or (
-            w <= math.ulp(hi) and n * math.ulp(bracket(max_terms)[1]) > eps_t)
-
-    def nearly_closes(i: int) -> bool:
-        return closes(*bracket(min(block_end(i), max_terms)), _ROUNDING_ULPS)
-
     bracket = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
     if bracket is not None:
-        # the search for the closing block and the stop test share evaluations
+        # the one-ulp floor's test reads the cap's bracket at every block end
         bracket = functools.cache(bracket)
     # a sandwich is tested from the second block end on: at 64 it seldom closes,
     # and a log-power tail integral there, n p near 1, costs more than 960 terms
     i = 0 if bracket is None else 1
-    searched = False
     tail_lo, tail_hi = 0.0, math.inf
     while True:
         K = min(block_end(i), max_terms)
@@ -241,7 +206,8 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
             tail_hi = _series_tail_bound(dist, K, n)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-        if (closed and closes(tail_lo, tail_hi)) or n * width <= eps_t:
+        if n * width <= eps_t or (closed and tail_hi - tail_lo <= math.ulp(tail_hi)
+                                  and n * math.ulp(bracket(max_terms)[1]) > eps_t):
             return K, tail_lo, width
         if capped:
             if not closed and K >= dist.k0_head:
@@ -249,9 +215,6 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
                 tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
                 width = max(tail_hi - tail_lo, math.ulp(tail_hi))
             return K, tail_lo, width
-        if closed and not searched:
-            searched = True
-            i = _first_block(i, max_terms, nearly_closes)
 
 
 def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, float, float]],

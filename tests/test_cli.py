@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from alphatail import SpecParseError, catalog, format_spec, make_distribution, parse_spec, tn
+from alphatail import SpecParseError, catalog, cli, format_spec, make_distribution, parse_spec, tn
 from alphatail.cli import MAX_SCHEDULE_POINTS, _parse_schedule, main
 
 
@@ -226,6 +226,16 @@ class TestOscillate:
         assert set(rows[0]) == {"c", "t_of_c"}
         cs = [float(r["c"]) for r in rows]
         assert cs[0] == 1.0 and cs[-1] == pytest.approx(math.e)
+
+    def test_grid_cap(self, run, monkeypatch):
+        # refused before any point is computed, as a schedule is
+        def unreachable(c):
+            raise AssertionError("oscillation_t was called")
+
+        monkeypatch.setattr(cli, "oscillation_t", unreachable)
+        code, out, err = run("oscillate", "--grid", str(MAX_SCHEDULE_POINTS + 1))
+        assert (code, out) == (2, "")
+        assert f"grid <= {MAX_SCHEDULE_POINTS}" in err
 
 
 class TestZoo:

@@ -579,16 +579,21 @@ class TestClosedFormBlocks:
     @pytest.mark.parametrize("spec_text, n, eps", [
         # at eps = 1e-9 and n up to 1e8 the log-power tail closes at the
         # first block end where its bracket opens, so no earlier one is
-        # left to test; these stops have one, 64 and 51 earlier open ones
+        # left to test; these stops have 1, 64, 51, 31, 79 and 185 earlier
+        # open ones
         ("logpower:lambda=2,k0=2", 10000, 1e-12),
         ("logpower:lambda=2,k0=2", 223872, 1e-12),
         ("logpower:lambda=2,k0=2", 199526231, 1e-9),
         ("power:lambda=1.5", 10 ** 8, 1e-9),
+        ("power:lambda=1.1", 12345, 1e-12),
+        ("power:lambda=1.5", 10 ** 7, 1e-12),
     ])
     def test_stops_at_the_first_closing_block(self, spec_text, n, eps):
-        # the search for the closing block skips bracket evaluations, yet no
-        # earlier block end closes: near the one-ulp floor rounding moves
-        # the computed width up and down between block ends
+        # near the one-ulp floor rounding moves the computed width up and
+        # down between block ends, so the rule is not monotone in K and a
+        # search over block ends can step past the first that closes: at
+        # the two power points at eps = 1e-12 a galloping search stopped at
+        # 6,552,576 and 12,909,568 terms, past 5 and 2 block ends that close
         dist = make_distribution(parse_spec(spec_text))
         bracket = _sandwich(dist, float(n), BINOMIAL)
         floor_misses_eps = n * math.ulp(bracket(tail_index.DEFAULT_MAX_TERMS)[1]) > eps
