@@ -237,7 +237,10 @@ def subsequence_probe(
         p = dist.prob(k)
         if p <= 0.0:
             raise FiniteSupport(f"p_{k} vanished; support is not all-positive")
-        ns.append(math.floor(1.0 / p))
+        inverse = 1.0 / p
+        if inverse == math.inf:
+            raise InvalidParams(f"n_{k} = floor(1/p_{k}) overflows a float: p_{k} = {p!r}")
+        ns.append(math.floor(inverse))
     return [(k, n_k, iv.value) for k, n_k, iv in zip(ks, ns, _tn_at(dist, ns, eps))]
 
 

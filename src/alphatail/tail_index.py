@@ -37,28 +37,31 @@ functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
 ``[K+1/2, inf)`` a power tail's omitted sum lies between the trapezoid and
 midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and
 ``int_{K+1/2}^inf f``, about ``|f'(K)|/8`` apart.  A log-power tail closes
-with second-order Euler-Maclaurin instead, once ``t = (n+1) p_{K+1}`` has
-fallen to 4: with a = K+1 the sum lies within a stated bound on
-``int_a^inf |f''''|/720`` of ``int_a^inf f + f(a)/2 - f'(a)/12 +
-f'''(a)/720``, a width that falls like K^-4 rather than K^-2, so at
-``eps = 1e-9`` and n up to 1e8 the tail closes at the first block end
-where t <= 4.  The lower end is added to ``value`` and the width, never
-less than one ulp of the upper end, is the ``trunc_error``.  Later blocks
-lower that floor as the tail falls past a power of two, so the sum stops
-at it only when the floor at ``max_terms`` is above eps too (for
-``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the default cap, from n
-of about 2.88e8).  Other infinite tails use a
-dyadic-block upper bound built from the family's tail-mass certificate,
+with second-order Euler-Maclaurin instead, at any K >= 0: with a = K+1 the
+sum lies within a stated bound on ``int_a^inf |f''''|/720`` of
+``int_a^inf f + f(a)/2 - f'(a)/12 + f'''(a)/720``, a width that falls like
+K^-4 rather than K^-2, and at K = 0, where no head is summed, like n^-3
+on the t_n scale up to powers of ln n.  So the sandwich is tried at K = 0
+first: for
+``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` it closes there from n of
+about 7.9e5 to 1.44e8 (from about 4.3e4 at ``eps = 1e-6``), and below
+that at the first block end, 1,024.  The lower end is added to ``value``
+and the width, never less than one ulp of the upper end, is the
+``trunc_error``.  Later blocks lower that floor as the tail falls past a
+power of two, so the sum stops at it only when the floor at ``max_terms``
+is above eps too (for ``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the
+default cap, from n of about 2.88e8, at K = 0).  Other infinite tails use
+a dyadic-block upper bound built from the family's tail-mass certificate,
 valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound
 reads the head sum, so the stop is found before any block is summed: the
 first block end, tested in order, where the bracket closes.  ``eps`` is a
 target on the t_n scale; a tail that cannot certify it within
 ``max_terms`` summands (set on ``tn``, ``zeta1`` and ``evaluate_series``;
 ``em_gap`` sums to 2^25) stops at the cap.  If the bracket has not opened
-there (a small ``max_terms``; for ``logpower:lambda=2,k0=2`` under the
-default cap, n above about 3.9e10), the sound lower term
-``w(p_{K+1})`` times the certified lower tail mass joins ``value``; either
-way the honest, larger ``trunc_error`` is reported instead of a guess.
+there (a power tail under a small ``max_terms``; a log-power bracket is
+open at every K), the sound lower term ``w(p_{K+1})`` times the certified
+lower tail mass joins ``value``; either way the honest, larger
+``trunc_error`` is reported instead of a guess.
 Float rounding and the normalizer's halfwidth lie outside ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
@@ -71,7 +74,7 @@ work on its window of levels, not a pass over the table.
 from __future__ import annotations
 
 import bisect
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -177,38 +180,46 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     its upper end if n ulps of the upper end at ``max_terms``, which no
     width up to the cap undercuts, are above eps_t.  Power and log-power
     tails close with their sandwich once it opens (``zoo.tail_sandwich``:
-    where the summand turns convex, or t falls to 4); other tails with the
-    dyadic upper bound alone, which bounds p e^{-np} >= p (1-p)^n and so
-    serves both kernels.  A tail that reaches ``max_terms`` unmet before
-    its sandwich opens takes the lower bound w(p_{K+1}) times the certified
-    lower tail mass, sound because p_k <= p_{K+1} beyond K.  No rule reads
-    the head sum, so K is found from the certificates alone, testing every
-    block end in order: near the one-ulp floor rounding moves the computed
-    width up and down between block ends, so the rule is not monotone in K.
+    where the summand turns convex, at every K for log-power, which is tried
+    at K = 0 first); other tails with the dyadic upper bound alone, which
+    bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that
+    reaches ``max_terms`` unmet before its sandwich opens takes the lower
+    bound w(p_{K+1}) times the certified lower tail mass, sound because
+    p_k <= p_{K+1} beyond K.  No rule reads the head sum, so K is found from
+    the certificates alone, testing every block end in order: near the
+    one-ulp floor rounding moves the computed width up and down between
+    block ends, so the rule is not monotone in K.
     """
     bracket = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
+    # a sandwich is tried at K = 0, where a log-power tail closes at large n,
+    # and then from the second block end on: at 64 it seldom closes
+    ends = map(block_end, itertools.count(0 if bracket is None else 1))
     if bracket is not None:
-        # the one-ulp floor's test reads the cap's bracket at every block end
-        bracket = functools.cache(bracket)
-    # a sandwich is tested from the second block end on: at 64 it seldom closes,
-    # and a log-power tail integral there, n p near 1, costs more than 960 terms
-    i = 0 if bracket is None else 1
-    tail_lo, tail_hi = 0.0, math.inf
-    while True:
-        K = min(block_end(i), max_terms)
-        i += 1
+        ends = itertools.chain([0], ends)
+    # a bracket whose remainder alone is wider than eps_t / n and than 2^-51,
+    # one ulp of a tail below 2, closes by neither rule below: it gives up
+    # before its integral, except at the cap, where its ends are used
+    give_up = max(eps_t / n, 2.0 ** -51)
+    cap_floor = None
+    for K in ends:
+        K = min(K, max_terms)
         capped = K >= max_terms
-        ends = None if bracket is None else bracket(K)
-        closed = ends is not None
+        tail_lo, tail_hi = 0.0, math.inf
+        sandwich = None if bracket is None else bracket(K, math.inf if capped else give_up)
+        closed = sandwich is not None
         if closed:
-            tail_lo, tail_hi = ends
+            tail_lo, tail_hi = sandwich
         elif K >= dist.k0_head and (capped or bracket is None):
             tail_hi = _series_tail_bound(dist, K, n)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-        if n * width <= eps_t or (closed and tail_hi - tail_lo <= math.ulp(tail_hi)
-                                  and n * math.ulp(bracket(max_terms)[1]) > eps_t):
+        if n * width <= eps_t:
             return K, tail_lo, width
+        if closed and tail_hi - tail_lo <= math.ulp(tail_hi):
+            if cap_floor is None:
+                cap_floor = n * math.ulp(bracket(max_terms)[1])
+            if cap_floor > eps_t:
+                return K, tail_lo, width
         if capped:
             if not closed and K >= dist.k0_head:
                 p1 = math.exp(dist.log_prob(K + 1))

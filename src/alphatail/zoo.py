@@ -26,21 +26,25 @@ the series evaluator in ``tail_index`` alike.  For power tails it is None
 until ``f(x) = p w(p)`` is convex on ``[K+1/2, inf)``; from there the sum
 lies between the trapezoid and midpoint sandwiches of its tail integral, a
 bracket about ``|f'(K)|/8`` wide.  Log-power tails close with second-order
-Euler-Maclaurin from ``a = K+1`` once ``t = (n+1) p(a)`` (``n p(a)`` for
-``e^{-np}``) is at most 4, where their tail integral is good to 6e-16:
-``int + f/2 - f'/12 + f'''/720`` within ``W = L* C/(2160 j^3)``, a bound
-on ``int |f''''|/720`` from the closed-form derivatives, with no sign test;
-at n = 0, where ``f = p`` and ``f'''' >= 0``, it is the one-sided
-``int + f/2 - f'/12`` less ``[0, |f'''|/384]``.  Power tails keep the
-first-order sandwich (see ``_power_bracket``).  For power tails
-``p_k = c k^-lam`` the integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``,
-an incomplete beta function, for ``(1-p)^n`` and
-``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
-function, for ``e^{-np}``.  For log-power tails ``p_k = c/(j ln^lam j)``,
-``j = k + k0 - 1``, expanding the kernel in powers of p integrates term by
-term into upper incomplete gamma functions of negative order, evaluated by
-their continued fraction; the partial sums alternate, so the last two
-bracket the integral.  At n = 0 both integrals are taken in closed form.
+Euler-Maclaurin from ``a = K+1`` at every K >= 0, K = 0 included, where no
+head is left: ``int + f/2 - f'/12 + f'''/720`` within ``W``, a bound on
+``int |f''''|/720`` from the closed-form derivatives, summed over pieces of
+``[a, inf)`` on which ``t = (n+1) p`` (``n p`` for ``e^{-np}``) falls by a
+fixed ratio, with no sign test; at n = 0, where ``f = p`` and
+``f'''' >= 0``, it is the one-sided ``int + f/2 - f'/12`` less
+``[0, |f'''|/384]``.  Power tails keep the first-order sandwich (see
+``_power_bracket``).  For power tails ``p_k = c k^-lam`` the integral is
+``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function,
+for ``(1-p)^n`` and ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``,
+an incomplete gamma function, for ``e^{-np}``.  For log-power tails
+``p_k = c/(j ln^lam j)``, ``j = k + k0 - 1``, it has three parts.  Where
+t <= 4, expanding the kernel in powers of p integrates term by term into
+upper incomplete gamma functions of negative order, evaluated by their
+continued fraction; the partial sums alternate, so the last two bracket
+the integral.  Where 4 < t <= 40 it is a 48-point Gauss-Legendre rule in
+``u = ln j`` within a Bernstein-ellipse bound, and beyond a closed bound
+near ``y T e^-T`` at ``T = 40``.  At n = 0 both integrals are taken in
+closed form.
 
 A level table is stored once, as read-only arrays of log2 probabilities
 (exact integer exponents for the diffusion sequence, so double-exponentially
@@ -53,6 +57,7 @@ materialized eagerly, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,6 +88,15 @@ _MAX_NORMALIZATION_TERMS = 1 << 27
 # rounding of its bracket and of the product with the normalizer (log-power
 # bounds computed up to 2.3 ulps below their 40-digit tails)
 _TAIL_ROUNDING_ULPS = 4.0
+
+# a log-power tail integral is an alternating series where t <= 4, a
+# Gauss-Legendre rule in u = ln j where 4 < t <= 40 and a closed bound
+# beyond; its remainder bound is summed over pieces on which j grows by at
+# most 1.25 until t falls to 4
+_SERIES_T = 4.0
+_QUADRATURE_T = 40.0
+_QUADRATURE_NODES = 48
+_PIECE_RATIO = 1.25
 
 DEFAULT_LOGPOWER_K0 = 2
 DEFAULT_CONGREGATED_DEPTH = 48
@@ -329,7 +343,7 @@ def _upper_gamma_ratio(a: float, x: float) -> float:
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c * d - 1.0) <= 2.2e-16:
+        if -2.2e-16 <= c * d - 1.0 <= 2.2e-16:
             break
     else:
         raise AlphatailError(f"continued fraction for Gamma({a}, {x}) did not converge")
@@ -342,7 +356,8 @@ def _upper_gamma_ratio(a: float, x: float) -> float:
 def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
                             kernel: Kernel) -> tuple[float, float]:
     """[lo, hi] on integral_y^inf p w(p) dx for p = c/(j ln^lam j), j = x+k0-1,
-    where t = (n+1) p(y) for (1-p)^n, n p(y) for e^{-np}, is at most 4.
+    where t = (n+1) p(y) for (1-p)^n, n p(y) for e^{-np}, is at most 4; past
+    t = 4 ``_logpower_integral`` takes it from y4, where t falls to 4.
 
     Expanding w(p) = sum_m (-1)^m a_m p^m, with a_m = C(n,m) for (1-p)^n and
     n^m/m! for e^{-np}, and substituting u = ln j integrates every term: with
@@ -392,88 +407,243 @@ def _power_bracket(c: float, lam: float, n: float, kernel: Kernel, K: int) -> tu
             power_tail_integral(c, lam, n, K + 0.5, kernel))
 
 
-def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
-                      K: int) -> Optional[tuple[float, float]]:
-    """[lo, hi] on sum_{k>K} f(k), f = g(p), g(p) = p w(p), p = c/(j ln^lam j),
-    j = x+k0-1, by second-order Euler-Maclaurin from a = K+1 wherever
-    t = (n+1) p(a) for (1-p)^n, n p(a) for e^{-np}, is at most 4, and None
-    beyond: there the tail integral drifts from its 40-digit value (1.2e-14
-    relative at t = 8, 1.7e-11 at t = 16).
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the N-point Gauss-Legendre rule on [-1, 1],
+    computed on first use (about 2 ms), never while a distribution is built:
+    eight Newton steps on P_N from x_i = cos(pi (i - 1/4)/(N + 1/2)), with
+    P_N' = N (P_{N-1} - x P_N)/(1 - x^2), then w_i = 2 (1 - x_i^2)/(N
+    P_{N-1}(x_i))^2.  P_{N-1} and P_N come from the three-term recurrence in
+    long double, where it has one: near x = 1 the recurrence cancels, and in
+    float64 it loses 1e-13 of P_{N-1}, and of w_i twice that."""
+    N = _QUADRATURE_NODES
+    x = np.cos(np.pi * (np.arange(1, N + 1, dtype=np.longdouble) - 0.25) / (N + 0.5))
+    for i in range(9):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, N + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        if i < 8:
+            x = x - p1 * (1 - x) * (1 + x) / (N * (p0 - x * p1))
+    return x.astype(np.float64), (2 * (1 - x) * (1 + x) / (N * p0) ** 2).astype(np.float64)
 
-    sum_{k>=a} f(k) = I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f,
-    with R = -int_a^inf B4({x}) f''''(x)/24 dx and B4(x) = x^2(1-x)^2 - 1/30.
-    With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k, where R_1 = A = 1 + lam s and
-    R_{k+1} = (A+k) R_k + s^2 dR_k/ds: every R_k is a polynomial in s with
-    nonnegative coefficients, k! at s = 0.  For either kernel
-    g^(m)(p) p^m = (-1)^(m+1) L e_m (m-t), where L = p g'(p)/(1-t) = p w(p) r
-    and e_m = n(n-1)...(n-m+2) r^(m-1) with r = p/(1-p) for (1-p)^n, and
-    r = p, e_m = (np)^(m-1) for e^{-np}, each nonnegative at integer n.  By
-    Faa di Bruno -f' = L (1-t) A/j, -f''' = L [(1-t) R_3 + e_3 (3-t) A^3
-    - 3 e_2 (2-t) A R_2]/j^3 and f'''' = L [(1-t) R_4 + 6 e_3 (3-t) A^2 R_2
-    - e_4 (4-t) A^4 - e_2 (2-t) (3 R_2^2 + 4 A R_3)]/j^4.
 
-    At n = 0, f = p and f'''' >= 0, so 0 <= x^2(1-x)^2 <= 1/16 puts the sum
-    in [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12], I the integral's
-    bracket.  At n > 0 the sign is not known, and |B4| <= 1/30 gives
-    |R| <= int_a^inf |f''''|/720.  Past a, s, t, every R_k and every e_k
-    fall and |m-t| <= max(m, t(a)), while L rises up to p = 1/n and falls
-    beyond; so |f''''| <= L* C/j^4, with C the bracket of f'''' in absolute
-    values and max(m, t(a)) for |m-t|, and L* = L at min(p(a), 1/n).  As
-    int_a^inf j^-4 dx = 1/(3 j^3), the sum lies within W = L* C/(2160 j^3)
-    of I + f/2 - f'/12 + f'''/720.
+def _logpower_u_at(c: float, lam: float, m: float, t: float, u: float) -> float:
+    """u = ln j at which m p = t, p = c/(j ln^lam j), from a u at or below
+    it: Newton's method on u + lam ln u = ln(c m/t), whose left side is
+    concave and rising, so the steps rise to the root from below."""
+    target = math.log(c * m / t)
+    for _ in range(64):
+        step = (target - u - lam * math.log(u)) / (1.0 + lam / u)
+        if step <= 1e-15 * u:
+            break
+        u += step
+    return u
+
+
+def _logpower_quadrature(c: float, lam: float, n: float, kernel: Kernel,
+                         u1: float, u2: float) -> tuple[float, float]:
+    """(value, bound): the Gauss-Legendre value of int_{u1}^{u2} g(u) du,
+    g = c u^-lam w(q), q = c e^-u u^-lam, which is int p w(p) dx over
+    j = x+k0-1 from e^u1 to e^u2, and a bound on its error.
+
+    With u = mid + h z, g is analytic in z inside the Bernstein ellipse
+    E_rho (foci -1 and 1, semi-axes summing to rho), on which Re u >= alpha
+    = u1 - h delta, delta = (rho + 1/rho)/2 - 1, and |Im u| <= beta =
+    h sqrt(delta (delta + 2)).  There |u^-lam| <= alpha^-lam, |q| <= q* =
+    c e^-alpha alpha^-lam and, as |arg u| <= beta/alpha, |arg q| <= phi =
+    beta (1 + lam/alpha).  Where phi <= pi/3 and q* <= 1, Re q >= |q|/2, so
+    |e^{-nq}| <= 1 and |1-q|^2 <= 1 - |q| + |q|^2 <= 1: |g| <= M = c
+    alpha^-lam.  The N-point rule is then within h (64/15) M rho^(2-2N) /
+    (rho^2 - 1) of the integral (Trefethen, Approximation Theory and
+    Approximation Practice, Theorem 19.3, whose rule I_n has n+1 points).
+    delta starts at the largest value with alpha >= u1/2 and phi <= pi/3
+    there, and halves until both conditions hold at the computed alpha.
     """
-    j = float(K + k0)
-    u = math.log(j)
-    s = 1.0 / u
+    if u2 <= u1:
+        return 0.0, 0.0
+    nodes, weights = _gauss_legendre()
+    h, mid = 0.5 * (u2 - u1), 0.5 * (u1 + u2)
+    u = nodes * h + mid
+    q = c / (np.exp(u) * u ** lam)
+    w = np.exp(n * np.log1p(-q)) if kernel is Kernel.BINOMIAL else np.exp(-n * q)
+    value = h * float(np.dot(weights, c * u ** -lam * w))
+    g = math.pi / (3.0 * h * (1.0 + 2.0 * lam / u1))
+    delta = min(0.5 * u1 / h, g * g / (1.0 + math.sqrt(1.0 + g * g)))
+    for _ in range(64):
+        alpha, beta = u1 - h * delta, h * math.sqrt(delta * (delta + 2.0))
+        if beta * (1.0 + lam / alpha) <= math.pi / 3.0 and c * math.exp(-alpha) * alpha ** -lam <= 1.0:
+            break
+        delta *= 0.5
+    else:
+        return value, math.inf
+    rho = 1.0 + delta + math.sqrt(delta * (delta + 2.0))
+    bound = h * (64.0 / 15.0) * c * alpha ** -lam * rho ** (2.0 - 2.0 * _QUADRATURE_NODES) / (rho * rho - 1.0)
+    return value, bound
+
+
+def _logpower_integral(c: float, lam: float, k0: int, n: float, kernel: Kernel,
+                       a: float, y4: float, m: float) -> tuple[float, float]:
+    """[lo, hi] on int_a^inf p w(p) dx, p = c/(j ln^lam j), j = x+k0-1, at
+    any t = m p(a), m = n+1 for (1-p)^n and n for e^{-np}, given y4 >= a
+    where t falls to 4 (y4 = a where t(a) <= 4), in up to three parts: the
+    alternating series of ``_logpower_tail_integral`` from y4;
+    ``_logpower_quadrature`` over [max(a, yT), y4], yT where t = 40; and on
+    [a, yT], where n p >= 39 and so p e^{-np} >= p w(p) falls as p rises,
+    0 to (yT - a) p(yT) e^{-n p(yT)}.  The split points come from Newton's
+    method, and each part is bounded at the split points as computed."""
+    lo, hi = _logpower_tail_integral(c, lam, k0, n, y4, kernel)
+    if y4 <= a:
+        return lo, hi
+    u1 = math.log(a + k0 - 1.0)
+    yT = max(math.exp(_logpower_u_at(c, lam, m, _QUADRATURE_T, u1)) - k0 + 1.0, a)
+    if yT > a:
+        jT = yT + k0 - 1.0
+        u1 = math.log(jT)
+        pT = c / (jT * u1 ** lam)
+        hi += (yT - a) * pT * math.exp(-n * pT)
+    value, bound = _logpower_quadrature(c, lam, n, kernel, u1, math.log(y4 + k0 - 1.0))
+    return lo + value - bound, hi + value + bound
+
+
+def _faa_polynomials(lam: float, s):
+    """R_1 = A, R_2, R_3, R_4 of p^(k) = (-1)^k p R_k/j^k at s = 1/ln j,
+    for a float or an array of s."""
     A = 1.0 + lam * s
     R2 = A * (A + 1.0) + lam * s * s
     R3 = (A + 2.0) * R2 + lam * s * s * (2.0 * A + 1.0 + 2.0 * s)
+    R4 = (A + 3.0) * R3 + lam * s * s * (3.0 * A * (A + 2.0) + 2.0
+                                         + 3.0 * s * (3.0 * lam * s + 2.0 * s + 4.0))
+    return A, R2, R3, R4
+
+
+def _fourth_bound(lam: float, u, p, m: float, n: float, binomial: bool, top):
+    """C, f'''' j^4/L bracketed in absolute values, with top(k, t) for
+    |k - t|, from u = ln j and p at a piece's start: floats with top = max,
+    or arrays with top = np.maximum."""
+    A, R2, R3, R4 = _faa_polynomials(lam, 1.0 / u)
+    t = m * p
+    if binomial:
+        r, n1, n2 = p / (1.0 - p), n - 1.0, n - 2.0
+    else:
+        r, n1, n2 = p, n, n
+    e2 = n * r
+    e3 = e2 * n1 * r
+    return (R4 * top(1.0, t) + 6.0 * e3 * A * A * R2 * top(3.0, t) + e3 * n2 * r * A ** 4 * top(4.0, t)
+            + e2 * (3.0 * R2 * R2 + 4.0 * A * R3) * top(2.0, t))
+
+
+def _logpower_remainder(c: float, lam: float, n: float, kernel: Kernel, m: float,
+                        j: float, j4: float, width: float) -> Optional[float]:
+    """W >= int_a^inf |f''''|/720 in j = a+k0-1 <= j4, t(j4) <= 4, or None
+    where 2W > width (``_logpower_bracket`` states f'''').
+
+    Past any point s, t, every R_k and every e_k fall and |k-t| <= max(k, t)
+    there, while L rises up to p = 1/n and falls beyond.  So on a piece
+    [j_i, j_i+1] of j, |f''''| <= L* C/j^4 with C from ``_fourth_bound`` at
+    j_i and L* the peak of L on the piece, and int x^-4 dx over the piece is
+    (j_i^-3 - j_i+1^-3)/3.  The last piece, [j4, inf), has L* at min(p(j4),
+    1/n) and is bounded first, alone where j = j4; the pieces of [j, j4],
+    where j grows by a ratio of at most 1.25 and t falls by more, follow in
+    one vectorised pass, and only if the last piece leaves 2W <= width.
+    """
+    binomial = kernel is Kernel.BINOMIAL
+    u = math.log(j4)
+    p = c / (j4 * u ** lam)
+    r = p / (1.0 - p) if binomial else p
+    C = _fourth_bound(lam, u, p, m, n, binomial, max)
+    if n * p > 1.0:                                             # L* at p = 1/n
+        p = 1.0 / n
+        lead = p * kernel.at(p, n) / (1.0 - p if binomial else 1.0)
+    else:
+        lead = p * kernel.at(p, n) * r / p
+    W = lead * C / (2160.0 * j4 ** 3)
+    if j < j4 and 2.0 * W <= width:
+        pieces = math.ceil(math.log(j4 / j) / math.log(_PIECE_RATIO))
+        js = j * (j4 / j) ** (np.arange(pieces + 1) / pieces)
+        js[-1] = j4
+        us = np.log(js)
+        ps = c / (js * us ** lam)
+        C = _fourth_bound(lam, us[:-1], ps[:-1], m, n, binomial, np.maximum)
+        q = np.minimum(np.maximum(ps[1:], 1.0 / n), ps[:-1])    # L's peak on the piece
+        L = q * (np.exp(n * np.log1p(-q)) / (1.0 - q) if binomial else np.exp(-n * q))
+        # an L that underflows is below 5e-324
+        W += float(np.sum(np.maximum(L, 5e-324) * C * (js[:-1] ** -3.0 - js[1:] ** -3.0))) / 2160.0
+    return None if 2.0 * W > width else W
+
+
+def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
+                      K: int, width: float = math.inf) -> Optional[tuple[float, float]]:
+    """[lo, hi] on sum_{k>K} f(k), f = g(p), g(p) = p w(p), p = c/(j ln^lam j),
+    j = x+k0-1, by second-order Euler-Maclaurin from a = K+1 at any K >= 0
+    (K = 0 leaves no head), or None where the remainder bound alone makes it
+    wider than ``width``, before the integral is taken.
+
+    sum_{k>=a} f(k) = I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f
+    (``_logpower_integral``), with R = -int_a^inf B4({x}) f''''(x)/24 dx and
+    B4(x) = x^2(1-x)^2 - 1/30.  With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k,
+    where R_1 = A = 1 + lam s and R_{k+1} = (A+k) R_k + s^2 dR_k/ds: every
+    R_k is a polynomial in s with nonnegative coefficients, k! at s = 0.  For
+    either kernel g^(m)(p) p^m = (-1)^(m+1) L e_m (m-t), where t = (n+1) p
+    for (1-p)^n and n p for e^{-np}, L = p g'(p)/(1-t) = w(p) r and e_m =
+    n(n-1)...(n-m+2) r^(m-1) with r = p/(1-p) for (1-p)^n, and r = p, e_m =
+    (np)^(m-1) for e^{-np}, each nonnegative at integer n.  By Faa di Bruno
+    -f' = L (1-t) A/j, -f''' = L [(1-t) R_3 + e_3 (3-t) A^3 - 3 e_2 (2-t) A
+    R_2]/j^3 and f'''' = L [(1-t) R_4 + 6 e_3 (3-t) A^2 R_2 - e_4 (4-t) A^4
+    - e_2 (2-t) (3 R_2^2 + 4 A R_3)]/j^4.
+
+    At n = 0, f = p and f'''' >= 0, so 0 <= x^2(1-x)^2 <= 1/16 puts the sum
+    in [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12], I the integral's
+    bracket.  At n > 0 the sign is not known, and |B4| <= 1/30 gives |R| <=
+    int_a^inf |f''''|/720 <= W (``_logpower_remainder``): the sum lies
+    within W of I + f/2 - f'/12 + f'''/720.  Where t(a) > 4 both split at
+    j4 with t(j4) = 4, from Newton's method.
+    """
+    j = float(K + k0)
+    u = math.log(j)
+    A, R2, R3, _ = _faa_polynomials(lam, 1.0 / u)
     p = c / (j * u ** lam)
     binomial = kernel is Kernel.BINOMIAL
     if binomial:
-        t, r, n1, n2 = (n + 1.0) * p, p / (1.0 - p), n - 1.0, n - 2.0
+        m, r, n1 = n + 1.0, p / (1.0 - p), n - 1.0
     else:
-        t, r, n1, n2 = n * p, p, n, n
-    if t > 4.0:
-        return None
+        m, r, n1 = n, p, n
+    t = m * p
     e2 = n * r
     e3 = e2 * n1 * r
     f = p * kernel.at(p, n)
     lead = f * r / p                                            # L
-    lo, hi = _logpower_tail_integral(c, lam, k0, n, K + 1.0, kernel)
     df = lead * (1.0 - t) * A / j                               # -f'
     d3f = lead * ((1.0 - t) * R3 + e3 * (3.0 - t) * A ** 3
                   - 3.0 * e2 * (2.0 - t) * A * R2) / j ** 3     # -f'''
     head = 0.5 * f + df / 12.0
     if n == 0.0:
+        lo, hi = _logpower_tail_integral(c, lam, k0, n, K + 1.0, kernel)
         return lo + head - d3f / 384.0, hi + head
-    R4 = (A + 3.0) * R3 + lam * s * s * (3.0 * A * (A + 2.0) + 2.0
-                                         + 3.0 * s * (3.0 * lam * s + 2.0 * s + 4.0))
-    C = (R4 * max(1.0, t) + 6.0 * e3 * A * A * R2 * max(3.0, t) + e3 * n2 * r * A ** 4 * max(4.0, t)
-         + e2 * (3.0 * R2 * R2 + 4.0 * A * R3) * max(2.0, t))
-    if n * p > 1.0:                                             # L* at p = 1/n
-        p = 1.0 / n
-        lead = p * kernel.at(p, n) / (1.0 - p if binomial else 1.0)
-    W = lead * C / (2160.0 * j ** 3)
+    j4 = j if t <= _SERIES_T else max(math.exp(_logpower_u_at(c, lam, m, _SERIES_T, u)), j)
+    W = _logpower_remainder(c, lam, n, kernel, m, j, j4, width)
+    if W is None:
+        return None
+    lo, hi = _logpower_integral(c, lam, k0, n, kernel, K + 1.0, j4 - k0 + 1.0, m)
     mid = head - d3f / 720.0
     return lo + mid - W, hi + mid + W
 
 
 def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
-                  kernel: Kernel) -> Optional[Callable[[int], Optional[tuple[float, float]]]]:
+                  kernel: Kernel) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
     """The closed-form sandwich of the power or log-power tail p_k = c g(k)
-    at n and kernel, None for any other family: ``bracket(K)`` is [lo, hi]
-    on sum_{k>K} p_k w(p_k), and None before it opens: for power where
-    p w(p) turns convex on [K+1/2, inf), for log-power where t = (n+1) p or
-    n p at K+1 falls to 4.  At n = 0 the kernel is 1, the bracket is on the
-    tail mass, and it is open for every K >= 1."""
+    at n and kernel, None for any other family: ``bracket(K, width=inf)`` is
+    [lo, hi] on sum_{k>K} p_k w(p_k), and None before it opens, for power
+    until p w(p) turns convex on [K+1/2, inf); a log-power bracket is open
+    at every K >= 0, and None only where its remainder bound alone is wider
+    than ``width`` (power ignores ``width``).  At n = 0 the kernel is 1 and
+    the bracket is on the tail mass."""
     if kind is FamilyKind.POWER:
         lam = params["lambda"]
         x_c = _power_convex_from(c, lam, n, kernel)
-        return lambda K: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
+        return lambda K, width=math.inf: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
     if kind is FamilyKind.LOG_POWER:
         lam, k0 = params["lambda"], params["k0"]
-        return lambda K: _logpower_bracket(c, lam, k0, n, kernel, K)
+        return lambda K, width=math.inf: _logpower_bracket(c, lam, k0, n, kernel, K, width)
     return None
 
 

@@ -207,6 +207,12 @@ class TestSubsequenceProbe:
         with pytest.raises(FiniteSupport):
             subsequence_probe(uniform2, 1, 5)
 
+    def test_subnormal_p_is_a_typed_refusal(self, geom2):
+        # p_1030 = 2^-1030 is subnormal and 1/p overflows a float; floor(inf)
+        # ended the probe in a bare OverflowError
+        with pytest.raises(InvalidParams, match=r"n_1030 = floor\(1/p_1030\) overflows a float: p_1030 = 8\.69"):
+            subsequence_probe(geom2, 1030, 1031)
+
     def test_domain0_pointwise_rate(self, uniform10):
         # finite support: t_n is bounded by n (1-p_min)^n on the whole grid
         for n in [2 ** j for j in range(4, 21)]:
