@@ -67,9 +67,6 @@ from .zoo import (
     FamilyKind,
     FamilySpec,
     catalog,
-    construct_congregated,
-    construct_diffusion,
-    construct_pair_averaged,
     format_spec,
     make_distribution,
     parse_spec,
@@ -83,8 +80,7 @@ __all__ = [
     "InvalidParams", "InvalidV", "Method", "NormalizationDivergent",
     "OscillationState", "SamplerLimit", "ScheduleTooShort",
     "SpecParseError", "StagesExceeded", "Statistic", "Thresholds", "TooLarge",
-    "catalog", "classify_analytic", "classify_numeric", "construct_congregated",
-    "construct_diffusion", "construct_pair_averaged", "diffusion_transient_probes",
+    "catalog", "classify_analytic", "classify_numeric", "diffusion_transient_probes",
     "dominates", "em_gap", "estimator_report", "evaluate_series", "exact_expectation",
     "exact_zeta", "format_spec", "geometric_band_ceiling", "make_distribution",
     "oscillation_state", "oscillation_t", "parse_spec", "power_tail_limit",

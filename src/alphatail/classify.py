@@ -28,6 +28,10 @@ from .zoo import Distribution, FamilyKind
 
 _E_INV = math.exp(-1.0)
 
+# the most n one call evaluates along an index range or a schedule:
+# subsequence_probe's range, and the CLI's schedules and oscillate grid
+MAX_SCHEDULE_POINTS = 10_000
+
 CITE_FINITE = "finite-support equivalence (vanishing index iff finite alphabet)"
 CITE_POWER = "power-tail divergence bound"
 CITE_THIN = "thin-tail dominance inheritance (geometric-type families)"
@@ -156,7 +160,7 @@ def classify_numeric(
         growing_ns, bounded_ns = ([positive_integer(n) for n in ns] for ns in transient_probes)
     if len(schedule) < thresholds.min_points:
         raise ScheduleTooShort(f"need at least {thresholds.min_points} schedule points")
-    decades = math.log10(schedule[-1]) - math.log10(schedule[0])
+    decades = math.log10(max(schedule)) - math.log10(min(schedule))
     if decades < thresholds.min_decades:
         raise ScheduleTooShort(
             f"schedule spans {decades:.2f} decades; need {thresholds.min_decades}"
@@ -231,6 +235,8 @@ def subsequence_probe(
         raise FiniteSupport("subsequence probe needs infinite support")
     if not 1 <= k_lo <= k_hi:
         raise InvalidParams("need 1 <= k_lo <= k_hi")
+    if k_hi - k_lo >= MAX_SCHEDULE_POINTS:
+        raise InvalidParams(f"need at most {MAX_SCHEDULE_POINTS} indices, got {k_lo} to {k_hi}")
     ks = range(k_lo, k_hi + 1)
     ns = []
     for k in ks:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .classify import (
+    MAX_SCHEDULE_POINTS,
     Thresholds,
     classify_analytic,
     classify_numeric,
@@ -37,8 +38,6 @@ ENV_OUT_DIR = "ALPHATAIL_OUT_DIR"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTE = 3
-
-MAX_SCHEDULE_POINTS = 10_000
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -207,7 +206,8 @@ def _cmd_zoo(args) -> None:
 
 
 def _cmd_domain_t(args) -> None:
-    dist = make_distribution(parse_spec(f"diffusion:stages={args.stages}"))
+    text = "diffusion:" if args.stages is None else f"diffusion:stages={args.stages}"
+    dist = make_distribution(parse_spec(text))
     ns = sorted({n for run in dist.runs for n in (run.n_probe, run.m_probe)})
     t = dict(zip(ns, (iv.value for iv in evaluate_series(dist, ns))))
     records = [{
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_zoo)
 
     p = sub.add_parser("domain-t", help="diffusion run table with probe indices")
-    p.add_argument("--stages", type=int, default=8)
+    p.add_argument("--stages", type=int, help="diffusion stages (default: the family's)")
     common(p)
     p.set_defaults(run=_cmd_domain_t)
     return ap

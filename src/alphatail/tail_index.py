@@ -73,7 +73,6 @@ work on its window of levels, not a pass over the table.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -460,20 +459,31 @@ def power_tail_limit(c: float, lam: float) -> float:
 
 
 def oscillation_state(dist: Distribution, n: int) -> OscillationState:
-    """Locate k* with p_{k*+1} < 1/(n+1) <= p_{k*} and return c(n) = n p_{k*}."""
+    """Locate k* with p_{k*+1} < 1/(n+1) <= p_{k*} and return c(n) = n p_{k*};
+    an n or k* past the float range raises InvalidParams."""
     n = positive_integer(n)
     if dist.support_size() is not None:
         raise FiniteSupport("oscillation state needs an infinite tail")
     if dist.k0_head != 1:
         raise InvalidParams("oscillation state needs a globally non-increasing tail")
-    thr = 1.0 / (n + 1)
-    if dist.prob(1) < thr:
-        raise InvalidParams("p_1 already below 1/(n+1); no admissible k*")
-    # the tail is non-increasing from k = 1: double past k*, then bisect
-    hi = 2
-    while dist.prob(hi) >= thr:
-        hi *= 2
-    k = bisect.bisect_left(range(1, hi + 1), True, key=lambda k: dist.prob(k) < thr)
+    try:
+        thr = 1.0 / (n + 1)
+        if dist.prob(1) < thr:
+            raise InvalidParams("p_1 already below 1/(n+1); no admissible k*")
+        # the tail is non-increasing from k = 1: double past k*, then bisect
+        # the integers: k* is the number of k <= hi with p_k >= thr
+        hi = 2
+        while dist.prob(hi) >= thr:
+            hi *= 2
+        k = 0
+        while k < hi:
+            mid = (k + hi) // 2
+            if dist.prob(mid + 1) < thr:
+                hi = mid
+            else:
+                k = mid + 1
+    except OverflowError:
+        raise InvalidParams(f"n = 10^{math.log10(n):.2f} or its k* leaves the float range") from None
     c = n * dist.prob(k)
     lower = n / (n + 1.0)
     if c < lower * (1.0 - 1e-12):
@@ -491,10 +501,15 @@ def oscillation_t(c: float) -> float:
         t(c) = c sum_{j>=0} e^j exp(-c e^j) + c sum_{j>=1} e^{-j} exp(-c e^{-j})
 
     The forward sum collapses double-exponentially, the backward sum
-    geometrically.  Defined for any c > 0; the profile is swept on [1, e].
+    geometrically.  Both are one sum over all integers j, so t(c e) = t(c):
+    a c outside [1, e], where either could stop short of j = |ln c|, is
+    taken from its image e^{frac(ln c)} in [1, e).  Defined for any finite
+    c > 0; the profile is swept on [1, e].
     """
-    if c <= 0.0:
-        raise InvalidParams("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise InvalidParams(f"c must be positive and finite, got {c!r}")
+    if not 1.0 <= c <= math.e:
+        c = math.exp(math.log(c) % 1.0)
     acc = 0.0
     for j in range(_OSCILLATION_TERMS):
         term = c * math.exp(j - c * math.exp(j))

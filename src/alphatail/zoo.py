@@ -46,6 +46,14 @@ the integral.  Where 4 < t <= 40 it is a 48-point Gauss-Legendre rule in
 near ``y T e^-T`` at ``T = 40``.  At n = 0 both integrals are taken in
 closed form.
 
+A spec names a family and its parameters.  ``_PARAMS`` is the one table of
+each family's parameters, in spec-text order, with their types and defaults.
+``parse_spec`` and ``make_distribution`` both pass a spec through
+``_canonical``, which fills in every default, casts and range-checks each
+value and refuses a parameter the family does not take; so a text parses to
+the spec of the distribution built from it, and ``format_spec`` writes that
+spec back.
+
 A level table is stored once, as read-only arrays of log2 probabilities
 (exact integer exponents for the diffusion sequence, so double-exponentially
 small values never underflow before they are needed) and multiplicities;
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -98,10 +107,6 @@ _QUADRATURE_T = 40.0
 _QUADRATURE_NODES = 48
 _PIECE_RATIO = 1.25
 
-DEFAULT_LOGPOWER_K0 = 2
-DEFAULT_CONGREGATED_DEPTH = 48
-DEFAULT_PAIR_DEPTH = 512
-DEFAULT_DIFFUSION_STAGES = 8
 MAX_DIFFUSION_STAGES = 16
 
 
@@ -127,14 +132,8 @@ _CLOSED_FORM = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family identifier plus its named parameters.
-
-    Parameter names follow the textual spec form (see :func:`parse_spec`):
-    ``a`` for the geometric base, ``lambda`` for rate/exponent parameters,
-    ``r`` for the tilt exponent, ``k0`` for the log-power start index,
-    ``p`` for finite vectors, ``base``/``depth``/``stages`` for the
-    constructed families.
-    """
+    """A family identifier plus its named parameters, named as in the
+    textual spec form; ``_PARAMS`` lists the parameters each family takes."""
 
     kind: FamilyKind
     params: dict = field(default_factory=dict)
@@ -148,49 +147,76 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParams(msg)
 
 
-def validate_spec(spec: FamilySpec) -> None:
-    """Check parameter constraints; raises InvalidParams on violation."""
-    kind, p = spec.kind, spec.params
+# Each family's parameters in spec-text order, with their type and default
+# (None for a required one): the one source of what a spec may hold.
+_PARAMS = {
+    FamilyKind.FINITE: {"p": (list, None)},
+    FamilyKind.GEOMETRIC: {"a": (float, None)},
+    FamilyKind.GAUSSIAN_TYPE: {"lambda": (float, None)},
+    FamilyKind.TILTED_GEOMETRIC: {"lambda": (float, None), "r": (float, None)},
+    FamilyKind.POWER: {"lambda": (float, None)},
+    FamilyKind.LOG_POWER: {"lambda": (float, None), "k0": (int, 2)},
+    FamilyKind.CONGREGATED: {"depth": (int, 48), "base": (FamilySpec, None)},
+    FamilyKind.PAIR_AVERAGED: {"depth": (int, 512), "base": (FamilySpec, None)},
+    FamilyKind.DIFFUSION: {"stages": (int, 8)},
+}
+
+
+def _cast(kind: FamilyKind, key: str, typ: type, value):
+    """``value`` as the table's type: a float, an exact integer, a nonempty
+    list of floats, or a canonical base spec."""
+    if typ is FamilySpec and isinstance(value, FamilySpec):
+        return _canonical(value)
+    try:
+        if typ is int:
+            return operator.index(value)
+        if typ is float:
+            return float(value)
+        if typ is list and isinstance(value, (list, tuple)) and len(value) > 0:
+            return [float(x) for x in value]
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParams(f"{kind.value} parameter {key} must be {typ.__name__}, got {value!r}")
+
+
+def _canonical(spec: FamilySpec) -> FamilySpec:
+    """The canonical spec of ``spec``: every parameter its family takes,
+    defaults filled in, cast to the table's type and range-checked.  A
+    missing required parameter, one the family does not take or one out of
+    range raises InvalidParams."""
+    if spec.kind not in _PARAMS:
+        raise InvalidParams(f"unknown family kind {spec.kind!r}")
+    kind = FamilyKind(spec.kind)
+    table = _PARAMS[kind]
+    for key in spec.params:
+        _require(key in table, f"{kind.value} takes no parameter {key!r}")
+    p = {}
+    for key, (typ, default) in table.items():
+        value = spec.params.get(key, default)
+        _require(value is not None, f"{kind.value} requires {key}")
+        p[key] = _cast(kind, key, typ, value)
     if kind is FamilyKind.FINITE:
-        vec = p.get("p")
-        _require(isinstance(vec, (list, tuple)) and len(vec) > 0, "finite family needs a nonempty vector p")
-        _require(all(x >= 0.0 for x in vec), "finite vector must be nonnegative")
-        total = math.fsum(vec)
+        _require(all(x >= 0.0 for x in p["p"]), "finite vector must be nonnegative")
+        total = math.fsum(p["p"])
         _require(abs(total - 1.0) <= 1e-12, f"finite vector must sum to 1 within 1e-12 (got {total!r})")
     elif kind is FamilyKind.GEOMETRIC:
-        _require(1.0 < float(p.get("a", 0.0)) < math.inf, "geometric base requires a finite a > 1")
-    elif kind is FamilyKind.GAUSSIAN_TYPE:
-        _require(0.0 < float(p.get("lambda", 0.0)) < math.inf,
-                 "gaussian-type rate requires a finite lambda > 0")
-    elif kind is FamilyKind.TILTED_GEOMETRIC:
-        _require(0.0 < float(p.get("lambda", 0.0)) < math.inf,
-                 "tilted geometric requires a finite lambda > 0")
-        _require("r" in p and math.isfinite(float(p["r"])), "tilted geometric requires a finite exponent r")
+        _require(1.0 < p["a"] < math.inf, "geometric base requires a finite a > 1")
+    elif kind in (FamilyKind.GAUSSIAN_TYPE, FamilyKind.TILTED_GEOMETRIC):
+        _require(0.0 < p["lambda"] < math.inf, f"{kind.value} rate requires a finite lambda > 0")
+        _require(kind is FamilyKind.GAUSSIAN_TYPE or math.isfinite(p["r"]),
+                 "tilted geometric requires a finite exponent r")
     elif kind in (FamilyKind.POWER, FamilyKind.LOG_POWER):
-        lam = float(p.get("lambda", 0.0))
-        _require(lam < math.inf, f"{kind.value} tail requires a finite lambda")
-        if lam <= 1.0:
-            raise NormalizationDivergent(f"{kind.value} tail requires lambda > 1 (got {lam})")
-        if kind is FamilyKind.LOG_POWER:
-            _require(int(p.get("k0", DEFAULT_LOGPOWER_K0)) >= 2,
-                     "log-power start index requires k0 >= 2")
-    elif kind in (FamilyKind.CONGREGATED, FamilyKind.PAIR_AVERAGED):
-        base = p.get("base")
-        _require(isinstance(base, FamilySpec), f"{kind.value} requires a base FamilySpec")
-        validate_spec(base)
-        depth = int(p.get("depth", 0) or _default_depth(kind))
-        _require(depth >= 2, "constructed depth must be >= 2")
+        _require(p["lambda"] < math.inf, f"{kind.value} tail requires a finite lambda")
+        if p["lambda"] <= 1.0:
+            raise NormalizationDivergent(f"{kind.value} tail requires lambda > 1 (got {p['lambda']})")
+        _require(kind is FamilyKind.POWER or p["k0"] >= 2, "log-power start index requires k0 >= 2")
     elif kind is FamilyKind.DIFFUSION:
-        stages = int(p.get("stages", DEFAULT_DIFFUSION_STAGES))
-        if stages > MAX_DIFFUSION_STAGES:
-            raise StagesExceeded(f"diffusion stages capped at {MAX_DIFFUSION_STAGES} (got {stages})")
-        _require(stages >= 1, "diffusion requires stages >= 1")
-    else:  # pragma: no cover - enum is closed
-        raise InvalidParams(f"unknown family kind {kind!r}")
-
-
-def _default_depth(kind: FamilyKind) -> int:
-    return DEFAULT_CONGREGATED_DEPTH if kind is FamilyKind.CONGREGATED else DEFAULT_PAIR_DEPTH
+        if p["stages"] > MAX_DIFFUSION_STAGES:
+            raise StagesExceeded(f"diffusion stages capped at {MAX_DIFFUSION_STAGES} (got {p['stages']})")
+        _require(p["stages"] >= 1, "diffusion requires stages >= 1")
+    else:
+        _require(p["depth"] >= 2, "constructed depth must be >= 2")
+    return FamilySpec(kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -965,8 +991,11 @@ class Distribution:
 # ---------------------------------------------------------------------------
 
 def make_distribution(spec: FamilySpec) -> Distribution:
-    """Build a normalized Distribution from a family spec."""
-    validate_spec(spec)
+    """Build a normalized Distribution from a family spec; its ``spec`` is
+    the canonical one (see :func:`parse_spec`).  A spec that is missing a
+    parameter, holds one its family does not take or one out of range
+    raises InvalidParams."""
+    spec = _canonical(spec)
     kind, p = spec.kind, spec.params
     if kind is FamilyKind.FINITE:
         vec = np.asarray(p["p"], dtype=np.float64)
@@ -978,32 +1007,18 @@ def make_distribution(spec: FamilySpec) -> Distribution:
                             levels=(log2_p, np.ones(len(vec), dtype=np.int64)),
                             beyond_log2_mass=-math.inf)
     if kind in _CLOSED_FORM:
-        params = {k: (int(v) if k == "k0" else float(v)) for k, v in p.items()}
-        if kind is FamilyKind.LOG_POWER:
-            params.setdefault("k0", DEFAULT_LOGPOWER_K0)
-        total, halfwidth = _normalize_closed_form(kind, params)
-        norm = 1.0 / total
-        clean = FamilySpec(kind, params)
-        return Distribution(clean, norm, _head_length(kind, params), halfwidth / total)
-    if kind is FamilyKind.CONGREGATED:
-        base = make_distribution(p["base"])
-        return construct_congregated(base, int(p.get("depth", DEFAULT_CONGREGATED_DEPTH)))
-    if kind is FamilyKind.PAIR_AVERAGED:
-        base = make_distribution(p["base"])
-        return construct_pair_averaged(base, int(p.get("depth", DEFAULT_PAIR_DEPTH)))
+        total, halfwidth = _normalize_closed_form(kind, p)
+        return Distribution(spec, 1.0 / total, _head_length(kind, p), halfwidth / total)
     if kind is FamilyKind.DIFFUSION:
-        return construct_diffusion(int(p.get("stages", DEFAULT_DIFFUSION_STAGES)))
-    raise InvalidParams(f"unknown family kind {kind!r}")  # pragma: no cover
-
-
-def _require_base(base: Distribution) -> None:
+        return _diffusion(spec)
+    base = make_distribution(p["base"])
     if base.support_size() is not None or not base.is_strictly_decreasing:
-        raise InvalidBase(
-            "constructed families require an infinite, strictly decreasing base"
-        )
+        raise InvalidBase("constructed families require an infinite, strictly decreasing base")
+    build = _congregated if kind is FamilyKind.CONGREGATED else _pair_averaged
+    return build(spec, base)
 
 
-def construct_congregated(base: Distribution, depth: int) -> Distribution:
+def _congregated(spec: FamilySpec, base: Distribution) -> Distribution:
     """Group indices into blocks of sizes 1, 2, 3, ...; block m (m >= 2) gets
     m copies of the base value at the block's last index, and index 1 absorbs
     the leftover mass.
@@ -1012,9 +1027,7 @@ def construct_congregated(base: Distribution, depth: int) -> Distribution:
     values into a single interval of the base's ordered probabilities, which
     is exactly what defeats interval-count dominance.
     """
-    _require_base(base)
-    if depth < 2:
-        raise InvalidParams("congregated depth must be >= 2")
+    depth = spec.params["depth"]
     group_log2 = [base.log_prob(m * (m + 1) // 2) / LN2 for m in range(2, depth + 1)]
     group_mass = math.fsum(
         m * math.exp(LN2 * lg) for m, lg in zip(range(2, depth + 1), group_log2)
@@ -1026,27 +1039,23 @@ def construct_congregated(base: Distribution, depth: int) -> Distribution:
     if not 0.0 < p1 <= 1.0:
         raise InvalidBase("congregation left no admissible leading mass")
     halfwidth = 0.5 * tail_hi + base.mass_halfwidth + 4e-16
-    spec = FamilySpec(FamilyKind.CONGREGATED, {"base": base.spec, "depth": depth})
     beyond_log2 = math.log2(max(tail_hi, _SMALLEST_SUBNORMAL))
     return Distribution(spec, 1.0, 1, halfwidth,
                         levels=([math.log2(p1)] + group_log2, np.arange(1, depth + 1)),
                         base=base, beyond_log2_mass=beyond_log2)
 
 
-def construct_pair_averaged(base: Distribution, depth: int) -> Distribution:
+def _pair_averaged(spec: FamilySpec, base: Distribution) -> Distribution:
     """Replace each consecutive pair (q_{2m-1}, q_{2m}) by two copies of its
     average.  Pair sums, and hence the total mass, are preserved.
     """
-    _require_base(base)
-    if depth < 2:
-        raise InvalidParams("pair-averaged depth must be >= 2")
+    depth = spec.params["depth"]
     log2_avg: list[float] = []
     for m in range(1, depth + 1):
         la = base.log_prob(2 * m - 1) / LN2
         lb = base.log_prob(2 * m) / LN2
         # avg = q_odd * (1 + q_even/q_odd)/2, stable at any depth
         log2_avg.append(la + math.log2(0.5 * (1.0 + 2.0 ** (lb - la))))
-    spec = FamilySpec(FamilyKind.PAIR_AVERAGED, {"base": base.spec, "depth": depth})
     tail_hi = base.tail_mass_bound(2 * depth)
     beyond_log2 = math.log2(max(tail_hi, _SMALLEST_SUBNORMAL))
     return Distribution(spec, 1.0, 1, base.mass_halfwidth + 4e-16,
@@ -1054,7 +1063,7 @@ def construct_pair_averaged(base: Distribution, depth: int) -> Distribution:
                         beyond_log2_mass=beyond_log2)
 
 
-def construct_diffusion(stages: int) -> Distribution:
+def _diffusion(spec: FamilySpec) -> Distribution:
     """Build the transient-domain sequence from q_j = 2^-j with diffusion
     counts d_i = 2^i.
 
@@ -1064,15 +1073,11 @@ def construct_diffusion(stages: int) -> Distribution:
     d_i + 1 equal terms result, separated by strictly decreasing segments of
     more than d_i + d_{i+1} terms; every reciprocal is an exact power of two.
     """
-    if stages < 1:
-        raise InvalidParams("diffusion requires stages >= 1")
-    if stages > MAX_DIFFUSION_STAGES:
-        raise StagesExceeded(f"diffusion stages capped at {MAX_DIFFUSION_STAGES}")
     exponents, counts = [], []
     runs: list[DiffusionRun] = []
     j_used = 0      # dyadic terms q_1..q_{j_used} placed so far
     assigned = 0    # indices filled so far
-    for i in range(1, stages + 1):
+    for i in range(1, spec.params["stages"] + 1):
         d = 1 << i
         j_star = j_used + 2 * d + 1     # the term split into d halvings
         run_exp = j_star + i
@@ -1083,7 +1088,6 @@ def construct_diffusion(stages: int) -> Distribution:
         assigned += 2 * d + i + d
         runs.append(DiffusionRun(i, d, run_exp, assigned - d, run_exp - d - 2))
         j_used = run_exp
-    spec = FamilySpec(FamilyKind.DIFFUSION, {"stages": stages})
     # mass conservation: the prefix holds exactly the mass of q_1..q_{j_used}
     log2_p = -np.concatenate(exponents).astype(np.float64)
     return Distribution(spec, 1.0, 1, 0.0, levels=(log2_p, np.concatenate(counts)),
@@ -1095,18 +1099,23 @@ def construct_diffusion(stages: int) -> Distribution:
 # ---------------------------------------------------------------------------
 
 _KIND_TOKENS = {k.value: k for k in FamilyKind}
-_INT_PARAMS = ("k0", "depth", "stages")
 
 
 def parse_spec(text: str) -> FamilySpec:
-    """Parse ``kind:param=value,...``; finite vectors use semicolons, nested
-    base specs sit in parentheses, e.g. ``congregated:base=(geometric:a=2)``.
+    """Parse ``kind:param=value,...`` into the canonical spec, every
+    parameter of the family present, so ``logpower:lambda=2`` equals
+    ``logpower:lambda=2,k0=2``.  Finite vectors use semicolons, nested base
+    specs sit in parentheses, e.g. ``congregated:base=(geometric:a=2)``.  A
+    parameter the family does not take, or a value that does not parse as
+    its type, raises SpecParseError; a value out of range raises
+    InvalidParams, as in :func:`make_distribution`.
     """
     text = text.strip()
     head, _, rest = text.partition(":")
     kind = _KIND_TOKENS.get(head.strip().lower())
     if kind is None:
         raise SpecParseError(f"unknown family kind {head!r}")
+    table = _PARAMS[kind]
     params: dict = {}
     for item in _split_top_level(rest):
         if not item:
@@ -1116,24 +1125,19 @@ def parse_spec(text: str) -> FamilySpec:
             raise SpecParseError(f"malformed parameter {item!r}")
         key = key.strip().lower()
         val = val.strip()
-        if key == "p":
-            try:
-                params["p"] = [float(x) for x in val.split(";") if x != ""]
-            except ValueError as exc:
-                raise SpecParseError(f"bad probability list {val!r}") from exc
-        elif key == "base":
+        if key not in table:
+            raise SpecParseError(f"unknown parameter {key!r} for {kind.value}")
+        typ = table[key][0]
+        if typ is FamilySpec:
             if not (val.startswith("(") and val.endswith(")")):
                 raise SpecParseError("base spec must be parenthesized")
-            params["base"] = parse_spec(val[1:-1])
-        elif key in _INT_PARAMS + ("a", "lambda", "r"):
-            try:
-                params[key] = int(val) if key in _INT_PARAMS else float(val)
-            except ValueError as exc:
-                raise SpecParseError(f"bad numeric value {val!r} for {key}") from exc
-        else:
-            raise SpecParseError(f"unknown parameter {key!r} for {kind.value}")
-    validate_spec(FamilySpec(kind, params))
-    return FamilySpec(kind, params)
+            params[key] = parse_spec(val[1:-1])
+            continue
+        try:
+            params[key] = [float(x) for x in val.split(";") if x != ""] if typ is list else typ(val)
+        except ValueError as exc:
+            raise SpecParseError(f"bad value {val!r} for {key}") from exc
+    return _canonical(FamilySpec(kind, params))
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -1157,34 +1161,28 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def format_spec(spec: FamilySpec) -> str:
-    """Inverse of parse_spec; output re-parses to an equal spec."""
-    kind, p = spec.kind, spec.params
-    if kind is FamilyKind.FINITE:
-        return f"finite:p={';'.join(repr(float(x)) for x in p['p'])}"
+    """The text of the canonical spec, every parameter in the table's
+    order; parse_spec reads it back to an equal spec."""
+    spec = _canonical(spec)
     items = []
-    for key in ("a", "lambda", "r", "k0", "depth", "stages"):
-        if key in p:
-            v = p[key]
-            items.append(f"{key}={int(v) if key in _INT_PARAMS else repr(float(v))}")
-    if "base" in p:
-        items.append(f"base=({format_spec(p['base'])})")
-    return f"{kind.value}:{','.join(items)}"
+    for key, v in spec.params.items():
+        if isinstance(v, FamilySpec):
+            text = f"({format_spec(v)})"
+        elif isinstance(v, list):
+            text = ";".join(map(repr, v))
+        else:
+            text = repr(v)
+        items.append(f"{key}={text}")
+    return f"{spec.kind.value}:{','.join(items)}"
+
+
+_CATALOG = ("finite:p=0.5;0.3;0.2", "geometric:a=2", f"geometric:a={math.e!r}", "gaussian:lambda=1",
+            "tilted:lambda=1,r=-1", "tilted:lambda=1,r=1", "power:lambda=2", "power:lambda=1.5",
+            "logpower:lambda=2", "congregated:base=(geometric:a=2)", "pairavg:base=(geometric:a=2)",
+            "diffusion:")
 
 
 def catalog() -> list[FamilySpec]:
-    """Representative members of every family, used by tests and the CLI."""
-    geo2 = FamilySpec(FamilyKind.GEOMETRIC, {"a": 2.0})
-    return [
-        FamilySpec(FamilyKind.FINITE, {"p": [0.5, 0.3, 0.2]}),
-        geo2,
-        FamilySpec(FamilyKind.GEOMETRIC, {"a": math.e}),
-        FamilySpec(FamilyKind.GAUSSIAN_TYPE, {"lambda": 1.0}),
-        FamilySpec(FamilyKind.TILTED_GEOMETRIC, {"r": -1.0, "lambda": 1.0}),
-        FamilySpec(FamilyKind.TILTED_GEOMETRIC, {"r": 1.0, "lambda": 1.0}),
-        FamilySpec(FamilyKind.POWER, {"lambda": 2.0}),
-        FamilySpec(FamilyKind.POWER, {"lambda": 1.5}),
-        FamilySpec(FamilyKind.LOG_POWER, {"lambda": 2.0, "k0": 2}),
-        FamilySpec(FamilyKind.CONGREGATED, {"base": geo2, "depth": DEFAULT_CONGREGATED_DEPTH}),
-        FamilySpec(FamilyKind.PAIR_AVERAGED, {"base": geo2, "depth": DEFAULT_PAIR_DEPTH}),
-        FamilySpec(FamilyKind.DIFFUSION, {"stages": DEFAULT_DIFFUSION_STAGES}),
-    ]
+    """Representative members of every family, used by tests and the CLI,
+    each with its family's defaults."""
+    return [parse_spec(text) for text in _CATALOG]

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from alphatail import classify
+from alphatail.cli import MAX_SCHEDULE_POINTS
 from alphatail import (
+    Distribution,
     Domain,
     DomainVerdict,
     FiniteSupport,
@@ -132,6 +134,13 @@ class TestNumeric:
         assert verdict.diagnostics["max_upper"] == max(p.upper for p in points)
         assert verdict.diagnostics["final_upper"] == points[-1].upper
 
+    def test_decreasing_schedule_spans_its_decades(self, power2):
+        # the span was read from the last point to the first: -5.42 decades
+        sched = [16 * 4 ** j for j in range(9, -1, -1)]
+        verdict = classify_numeric(power2, sched)
+        assert [n for n, _ in verdict.evidence] == sched
+        assert verdict.domain in (Domain.DOMAIN2, Domain.INCONCLUSIVE)
+
 
 class TestTransient:
     def test_diffusion_with_probes(self, diffusion14):
@@ -212,6 +221,18 @@ class TestSubsequenceProbe:
         # ended the probe in a bare OverflowError
         with pytest.raises(InvalidParams, match=r"n_1030 = floor\(1/p_1030\) overflows a float: p_1030 = 8\.69"):
             subsequence_probe(geom2, 1030, 1031)
+
+    def test_index_range_cap_before_any_p_k(self, power2, monkeypatch):
+        # 10^5 indices ran for 20 s; the cap is the CLI's schedule cap
+        def unread(self, k):
+            raise AssertionError("p_k was read")
+
+        monkeypatch.setattr(Distribution, "prob", unread)
+        for k_hi in (10 ** 5, MAX_SCHEDULE_POINTS + 1):
+            with pytest.raises(InvalidParams, match=f"at most {MAX_SCHEDULE_POINTS} indices"):
+                subsequence_probe(power2, 1, k_hi)
+        with pytest.raises(AssertionError, match="p_k was read"):
+            subsequence_probe(power2, 1, MAX_SCHEDULE_POINTS)
 
     def test_domain0_pointwise_rate(self, uniform10):
         # finite support: t_n is bounded by n (1-p_min)^n on the whole grid

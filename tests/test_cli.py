@@ -77,6 +77,15 @@ class TestTn:
         code, _, _ = run("tn", "--dist", "power:lambda=0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("spec_text", [
+        "geometric:a=2,lambda=3", "power:lambda=2,k0=5", "finite:p=0.5;0.5,a=3",
+        "diffusion:stages=3,base=(geometric:a=2)",
+    ])
+    def test_parameter_the_family_does_not_take_exit_2(self, run, spec_text):
+        code, out, err = run("tn", "--dist", spec_text)
+        assert (code, out) == (2, "")
+        assert "unknown parameter" in err
+
     def test_schedule_past_float_range(self, run):
         code, out, _ = run("tn", "--dist", "diffusion:stages=1",
                            "--schedule", f"16:{10 ** 309}:x4")
@@ -227,6 +236,20 @@ class TestOscillate:
         cs = [float(r["c"]) for r in rows]
         assert cs[0] == 1.0 and cs[-1] == pytest.approx(math.e)
 
+    def test_extreme_c_stays_near_one(self, run):
+        # the sums stopped short of j = |ln c| and printed 4.2e-14 and 4.2e-13
+        code, out, _ = run("oscillate", "--cmin", "1e-100", "--cmax", "1e-99", "--grid", "2",
+                           "--format", "json")
+        assert code == 0
+        assert all(abs(r["t_of_c"] - 1.0) < 1e-3 for r in json.loads(out)["records"])
+
+    def test_default_grid_is_pinned(self, run):
+        # every c in [1, e] is summed directly, as before the reduction
+        code, out, _ = run("oscillate")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "d3100bb6719837cd228ac988bb74a413f7fbe1aed7815d4f182050251026cbed")
+
     def test_grid_cap(self, run, monkeypatch):
         # refused before any point is computed, as a schedule is
         def unreachable(c):
@@ -250,6 +273,11 @@ class TestZoo:
 
 
 class TestDomainT:
+    def test_default_stages_are_the_familys(self, run):
+        code, out, _ = run("domain-t")
+        assert code == 0
+        assert len(rows_of(out)) == make_distribution(parse_spec("diffusion:")).spec.params["stages"] == 8
+
     def test_run_table(self, run):
         code, out, _ = run("domain-t", "--stages", "6")
         assert code == 0

@@ -958,6 +958,35 @@ class TestOscillation:
         # frozen from the series evaluation at cutoff 1e-16
         assert oscillation_t(1.0) == pytest.approx(1.0006303403430736, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-300, 1e-90, 1.0, math.e, 1e90, 1e300])
+    def test_profile_matches_mpmath_at_any_c(self, c):
+        # each loop stopped at 200 terms, short of j = |ln c|: t(1e-90) read
+        # 4.2e-4 and t(1e300) read 0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            cm = mp.mpf(c)
+            mid = int(mp.floor(-mp.log(cm)))
+            want = mp.fsum(cm * mp.exp(j - cm * mp.exp(j)) for j in range(mid - 120, mid + 20))
+            assert abs(oscillation_t(c) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_profile_needs_a_finite_positive_c(self, c):
+        with pytest.raises(InvalidParams):
+            oscillation_t(c)
+
+    def test_state_past_the_float_range_is_refused(self, geom2):
+        # 1/(n+1) ended in a bare OverflowError
+        with pytest.raises(InvalidParams, match="float range"):
+            oscillation_state(geom2, 2 ** 1060)
+
+    def test_state_finds_k_star_past_int64(self, power2):
+        # bisect over range(1, hi + 1) could not hold the 10^100 candidates
+        n = 10 ** 200
+        state = oscillation_state(power2, n)
+        assert state.k_star > 2 ** 63
+        assert power2.prob(state.k_star) >= 1.0 / (n + 1) > power2.prob(state.k_star + 1)
+        assert n / (n + 1.0) * (1 - 1e-12) <= state.c_of_n
+
     def test_profile_positive_and_nonconstant(self):
         grid = np.linspace(1.0, math.e, 1000)
         vals = np.array([oscillation_t(float(c)) for c in grid])

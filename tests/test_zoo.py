@@ -10,6 +10,7 @@ from alphatail import (
     DepthExceeded,
     DiffusionRun,
     FamilyKind,
+    FamilySpec,
     InvalidBase,
     InvalidParams,
     NormalizationDivergent,
@@ -637,3 +638,69 @@ def test_logpower_block_matches_two_log_formula():
         js = np.arange(start, stop, dtype=np.float64) + (k0 - 1)
         want = math.log(dist.norm_constant) - (np.log(js) + lam * np.log(np.log(js)))
         assert np.array_equal(dist.log_prob_block(start, stop), want)
+
+
+class TestCanonicalSpec:
+    """parse_spec returns the spec of the distribution built from it, every
+    parameter of its family present; a parameter the family does not take
+    is refused, from the text and from the API alike."""
+
+    @pytest.mark.parametrize("spec_text", ALL_SPECS + [
+        "logpower:lambda=2", "pairavg:base=(power:lambda=2)", "congregated:base=(geometric:a=2)",
+    ])
+    def test_parsed_spec_is_the_built_spec(self, spec_text):
+        spec = parse_spec(spec_text)
+        assert make_distribution(spec).spec == spec
+        assert parse_spec(format_spec(spec)) == spec
+
+    def test_defaults_are_filled_in(self):
+        assert parse_spec("logpower:lambda=2") == parse_spec("logpower:lambda=2,k0=2")
+        assert parse_spec("diffusion:") == parse_spec("diffusion:stages=8")
+        assert parse_spec("congregated:base=(geometric:a=2)").params["depth"] == 48
+        assert parse_spec("pairavg:base=(geometric:a=2)").params["depth"] == 512
+        assert format_spec(FamilySpec(FamilyKind.LOG_POWER, {"lambda": 2})) == "logpower:lambda=2.0,k0=2"
+
+    def test_catalog_covers_every_family(self):
+        assert {s.kind for s in catalog()} == set(FamilyKind)
+
+    def test_api_spec_builds_the_parsed_distribution(self):
+        geo2 = FamilySpec(FamilyKind.GEOMETRIC, {"a": 2})
+        for kind, text in [(FamilyKind.CONGREGATED, "congregated:base=(geometric:a=2)"),
+                           (FamilyKind.PAIR_AVERAGED, "pairavg:base=(geometric:a=2)")]:
+            built = make_distribution(FamilySpec(kind, {"base": geo2}))
+            parsed = make_distribution(parse_spec(text))
+            assert built.spec == parsed.spec
+            assert built.levels() == parsed.levels()
+            assert built.beyond_prefix_log2_mass == parsed.beyond_prefix_log2_mass
+        built = make_distribution(FamilySpec(FamilyKind.DIFFUSION, {}))
+        assert built.levels() == make_distribution(parse_spec("diffusion:stages=8")).levels()
+
+    @pytest.mark.parametrize("spec_text, spec", [
+        ("geometric:a=2,lambda=3", FamilySpec(FamilyKind.GEOMETRIC, {"a": 2.0, "lambda": 3.0})),
+        ("power:lambda=2,k0=5", FamilySpec(FamilyKind.POWER, {"lambda": 2.0, "k0": 5})),
+        ("finite:p=0.5;0.5,a=3", FamilySpec(FamilyKind.FINITE, {"p": [0.5, 0.5], "a": 3.0})),
+        ("diffusion:stages=3,base=(geometric:a=2)",
+         FamilySpec(FamilyKind.DIFFUSION, {"stages": 3, "base": FamilySpec(FamilyKind.GEOMETRIC, {"a": 2.0})})),
+    ])
+    def test_parameter_the_family_does_not_take_is_refused(self, spec_text, spec):
+        with pytest.raises(SpecParseError, match="unknown parameter"):
+            parse_spec(spec_text)
+        with pytest.raises(InvalidParams, match="takes no parameter"):
+            make_distribution(spec)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(FamilyKind.POWER, {}),
+        FamilySpec(FamilyKind.TILTED_GEOMETRIC, {"lambda": 1.0}),
+        FamilySpec(FamilyKind.CONGREGATED, {"depth": 48}),
+        FamilySpec(FamilyKind.CONGREGATED, {"base": FamilySpec(FamilyKind.GEOMETRIC, {"a": 2.0}), "depth": 100.5}),
+        FamilySpec(FamilyKind.PAIR_AVERAGED, {"base": "geometric:a=2"}),
+        FamilySpec(FamilyKind.LOG_POWER, {"lambda": "two"}),
+        FamilySpec(FamilyKind.FINITE, {"p": 0.5}),
+        FamilySpec(FamilyKind.DIFFUSION, {"stages": 0}),
+        FamilySpec("nosuch", {}),
+    ])
+    def test_missing_or_mistyped_parameter_is_refused(self, spec):
+        # a depth of 100.5 was built as depth 100, and a lambda of "two" ended
+        # in a bare ValueError
+        with pytest.raises(InvalidParams):
+            make_distribution(spec)
