@@ -153,7 +153,8 @@ def classify_numeric(
     transient verdict requires both, since generic subsequence discovery is
     an open-ended search.  Every n, of the schedule and of the probes, must
     be a positive integer (InvalidParams); the schedule may be unsorted and
-    repeat a point.
+    repeat a point.  The evidence lists the points in the given order; the
+    verdict and its diagnostics read them in order of n.
     """
     schedule = [positive_integer(n) for n in schedule]
     if transient_probes is not None:
@@ -165,8 +166,10 @@ def classify_numeric(
         raise ScheduleTooShort(
             f"schedule spans {decades:.2f} decades; need {thresholds.min_decades}"
         )
-    points = _tn_at(dist, schedule, eps)
-    evidence = [(p.n, p.value) for p in points]
+    given = _tn_at(dist, schedule, eps)
+    evidence = [(p.n, p.value) for p in given]
+    # the verdict reads the trajectory as n grows, whatever the given order
+    points = sorted(given, key=lambda p: p.n)
     half = len(points) // 2
     tail_pts = points[half:]
 

@@ -139,7 +139,11 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
-        return format_spec(self)
+        # an invalid spec still prints, so that a message can name it
+        try:
+            return format_spec(self)
+        except InvalidParams:
+            return repr(self)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -5,11 +5,13 @@ import math
 import pytest
 
 from alphatail import classify
-from alphatail.cli import MAX_SCHEDULE_POINTS
+from alphatail.classify import MAX_SCHEDULE_POINTS
 from alphatail import (
     Distribution,
     Domain,
     DomainVerdict,
+    FamilyKind,
+    FamilySpec,
     FiniteSupport,
     InvalidParams,
     Method,
@@ -139,7 +141,17 @@ class TestNumeric:
         sched = [16 * 4 ** j for j in range(9, -1, -1)]
         verdict = classify_numeric(power2, sched)
         assert [n for n, _ in verdict.evidence] == sched
-        assert verdict.domain in (Domain.DOMAIN2, Domain.INCONCLUSIVE)
+        assert verdict.domain is Domain.DOMAIN2
+        assert verdict.diagnostics == classify_numeric(power2, sched[::-1]).diagnostics
+
+    def test_decreasing_schedule_reads_the_trajectory_as_n_grows(self):
+        # read in the given order, t_n = n (1 - 1/1000)^n climbs from 1e-106
+        # to 368 as n falls, which passed for growth through theta2: Domain 2
+        uniform1000 = make_distribution(FamilySpec(FamilyKind.FINITE, {"p": [0.001] * 1000}))
+        sched = [1000 * 4 ** j for j in range(9, -1, -1)]
+        verdict = classify_numeric(uniform1000, sched)
+        assert verdict.domain is Domain.DOMAIN0
+        assert verdict.diagnostics == classify_numeric(uniform1000, sched[::-1]).diagnostics
 
 
 class TestTransient:

@@ -704,3 +704,18 @@ class TestCanonicalSpec:
         # in a bare ValueError
         with pytest.raises(InvalidParams):
             make_distribution(spec)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(FamilyKind.POWER, {}),
+        FamilySpec(FamilyKind.GEOMETRIC, {"a": 2.0, "lambda": 3.0}),
+        FamilySpec(FamilyKind.CONGREGATED, {"base": "geometric:a=2"}),
+        FamilySpec("nosuch", {}),
+    ])
+    def test_invalid_spec_still_prints(self, spec):
+        # str() went through the canonical spec and raised InvalidParams, so
+        # a message naming the bad spec failed with a different error
+        assert str(spec) == repr(spec)
+        assert f"{spec}" == repr(spec)
+
+    def test_valid_spec_prints_its_canonical_text(self):
+        assert str(FamilySpec(FamilyKind.LOG_POWER, {"lambda": 2})) == "logpower:lambda=2.0,k0=2"
