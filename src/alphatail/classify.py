@@ -236,7 +236,8 @@ def subsequence_probe(
     """
     if dist.support_size() is not None:
         raise FiniteSupport("subsequence probe needs infinite support")
-    if not 1 <= k_lo <= k_hi:
+    k_lo, k_hi = positive_integer(k_lo, "k_lo"), positive_integer(k_hi, "k_hi")
+    if k_lo > k_hi:
         raise InvalidParams("need 1 <= k_lo <= k_hi")
     if k_hi - k_lo >= MAX_SCHEDULE_POINTS:
         raise InvalidParams(f"need at most {MAX_SCHEDULE_POINTS} indices, got {k_lo} to {k_hi}")

@@ -71,11 +71,12 @@ class FrequencyTable:
     counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        total = sum(self.counts.values())
+        total = 0
+        for k, y in self.counts.items():
+            positive_integer(k, "letter k")
+            total += positive_integer(y, "count y")
         if total != self.n:
             raise InvalidParams(f"counts sum to {total}, expected n = {self.n}")
-        if any(y <= 0 for y in self.counts.values()):
-            raise InvalidParams("counts must be strictly positive")
 
     @property
     def n1(self) -> int:
@@ -100,8 +101,6 @@ class FrequencyTable:
                 k, y = (int(x) for x in row)
             except ValueError:
                 raise InvalidParams(f"line {line}: expected two integers k,y, got {row!r}") from None
-            if k < 1:
-                raise InvalidParams(f"line {line}: letter {k} is not >= 1")
             if k in counts:
                 raise InvalidParams(f"line {line}: letter {k} repeats")
             counts[k] = y
@@ -286,7 +285,9 @@ def exact_expectation(
 ) -> Fraction:
     """Exact rational E[statistic] over all samples of size n from a small
     finite distribution (probabilities taken as exact binary rationals and
-    renormalized, a perturbation below 1e-15)."""
+    renormalized, a perturbation below 1e-15).  An n that is not a positive
+    integer raises InvalidParams."""
+    n = positive_integer(n)
     K = dist.support_size()
     if K is None or K > _ORACLE_MAX_K:
         raise TooLarge(f"oracle supports finite alphabets with K <= {_ORACLE_MAX_K}")
@@ -318,6 +319,8 @@ def exact_expectation(
 
 
 def exact_zeta(dist: Distribution, v: int) -> Fraction:
-    """sum_k p_k (1-p_k)^v in the oracle's exact rational arithmetic."""
+    """sum_k p_k (1-p_k)^v in the oracle's exact rational arithmetic; a v
+    that is not a nonnegative integer raises InvalidV."""
+    v = positive_integer(v, "v", InvalidV, zero=True)
     probs = _rational_probs(dist)
     return sum((p * (1 - p) ** v for p in probs), Fraction(0))

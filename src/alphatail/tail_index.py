@@ -50,9 +50,10 @@ and the width, never less than one ulp of the upper end, is the
 ``trunc_error``.  Later blocks lower that floor as the tail falls past a
 power of two, so the sum stops at it only when the floor at ``max_terms``
 is above eps too (for ``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the
-default cap, from n of about 2.88e8, at K = 0).  Other infinite tails use
-a dyadic-block upper bound built from the family's tail-mass certificate,
-valid for both kernels since ``p(1-p)^n <= p e^{-np}``.  Neither bound
+default cap, from n of about 2.88e8, at K = 0).  Other infinite tails
+close on ``tail_mass_bound(K)``, an upper end for both kernels since
+``w(p) <= 1``: where n times it meets eps, n p_{K+1} <= eps, so the
+omitted sum is within a relative eps of the omitted mass.  Neither bound
 reads the head sum, so the stop is found before any block is summed: the
 first block end, tested in order, where the bracket closes.  ``eps`` is a
 target on the t_n scale; a tail that cannot certify it within
@@ -130,30 +131,6 @@ class EmGap(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Certified tail bounds for the series sum_{k>K} p_k w(p_k)
-# ---------------------------------------------------------------------------
-
-def _series_tail_bound(dist: Distribution, K: int, n: float) -> float:
-    """Certified zeta-scale bound on everything omitted beyond index K, for
-    either kernel, from p(1-p)^n <= p e^{-np}: the smaller of the tail mass
-    bound and a sum over the dyadic blocks (K 2^{j-1}, K 2^j], j = 1, ...,
-    60, of each block's mass bound times exp(-n p(K 2^j + 1)), which bounds
-    its every term, plus the raw mass bound beyond the last block summed.
-    """
-    bound = mass = dist.tail_mass_bound(K)
-    total = 0.0
-    for j in range(1, 61):
-        hi = K << j
-        lp = dist.log_prob(hi + 1)
-        damp = math.exp(-n * math.exp(lp)) if lp > -700.0 else 1.0
-        total += mass * damp
-        mass = dist.tail_mass_bound(hi)
-        if damp >= 1.0 - 1e-12:
-            break   # deeper blocks gain nothing; close with the raw mass bound
-    return min(bound, total + mass)
-
-
-# ---------------------------------------------------------------------------
 # Core evaluators
 # ---------------------------------------------------------------------------
 
@@ -180,14 +157,14 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
     width up to the cap undercuts, are above eps_t.  Power and log-power
     tails close with their sandwich once it opens (``zoo.tail_sandwich``:
     where the summand turns convex, at every K for log-power, which is tried
-    at K = 0 first); other tails with the dyadic upper bound alone, which
-    bounds p e^{-np} >= p (1-p)^n and so serves both kernels.  A tail that
-    reaches ``max_terms`` unmet before its sandwich opens takes the lower
-    bound w(p_{K+1}) times the certified lower tail mass, sound because
-    p_k <= p_{K+1} beyond K.  No rule reads the head sum, so K is found from
-    the certificates alone, testing every block end in order: near the
-    one-ulp floor rounding moves the computed width up and down between
-    block ends, so the rule is not monotone in K.
+    at K = 0 first); other tails with ``dist.tail_mass_bound(K)`` alone,
+    which bounds the omitted sum for both kernels since w(p) <= 1.  A tail
+    that reaches ``max_terms`` unmet before its sandwich opens takes that
+    upper end and the lower one w(p_{K+1}) times the certified lower tail
+    mass, sound because p_k <= p_{K+1} beyond K.  No rule reads the head
+    sum, so K is found from the certificates alone, testing every block
+    end in order: near the one-ulp floor rounding moves the computed width
+    up and down between block ends, so the rule is not monotone in K.
     """
     bracket = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
     # a sandwich is tried at K = 0, where a log-power tail closes at large n,
@@ -209,7 +186,7 @@ def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
         if closed:
             tail_lo, tail_hi = sandwich
         elif K >= dist.k0_head and (capped or bracket is None):
-            tail_hi = _series_tail_bound(dist, K, n)
+            tail_hi = dist.tail_mass_bound(K)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
         if n * width <= eps_t:
@@ -383,9 +360,11 @@ def zeta1(
     ``eps`` targets the t_n scale, so the zeta-scale remainder satisfies
     ``trunc_error <= eps / n`` whenever the family's tail certificate can
     reach it within ``max_terms`` summands.  Past 2**53 it is t_n / n,
-    summed over the whole table, and ``eps`` is not read.
+    summed over the whole table, and ``eps`` is not read.  An n or
+    ``max_terms`` that is not a positive integer raises InvalidParams.
     """
     n = positive_integer(n)
+    max_terms = positive_integer(max_terms, "max_terms")
     if n <= _FLOAT_N_LIMIT:
         return IndexValue(n, *_series_points(dist, [float(n)], eps, max_terms, Kernel.BINOMIAL)[0])
     *t_scale, terms = _eval_t_large(dist, n)
@@ -416,7 +395,9 @@ def evaluate_series(
     one sweep sums a closed form's blocks for all of them, or one pass a
     level table's levels.  Points past 2**53 are evaluated one at a time,
     each over the window of levels that can carry a term, found by binary
-    search."""
+    search.  A ``max_terms`` that is not a positive integer raises
+    InvalidParams before any work."""
+    max_terms = positive_integer(max_terms, "max_terms")
     ns = [positive_integer(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidParams("schedule must be strictly increasing")

@@ -68,9 +68,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -133,10 +134,21 @@ _CLOSED_FORM = {
 @dataclass(frozen=True)
 class FamilySpec:
     """A family identifier plus its named parameters, named as in the
-    textual spec form; ``_PARAMS`` lists the parameters each family takes."""
+    textual spec form; ``_PARAMS`` lists the parameters each family takes.
+    A canonical spec is a value: read-only parameters, a finite vector a
+    tuple, and a hash that ignores the order of the parameters."""
 
     kind: FamilyKind
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
+
+    def __hash__(self) -> int:
+        # a list hashes as the tuple of its items; a base spec by this hash
+        return hash((self.kind, frozenset(
+            (key, tuple(v) if isinstance(v, list) else v) for key, v in self.params.items())))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle or deep-copy; its dict does
+        return _read_only_spec, (self.kind, dict(self.params))
 
     def __str__(self) -> str:
         # an invalid spec still prints, so that a message can name it
@@ -144,6 +156,10 @@ class FamilySpec:
             return format_spec(self)
         except InvalidParams:
             return repr(self)
+
+
+def _read_only_spec(kind: FamilyKind, params: dict) -> FamilySpec:
+    return FamilySpec(kind, types.MappingProxyType(params))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -154,7 +170,7 @@ def _require(cond: bool, msg: str) -> None:
 # Each family's parameters in spec-text order, with their type and default
 # (None for a required one): the one source of what a spec may hold.
 _PARAMS = {
-    FamilyKind.FINITE: {"p": (list, None)},
+    FamilyKind.FINITE: {"p": (tuple, None)},
     FamilyKind.GEOMETRIC: {"a": (float, None)},
     FamilyKind.GAUSSIAN_TYPE: {"lambda": (float, None)},
     FamilyKind.TILTED_GEOMETRIC: {"lambda": (float, None), "r": (float, None)},
@@ -168,7 +184,7 @@ _PARAMS = {
 
 def _cast(kind: FamilyKind, key: str, typ: type, value):
     """``value`` as the table's type: a float, an exact integer, a nonempty
-    list of floats, or a canonical base spec."""
+    tuple of floats (from a list or tuple), or a canonical base spec."""
     if typ is FamilySpec and isinstance(value, FamilySpec):
         return _canonical(value)
     try:
@@ -176,8 +192,8 @@ def _cast(kind: FamilyKind, key: str, typ: type, value):
             return operator.index(value)
         if typ is float:
             return float(value)
-        if typ is list and isinstance(value, (list, tuple)) and len(value) > 0:
-            return [float(x) for x in value]
+        if typ is tuple and isinstance(value, (list, tuple)) and len(value) > 0:
+            return tuple(float(x) for x in value)
     except (TypeError, ValueError):
         pass
     raise InvalidParams(f"{kind.value} parameter {key} must be {typ.__name__}, got {value!r}")
@@ -185,9 +201,9 @@ def _cast(kind: FamilyKind, key: str, typ: type, value):
 
 def _canonical(spec: FamilySpec) -> FamilySpec:
     """The canonical spec of ``spec``: every parameter its family takes,
-    defaults filled in, cast to the table's type and range-checked.  A
-    missing required parameter, one the family does not take or one out of
-    range raises InvalidParams."""
+    defaults filled in, cast to the table's type and range-checked, in a
+    read-only mapping.  A missing required parameter, one the family does
+    not take or one out of range raises InvalidParams."""
     if spec.kind not in _PARAMS:
         raise InvalidParams(f"unknown family kind {spec.kind!r}")
     kind = FamilyKind(spec.kind)
@@ -220,7 +236,7 @@ def _canonical(spec: FamilySpec) -> FamilySpec:
         _require(p["stages"] >= 1, "diffusion requires stages >= 1")
     else:
         _require(p["depth"] >= 2, "constructed depth must be >= 2")
-    return FamilySpec(kind, p)
+    return _read_only_spec(kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,7 +1154,7 @@ def parse_spec(text: str) -> FamilySpec:
             params[key] = parse_spec(val[1:-1])
             continue
         try:
-            params[key] = [float(x) for x in val.split(";") if x != ""] if typ is list else typ(val)
+            params[key] = tuple(float(x) for x in val.split(";") if x != "") if typ is tuple else typ(val)
         except ValueError as exc:
             raise SpecParseError(f"bad value {val!r} for {key}") from exc
     return _canonical(FamilySpec(kind, params))
@@ -1172,7 +1188,7 @@ def format_spec(spec: FamilySpec) -> str:
     for key, v in spec.params.items():
         if isinstance(v, FamilySpec):
             text = f"({format_spec(v)})"
-        elif isinstance(v, list):
+        elif isinstance(v, tuple):
             text = ";".join(map(repr, v))
         else:
             text = repr(v)

@@ -234,6 +234,12 @@ class TestSubsequenceProbe:
         with pytest.raises(InvalidParams, match=r"n_1030 = floor\(1/p_1030\) overflows a float: p_1030 = 8\.69"):
             subsequence_probe(geom2, 1030, 1031)
 
+    @pytest.mark.parametrize("k_lo, k_hi", [(1.5, 5), (1, 5.5), ("1", 5)], ids=repr)
+    def test_indices_must_be_positive_integers(self, geom2, k_lo, k_hi):
+        # k_lo = 1.5 ended in a bare TypeError
+        with pytest.raises(InvalidParams, match="k_(lo|hi) must be a positive integer"):
+            subsequence_probe(geom2, k_lo, k_hi)
+
     def test_index_range_cap_before_any_p_k(self, power2, monkeypatch):
         # 10^5 indices ran for 20 s; the cap is the CLI's schedule cap
         def unread(self, k):

@@ -152,6 +152,18 @@ class TestFrequencyTable:
         with pytest.raises(InvalidParams):
             FrequencyTable(3, {1: 3, 2: 0})
 
+    @pytest.mark.parametrize("counts", [{1: 1.5, 2: 1.5}, {1: 2.0, 2: 1}, {1: 2, 2: "1"}], ids=repr)
+    def test_counts_must_be_positive_integers(self, counts):
+        # counts of 1.5 were truncated to 1 by the estimator: Z_{1,1} read 0.667
+        with pytest.raises(InvalidParams, match="count y must be a positive integer"):
+            estimator_report(FrequencyTable(3, counts), [1])
+
+    @pytest.mark.parametrize("letter", [0, -2, 1.5, "1"], ids=repr)
+    def test_letters_must_be_positive_integers(self, letter):
+        # letter 0 was taken here although from_csv refuses it
+        with pytest.raises(InvalidParams, match="letter k must be a positive integer"):
+            FrequencyTable(1, {letter: 1})
+
     def test_csv_round_trip(self):
         f = FrequencyTable(6, {3: 2, 1: 1, 12: 3})
         text = f.to_csv()
@@ -555,6 +567,20 @@ class TestExactOracle:
             exact_expectation(geom2, 4, Statistic.TURING)
         with pytest.raises(InvalidV):
             exact_expectation(finite([0.5, 0.5]), 4, Statistic.Z1V, v=4)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, "4"], ids=repr)
+    def test_n_must_be_a_positive_integer(self, n):
+        # n = 0 ended in a ZeroDivisionError and n = -1 returned 0
+        with pytest.raises(InvalidParams, match="n must be a positive integer"):
+            exact_expectation(finite([0.5, 0.5]), n, Statistic.TURING)
+
+    @pytest.mark.parametrize("v", [-1, 1.5, "2", None], ids=repr)
+    def test_zeta_order_must_be_a_nonnegative_integer(self, v):
+        # v = -1 returned 2
+        d = finite([0.5, 0.5])
+        with pytest.raises(InvalidV, match="v must be a nonnegative integer"):
+            exact_zeta(d, v)
+        assert exact_zeta(d, 0) == 1
 
     def test_zero_entries_keep_counts_aligned(self):
         d = make_distribution(parse_spec("finite:p=0.5;0;0.5"))

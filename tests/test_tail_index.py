@@ -1,6 +1,7 @@
 """Series evaluation, truncation certificates, oscillation and gap machinery."""
 
 import bisect
+import collections
 import hashlib
 import itertools
 import math
@@ -70,6 +71,17 @@ class TestZetaBasics:
                      lambda: evaluate_series(geom2, [n, 16])):
             with pytest.raises(InvalidParams):
                 call()
+
+    @pytest.mark.parametrize("max_terms", [-5, 0, 1.5, 64.0, math.nan, "64", None])
+    def test_max_terms_must_be_a_positive_integer(self, geom2, logpower2, max_terms):
+        # max_terms = -5 returned terms_used = -5 on geometric:a=2 and ended in
+        # a bare ValueError on log-power; 1.5 in a bare TypeError
+        for dist in (geom2, logpower2):
+            for call in (lambda: tn(dist, 100, max_terms=max_terms),
+                         lambda: zeta1(dist, 100, max_terms=max_terms),
+                         lambda: evaluate_series(dist, [100, 200], max_terms=max_terms)):
+                with pytest.raises(InvalidParams, match="max_terms must be a positive integer"):
+                    call()
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
     def test_eps_checked_before_any_work(self, geom2, pairavg2, power2, eps, monkeypatch):
@@ -656,13 +668,21 @@ THIN_WEIGHTS = {
     "tilted:lambda=1,r=1": lambda mp, k: k * mp.exp(-k),
 }
 
+# thin tails that fall slowly past k = 64, and where each stops at n = 1e6
+# and 1e8, eps 1e-9, for either kernel
+SLOW_THIN_TERMS = [
+    ("geometric:a=1.01", 7168),
+    ("gaussian:lambda=0.001", 1024),
+    ("tilted:lambda=0.01,r=3", 7168),
+]
+
 
 class TestClosedFormBlocks:
     @pytest.mark.parametrize("kernel", [BINOMIAL, POISSON], ids=["binomial", "poisson"])
     @pytest.mark.parametrize("n", [10, 10 ** 4, 10 ** 8])
     @pytest.mark.parametrize("spec_text", list(THIN_WEIGHTS))
     def test_thin_tails_stop_after_the_first_block(self, spec_text, n, kernel):
-        # the dyadic bound past k = 64 already meets eps on the t_n scale
+        # the mass bound past k = 64 already meets eps on the t_n scale
         # (for geometric:a=2 at n = 1e8, 5.4e-12), and the bracket holds the
         # 40-digit sum of p_k w(p_k) over the first 400 letters, within
         # terms_used ulps of float rounding
@@ -679,6 +699,37 @@ class TestClosedFormBlocks:
             want = mp.fsum(p * w(p) for p in ps)
         slack = terms * math.ulp(value + trunc)
         assert value - slack <= want <= value + trunc + slack
+
+    @pytest.mark.parametrize("kernel", [BINOMIAL, POISSON], ids=["binomial", "poisson"])
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8])
+    @pytest.mark.parametrize("spec_text, terms", SLOW_THIN_TERMS)
+    def test_slow_thin_tails_stop_past_the_first_block(self, spec_text, terms, n, kernel):
+        # tails that fall slowly past k = 64 close on the mass bound at a
+        # later block end, within eps
+        dist = make_distribution(parse_spec(spec_text))
+        _, trunc, used = tail_index._series_points(
+            dist, [float(n)], 1e-9, tail_index.DEFAULT_MAX_TERMS, kernel)[0]
+        assert used == terms
+        assert n * trunc <= 1e-9
+
+    def test_thin_tails_read_one_mass_bound_per_block_end(self, monkeypatch):
+        # a thin tail's upper end is tail_mass_bound(K) alone: no log_prob,
+        # and no mass bound beyond K, is read to close it
+        dists = [make_distribution(s) for s in catalog()
+                 if s.kind in (FamilyKind.GEOMETRIC, FamilyKind.GAUSSIAN_TYPE, FamilyKind.TILTED_GEOMETRIC)]
+        dists += [make_distribution(parse_spec(text)) for text, _ in SLOW_THIN_TERMS]
+        calls = collections.Counter()
+        for name in ("log_prob", "tail_mass_bound"):
+            def counting(self, k, _name=name, _original=getattr(Distribution, name)):
+                calls[_name] += 1
+                return _original(self, k)
+            monkeypatch.setattr(Distribution, name, counting)
+        for dist in dists:
+            for n in (10, 10 ** 4, 10 ** 8):
+                calls.clear()
+                iv = tn(dist, n)
+                assert calls["log_prob"] == 0, (dist.spec, n)
+                assert calls["tail_mass_bound"] <= len(_block_ends(iv.terms_used)), (dist.spec, n)
 
     def test_blocks_stay_at_most_2_16_values(self, logpower2, monkeypatch):
         sizes = []

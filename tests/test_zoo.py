@@ -1,6 +1,8 @@
 """Family catalog: normalization certificates, constructions, spec parsing."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -523,7 +525,7 @@ class TestSpecText:
         s = parse_spec("power:lambda=2")
         assert s.kind is FamilyKind.POWER and s.params["lambda"] == 2.0
         s = parse_spec("finite:p=0.5;0.3;0.2")
-        assert s.params["p"] == [0.5, 0.3, 0.2]
+        assert s.params["p"] == (0.5, 0.3, 0.2)
 
     @pytest.mark.parametrize("bad", [
         "nosuch:a=2", "geometric:a", "geometric:a=abc", "power:wat=3",
@@ -719,3 +721,46 @@ class TestCanonicalSpec:
 
     def test_valid_spec_prints_its_canonical_text(self):
         assert str(FamilySpec(FamilyKind.LOG_POWER, {"lambda": 2})) == "logpower:lambda=2.0,k0=2"
+
+    def test_spec_cannot_be_mutated(self):
+        # setting a = 4 on a built geometric:a=2 made prob(1) read 0.25 while
+        # its normalizer stayed that of a = 2
+        dist = make_distribution(parse_spec("geometric:a=2"))
+        for spec in (parse_spec("geometric:a=2"), dist.spec):
+            with pytest.raises(TypeError):
+                spec.params["a"] = 4.0
+        assert dist.prob(1) == 0.5
+        finite = parse_spec("finite:p=0.5;0.5")
+        with pytest.raises(TypeError):
+            finite.params["p"][0] = 0.25
+        base = parse_spec("congregated:base=(geometric:a=2)").params["base"]
+        with pytest.raises(TypeError):
+            base.params["a"] = 4.0
+
+    @pytest.mark.parametrize("spec, text", [
+        (FamilySpec(FamilyKind.GEOMETRIC, {"a": 2}), "geometric:a=2"),
+        (FamilySpec(FamilyKind.TILTED_GEOMETRIC, {"r": 1, "lambda": 1.0}), "tilted:lambda=1,r=1"),
+        (FamilySpec(FamilyKind.CONGREGATED, {"depth": 48, "base": FamilySpec(FamilyKind.GEOMETRIC, {"a": 2})}),
+         "congregated:base=(geometric:a=2)"),
+    ])
+    def test_equal_specs_hash_equal(self, spec, text):
+        # hash(parse_spec("geometric:a=2")) raised TypeError
+        assert spec == parse_spec(text)
+        assert hash(spec) == hash(parse_spec(text)) == hash(make_distribution(spec).spec)
+
+    @pytest.mark.parametrize("spec_text", ALL_SPECS)
+    def test_spec_pickles_and_copies_to_an_equal_read_only_spec(self, spec_text):
+        spec = parse_spec(spec_text)
+        dist = make_distribution(spec)
+        for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec),
+                      pickle.loads(pickle.dumps(dist)).spec):
+            assert other == spec and hash(other) == hash(spec)
+            with pytest.raises(TypeError):
+                other.params["x"] = 1.0
+
+    def test_catalog_specs_are_set_members(self):
+        specs = set(catalog())
+        assert len(specs) == len(catalog())
+        assert all(parse_spec(text) in specs for text in ALL_SPECS)
+        # a finite vector given as a list hashes too
+        assert isinstance(hash(FamilySpec(FamilyKind.FINITE, {"p": [0.5, 0.5]})), int)
