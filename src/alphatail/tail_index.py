@@ -31,8 +31,8 @@ One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
 
 Truncation bounds are family-aware.  Power and log-power tails are closed
-analytically by ``zoo.tail_sandwich``, with which ``zoo`` also normalizes
-them; ``zoo`` describes its tail integrals (incomplete beta and gamma
+analytically by ``zoo.tail_sandwich``; ``zoo`` normalizes them with its own
+mass bracket and describes its tail integrals (incomplete beta and gamma
 functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
 ``[K+1/2, inf)`` a power tail's omitted sum lies between the trapezoid and
 midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and

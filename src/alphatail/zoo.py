@@ -14,37 +14,34 @@ carries a certified normalization: the total mass is known to lie within
 
 Normalization of closed forms sums the unnormalized weights directly and
 closes the series with a certified tail bracket (exact for geometric tails,
-ratio brackets for super-geometric decay, and for power and log-power tails
-the series sandwich below at n = 0, where the kernel is 1); summation stops
-once the bracket half-width falls below 1e-14.
+ratio brackets for super-geometric decay, and for power and log-power tails,
+where ``f = p`` has ``f'''' >= 0``, the one-sided second-order Euler-Maclaurin
+``int + f/2 - f'/12`` less ``[0, |f'''|/384]`` from ``a = K+1``); summation
+stops once the bracket half-width falls below 1e-14.
 
-The closed-form tails of power and log-power families live here, in
-``tail_sandwich``: it returns one function ``bracket(K)`` on
+The closed-form tails of power and log-power families at n >= 1 live here,
+in ``tail_sandwich``: it returns one function ``bracket(K)`` on
 ``sum_{k>K} p_k w(p_k)`` for either kernel ``w(p) = (1-p)^n`` or
-``e^{-np}`` (``Kernel``) at any n >= 0, for the mass bracket above and for
-the series evaluator in ``tail_index`` alike.  For power tails it is None
-until ``f(x) = p w(p)`` is convex on ``[K+1/2, inf)``; from there the sum
-lies between the trapezoid and midpoint sandwiches of its tail integral, a
-bracket about ``|f'(K)|/8`` wide.  Log-power tails close with second-order
+``e^{-np}`` (``Kernel``), for the series evaluator in ``tail_index``.  For
+power tails it is None until ``f(x) = p w(p)`` is convex on
+``[K+1/2, inf)``; from there the sum lies between the trapezoid and
+midpoint sandwiches of its tail integral, a bracket about ``|f'(K)|/8``
+wide (see ``_power_bracket``).  Log-power tails close with second-order
 Euler-Maclaurin from ``a = K+1`` at every K >= 0, K = 0 included, where no
 head is left: ``int + f/2 - f'/12 + f'''/720`` within ``W``, a bound on
 ``int |f''''|/720`` from the closed-form derivatives, summed over pieces of
 ``[a, inf)`` on which ``t = (n+1) p`` (``n p`` for ``e^{-np}``) falls by a
-fixed ratio, with no sign test; at n = 0, where ``f = p`` and
-``f'''' >= 0``, it is the one-sided ``int + f/2 - f'/12`` less
-``[0, |f'''|/384]``.  Power tails keep the first-order sandwich (see
-``_power_bracket``).  For power tails ``p_k = c k^-lam`` the integral is
-``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta function,
-for ``(1-p)^n`` and ``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``,
-an incomplete gamma function, for ``e^{-np}``.  For log-power tails
-``p_k = c/(j ln^lam j)``, ``j = k + k0 - 1``, it has three parts.  Where
-t <= 4, expanding the kernel in powers of p integrates term by term into
-upper incomplete gamma functions of negative order, evaluated by their
-continued fraction; the partial sums alternate, so the last two bracket
-the integral.  Where 4 < t <= 40 it is a 48-point Gauss-Legendre rule in
-``u = ln j`` within a Bernstein-ellipse bound, and beyond a closed bound
-near ``y T e^-T`` at ``T = 40``.  At n = 0 both integrals are taken in
-closed form.
+fixed ratio, with no sign test.  For power tails ``p_k = c k^-lam`` the
+integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta
+function, for ``(1-p)^n`` and
+``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
+function, for ``e^{-np}``.  For log-power tails ``p_k = c/(j ln^lam j)``,
+``j = k + k0 - 1``, it has three parts.  Where t <= 4, expanding the kernel
+in powers of p integrates term by term into upper incomplete gamma
+functions of negative order, evaluated by their continued fraction; the
+partial sums alternate, so the last two bracket the integral.  Where
+4 < t <= 40 it is a 48-point Gauss-Legendre rule in ``u = ln j`` within a
+Bernstein-ellipse bound, and beyond a closed bound near ``y T e^-T``, T = 40.
 
 A spec names a family and its parameters.  ``_PARAMS`` is the one table of
 each family's parameters, in spec-text order, with their types and defaults.
@@ -94,9 +91,9 @@ NORM_CUTOFF = 1e-14
 
 _SMALLEST_SUBNORMAL = 5e-324
 _MAX_NORMALIZATION_TERMS = 1 << 27
-# a closed-form tail mass bound is widened by this many of its ulps, past the
-# rounding of its bracket and of the product with the normalizer (log-power
-# bounds computed up to 2.3 ulps below their 40-digit tails)
+# closed-form tail mass bounds are widened by this many of their ulps, past
+# the rounding of the bracket and of the product with the normalizer (upper
+# ends computed up to 2.3 ulps below their 40-digit tails, lower up to 1.7 above)
 _TAIL_ROUNDING_ULPS = 4.0
 
 # a log-power tail integral is an alternating series where t <= 4, a
@@ -321,11 +318,7 @@ def _power_convex_from(c: float, lam: float, n: float, kernel: Kernel) -> float:
     The sign of f'' is that of a quadratic A p^2 - B p + (lam+1) in p, so f
     is convex for p below its smaller root; the margin covers rounding.  For
     e^{-np} the root is u_-/n with u_- = 2(lam+1)/((3lam+1) + sqrt(5lam^2+2lam+1)).
-    At n = 0 either kernel is 1 and f = p is convex everywhere; the start is
-    where p = 1, the (1-p)^n quadratic's double root.
     """
-    if n == 0.0:
-        return c ** (1.0 / lam) * (1.0 + 1e-9)
     if kernel is Kernel.BINOMIAL:
         A = lam * n * (n + 1.0) + (lam + 1.0) * (n + 1.0)
         B = 2.0 * lam * n + (lam + 1.0) * (n + 2.0)
@@ -348,12 +341,8 @@ def power_tail_integral(c: float, lam: float, n: float, y: float, kernel: Kernel
     prefactor simplifies to c y^{1-lam}/(lam-1) times (1-x)^{n+1} or e^{-nx}.
     Past the convex range (u = n x > 1, em_gap's integral from y = 1) the
     series would need some u terms; there gamma(a, u) = Gamma(a) - Gamma(a, u),
-    with Gamma(a, u) = R(a, u) u^a e^{-u} from ``_upper_gamma_ratio``.  At
-    n = 0 the prefactor is the integral itself, taken directly: the series
-    would sum 1/(1-x) and multiply by 1-x, which moves it by an ulp.
+    with Gamma(a, u) = R(a, u) u^a e^{-u} from ``_upper_gamma_ratio``.
     """
-    if n == 0.0:
-        return c * y ** (1.0 - lam) / (lam - 1.0)
     x = c * y ** -lam
     a = 1.0 - 1.0 / lam
     binomial = kernel is Kernel.BINOMIAL
@@ -415,13 +404,10 @@ def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
     6e-16 relative of the 40-digit integral (lam = 1.5, 2, 3, both kernels,
     n = 1e4, 1e6, 1e8); beyond, the alternating terms grow before they
     shrink, and the cancellation drifts the ends to 1.2e-14 at t = 8 and
-    1.7e-11 at t = 16.  At n = 0 only the first term is left, taken as
-    c u0^{1-lam}/(lam-1) at both ends.
+    1.7e-11 at t = 16.
     """
     j = y + k0 - 1.0
     u0 = math.log(j)
-    if n == 0.0:
-        return (c * u0 ** (1.0 - lam) / (lam - 1.0),) * 2
     q = c / (j * u0 ** lam)
     binomial = kernel is Kernel.BINOMIAL
     prev = total = 1.0 / (lam - 1.0)
@@ -441,12 +427,12 @@ def _logpower_tail_integral(c: float, lam: float, k0: int, n: float, y: float,
 def _power_bracket(c: float, lam: float, n: float, kernel: Kernel, K: int) -> tuple[float, float]:
     """[lo, hi] on sum_{k>K} f(k), f = p w(p), p = c x^-lam, once f is convex
     on [K+1/2, inf): the trapezoid lower and midpoint upper sandwich of its
-    integral, about |f'(K)|/8 wide.  Power tails keep this first-order
-    bracket alone while the benchmark's power:lambda=1.5 references are
-    stale: on grid rows 47-53 they sit 17,492 to 18,161 ulps of the upper
-    end below tn's lower end, inside the check's allowance of terms_used +
-    10^4 ulps only because the head runs to 195,584 or 261,120 terms; a
-    closure stopping at 7,168 terms would be allowed 17,168 and fail it."""
+    integral, about |f'(K)|/8 wide.  Power's series tails keep this bracket
+    while the benchmark's power:lambda=1.5 references are stale: on grid rows
+    47-53 they sit 17,492 to 18,161 ulps of the upper end below tn's lower
+    end, inside the check's allowance of terms_used + 10^4 ulps only because
+    the head runs to 195,584 or 261,120 terms; a closure stopping at 7,168
+    terms would be allowed 17,168 and fail it."""
     p1 = c * (K + 1.0) ** -lam
     f1 = p1 * kernel.at(p1, n)
     return (power_tail_integral(c, lam, n, K + 1.0, kernel) + 0.5 * f1,
@@ -617,33 +603,9 @@ def _logpower_remainder(c: float, lam: float, n: float, kernel: Kernel, m: float
     return None if 2.0 * W > width else W
 
 
-def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
-                      K: int, width: float = math.inf) -> Optional[tuple[float, float]]:
-    """[lo, hi] on sum_{k>K} f(k), f = g(p), g(p) = p w(p), p = c/(j ln^lam j),
-    j = x+k0-1, by second-order Euler-Maclaurin from a = K+1 at any K >= 0
-    (K = 0 leaves no head), or None where the remainder bound alone makes it
-    wider than ``width``, before the integral is taken.
-
-    sum_{k>=a} f(k) = I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f
-    (``_logpower_integral``), with R = -int_a^inf B4({x}) f''''(x)/24 dx and
-    B4(x) = x^2(1-x)^2 - 1/30.  With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k,
-    where R_1 = A = 1 + lam s and R_{k+1} = (A+k) R_k + s^2 dR_k/ds: every
-    R_k is a polynomial in s with nonnegative coefficients, k! at s = 0.  For
-    either kernel g^(m)(p) p^m = (-1)^(m+1) L e_m (m-t), where t = (n+1) p
-    for (1-p)^n and n p for e^{-np}, L = p g'(p)/(1-t) = w(p) r and e_m =
-    n(n-1)...(n-m+2) r^(m-1) with r = p/(1-p) for (1-p)^n, and r = p, e_m =
-    (np)^(m-1) for e^{-np}, each nonnegative at integer n.  By Faa di Bruno
-    -f' = L (1-t) A/j, -f''' = L [(1-t) R_3 + e_3 (3-t) A^3 - 3 e_2 (2-t) A
-    R_2]/j^3 and f'''' = L [(1-t) R_4 + 6 e_3 (3-t) A^2 R_2 - e_4 (4-t) A^4
-    - e_2 (2-t) (3 R_2^2 + 4 A R_3)]/j^4.
-
-    At n = 0, f = p and f'''' >= 0, so 0 <= x^2(1-x)^2 <= 1/16 puts the sum
-    in [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12], I the integral's
-    bracket.  At n > 0 the sign is not known, and |B4| <= 1/30 gives |R| <=
-    int_a^inf |f''''|/720 <= W (``_logpower_remainder``): the sum lies
-    within W of I + f/2 - f'/12 + f'''/720.  Where t(a) > 4 both split at
-    j4 with t(j4) = 4, from Newton's method.
-    """
+def _logpower_head(c: float, lam: float, k0: int, n: float, kernel: Kernel,
+                   K: int) -> tuple[float, float, float, float, float, float, float]:
+    """(j, ln j, m, t, f, -f', -f''') of ``_logpower_bracket``'s f at a = K+1."""
     j = float(K + k0)
     u = math.log(j)
     A, R2, R3, _ = _faa_polynomials(lam, 1.0 / u)
@@ -661,10 +623,36 @@ def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
     df = lead * (1.0 - t) * A / j                               # -f'
     d3f = lead * ((1.0 - t) * R3 + e3 * (3.0 - t) * A ** 3
                   - 3.0 * e2 * (2.0 - t) * A * R2) / j ** 3     # -f'''
+    return j, u, m, t, f, df, d3f
+
+
+def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
+                      K: int, width: float = math.inf) -> Optional[tuple[float, float]]:
+    """[lo, hi] on sum_{k>K} f(k), f = g(p), g(p) = p w(p), p = c/(j ln^lam j),
+    j = x+k0-1, at n >= 1 by second-order Euler-Maclaurin from a = K+1 at
+    any K >= 0 (K = 0 leaves no head), or None where the remainder bound
+    alone makes it wider than ``width``, before the integral is taken.
+
+    sum_{k>=a} f(k) = I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f
+    (``_logpower_integral``), with R = -int_a^inf B4({x}) f''''(x)/24 dx and
+    B4(x) = x^2(1-x)^2 - 1/30.  With s = 1/ln j, p^(k) = (-1)^k p R_k/j^k,
+    where R_1 = A = 1 + lam s and R_{k+1} = (A+k) R_k + s^2 dR_k/ds: every
+    R_k is a polynomial in s with nonnegative coefficients, k! at s = 0.  For
+    either kernel g^(m)(p) p^m = (-1)^(m+1) L e_m (m-t), where t = (n+1) p
+    for (1-p)^n and n p for e^{-np}, L = p g'(p)/(1-t) = w(p) r and e_m =
+    n(n-1)...(n-m+2) r^(m-1) with r = p/(1-p) for (1-p)^n, and r = p, e_m =
+    (np)^(m-1) for e^{-np}, each nonnegative at integer n.  By Faa di Bruno
+    -f' = L (1-t) A/j, -f''' = L [(1-t) R_3 + e_3 (3-t) A^3 - 3 e_2 (2-t) A
+    R_2]/j^3 and f'''' = L [(1-t) R_4 + 6 e_3 (3-t) A^2 R_2 - e_4 (4-t) A^4
+    - e_2 (2-t) (3 R_2^2 + 4 A R_3)]/j^4.
+
+    The sign of f'''' is not known, and |B4| <= 1/30 gives |R| <= int_a^inf
+    |f''''|/720 <= W (``_logpower_remainder``): the sum lies within W of I +
+    f/2 - f'/12 + f'''/720.  Where t(a) > 4 both split at j4 with t(j4) = 4,
+    from Newton's method.
+    """
+    j, u, m, t, f, df, d3f = _logpower_head(c, lam, k0, n, kernel, K)
     head = 0.5 * f + df / 12.0
-    if n == 0.0:
-        lo, hi = _logpower_tail_integral(c, lam, k0, n, K + 1.0, kernel)
-        return lo + head - d3f / 384.0, hi + head
     j4 = j if t <= _SERIES_T else max(math.exp(_logpower_u_at(c, lam, m, _SERIES_T, u)), j)
     W = _logpower_remainder(c, lam, n, kernel, m, j, j4, width)
     if W is None:
@@ -677,30 +665,35 @@ def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
 def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
                   kernel: Kernel) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
     """The closed-form sandwich of the power or log-power tail p_k = c g(k)
-    at n and kernel, None for any other family: ``bracket(K, width=inf)`` is
-    [lo, hi] on sum_{k>K} p_k w(p_k), and None before it opens, for power
-    until p w(p) turns convex on [K+1/2, inf); a log-power bracket is open
-    at every K >= 0, and None only where its remainder bound alone is wider
-    than ``width`` (power ignores ``width``).  At n = 0 the kernel is 1 and
-    the bracket is on the tail mass."""
+    at n >= 1 (the mass, n = 0, is ``_tail_bracket``'s) and kernel, None for
+    any other family: ``bracket(K, width=inf)`` is [lo, hi] on sum_{k>K} p_k
+    w(p_k), and None before it opens, for power until p w(p) turns convex on
+    [K+1/2, inf); a log-power bracket is open at every K >= 0, and None only
+    where its remainder bound alone is wider than ``width`` (power ignores
+    ``width``).  An n below 1 raises InvalidParams."""
+    if kind not in (FamilyKind.POWER, FamilyKind.LOG_POWER):
+        return None
+    _require(n >= 1.0, f"a closed-form series tail needs n >= 1 (got {n})")
     if kind is FamilyKind.POWER:
         lam = params["lambda"]
         x_c = _power_convex_from(c, lam, n, kernel)
         return lambda K, width=math.inf: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
-    if kind is FamilyKind.LOG_POWER:
-        lam, k0 = params["lambda"], params["k0"]
-        return lambda K, width=math.inf: _logpower_bracket(c, lam, k0, n, kernel, K, width)
-    return None
+    lam, k0 = params["lambda"], params["k0"]
+    return lambda K, width=math.inf: _logpower_bracket(c, lam, k0, n, kernel, K, width)
 
 
 def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
     """Certified bracket [lo, hi] for the unnormalized tail sum over k > K.
 
     Valid whenever K >= _head_length(kind).  Geometric tails are exact,
-    super-geometric tails use a ratio bound, power and log-power tails are
-    ``tail_sandwich`` at c = 1 and n = 0: the trapezoid/midpoint sandwich
-    for power, whose relative width shrinks like K^-2 regardless of the
-    exponent, and second-order Euler-Maclaurin for log-power, like K^-4.
+    super-geometric tails use a ratio bound, and power and log-power tails,
+    f = x^-lam and 1/(j ln^lam j), j = x+k0-1, one second-order
+    Euler-Maclaurin bracket from a = K+1, relative width like K^-4: the sum
+    is I + f/2 - f'/12 + f'''/720 + R at a, I = int_a^inf f, R = -int_a^inf
+    B4({x}) f''''/24, B4(x) = x^2(1-x)^2 - 1/30.  As int_a^inf f'''' =
+    -f'''(a), f'''' >= 0 (lam(lam+1)(lam+2)(lam+3) f/x^4 for power; see
+    ``_logpower_bracket``) and 0 <= x^2(1-x)^2 <= 1/16, the sum is I + f/2 -
+    f'/12 less a value in [0, |f'''|/384].
     """
     if kind is FamilyKind.GEOMETRIC:
         a = p["a"]
@@ -718,10 +711,16 @@ def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
         if rho >= 1.0:
             return 0.0, math.inf
         return g1, g1 / (1.0 - rho)
-    bracket = tail_sandwich(kind, 1.0, p, 0.0, Kernel.BINOMIAL)
-    if bracket is None:
-        raise InvalidParams(f"no tail bracket for {kind}")
-    return bracket(K)
+    lam = p["lambda"]
+    if kind is FamilyKind.POWER:
+        a = K + 1.0
+        f = a ** -lam
+        integral, df, d3f = a * f / (lam - 1.0), lam * f / a, lam * (lam + 1.0) * (lam + 2.0) * f / a ** 3
+    else:
+        _, u, _, _, f, df, d3f = _logpower_head(1.0, lam, p["k0"], 0.0, Kernel.BINOMIAL, K)
+        integral = u ** (1.0 - lam) / (lam - 1.0)
+    head = 0.5 * f + df / 12.0
+    return integral + head - d3f / 384.0, integral + head
 
 
 def _normalize_closed_form(kind: FamilyKind, p: dict) -> tuple[float, float]:
@@ -983,11 +982,12 @@ class Distribution:
         return bound + _TAIL_ROUNDING_ULPS * math.ulp(bound)
 
     def tail_mass_lower(self, K: int) -> float:
-        """Certified L with L <= sum_{k>K} p_k for closed forms past their
-        head (the lower side of the normalization bracket); 0 elsewhere."""
+        """Certified L <= sum_{k>K} p_k, float rounding included, for closed
+        forms past their head (the normalization bracket's lower end); else 0."""
         if self.kind not in _CLOSED_FORM or K < self.k0_head:
             return 0.0
-        return self.norm_constant * _tail_bracket(self.kind, self.spec.params, K)[0]
+        bound = self.norm_constant * _tail_bracket(self.kind, self.spec.params, K)[0]
+        return max(bound - _TAIL_ROUNDING_ULPS * math.ulp(bound), 0.0)
 
     def _table_tail(self, K: int) -> float:
         n_prefix = int(self._cum_counts[-1])

@@ -314,6 +314,17 @@ class TestSamplingLaw:
     exact multinomial, the estimator's mean against zeta_v, every catalog
     family's letters against p_k and against a second sampler."""
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_block_share_reads_a_tight_tail(self, lam):
+        # block 0 gets b / (b + T) of the draws, T = tail_mass_bound(64): T
+        # is within 1e-8 of the 40-digit tail (power:lambda=2 measured
+        # 1.9e-9; 2.0e-5 while power mass brackets were first order)
+        mp = pytest.importorskip("mpmath")
+        d = make_distribution(parse_spec(f"power:lambda={lam}"))
+        with mp.workdps(40):
+            tail = mp.mpf(d.norm_constant) * mp.zeta(lam, 65)
+            assert 0 <= (d.tail_mass_bound(64) - tail) / tail <= 1e-8
+
     @pytest.mark.parametrize("vec, n", [
         ([0.5, 0.3, 0.2], 2),           # m < block length: uniforms against its CDF
         ([0.5, 0.3, 0.2], 5),           # one multinomial

@@ -400,17 +400,16 @@ def _logpower_tail_mp(c: float, lam: float, k0: int, n: int, kernel, K: int, hea
 def _logpower_bracket_holds(c: float, lam: float, k0: int, n: int, kernel, K: int) -> None:
     """sum_{k>K} p_k w(p_k) in 40 digits lies in the bracket at K, within 4
     ulps of rounding.  Where the bracket is wider than that, the sum sits
-    near its centre at n > 0 (the Euler-Maclaurin remainder is far below
-    the width W: 2.2% of it off the centre at K = 0 and n = 1, where j = 2,
-    and under 0.8% from K = 1 on), and away from both ends at n = 0, as the
-    Bernoulli kernel's mean 1/30 puts it."""
+    near its centre (the Euler-Maclaurin remainder is far below the width
+    W: 2.2% of it off the centre at K = 0 and n = 1, where j = 2, and under
+    0.8% from K = 1 on)."""
     lo, hi = zoo._logpower_bracket(c, lam, k0, float(n), kernel, K)
     want = _logpower_tail_mp(c, lam, k0, n, kernel, K)
     slack = 4.0 * math.ulp(hi)
     assert lo - slack <= want <= hi + slack, K
     if hi - lo > 1e3 * slack:
         where = float((want - lo) / (hi - lo))
-        assert (0.3 < where < 0.7) if n == 0 else abs(where - 0.5) < (0.03 if K == 0 else 0.01), K
+        assert abs(where - 0.5) < (0.03 if K == 0 else 0.01), K
 
 
 # (n, lam, kernel) for the bracket at K = 0 and the stated bounds
@@ -498,11 +497,18 @@ class TestLogPowerClosure:
         K = _logpower_block_end_at(0.6, lam, k0, n, kernel, t)
         _logpower_bracket_holds(0.6, lam, k0, n, kernel, 3 * K + 7 if past else K)
 
-    @pytest.mark.parametrize("K", [0, 1, 10])
+    @pytest.mark.parametrize("K", [1, 2, 10])
     @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
     def test_mass_bracket_contains_mpmath(self, lam, K):
-        # n = 0, the tail mass, where both kernels are 1: the one-sided bracket
-        _logpower_bracket_holds(0.6, lam, 2, 0, BINOMIAL, K)
+        # n = 0, the tail mass, where both kernels are 1: the one-sided
+        # bracket of zoo._tail_bracket at c = 1 (from K = 1, as
+        # tail_mass_bound) holds the sum within 4 ulps, 0.3 to 0.7 of the
+        # way up, as the Bernoulli kernel's mean 1/30 puts it
+        lo, hi = zoo._tail_bracket(zoo.FamilyKind.LOG_POWER, {"lambda": lam, "k0": 2}, K)
+        want = _logpower_tail_mp(1.0, lam, 2, 0, BINOMIAL, K)
+        slack = 4.0 * math.ulp(hi)
+        assert lo - slack <= want <= hi + slack
+        assert 0.3 < float((want - lo) / (hi - lo)) < 0.7
 
     @pytest.mark.parametrize("n, lam, kernel, K", [
         *(pytest.param(n, lam, kernel, 0, id=f"{n}-{lam}-{kernel.name.lower()}-0")
@@ -899,7 +905,10 @@ class TestScaledPair:
         # at 2^50 both members stop at 2^24 terms with n trunc near 4e7
         with pytest.raises(AlphatailError, match=r"n = 1125899906842624 .* above eps = 1e-09"):
             scaled_pair(power2, 2 ** 50, 0.5)
-        assert scaled_pair(power2, 2 ** 47, 0.5) == (0.6909882989426693, 0.6909882989426709)
+        # at 2^47 both are certified; the first member moved by 3 ulps (from
+        # 0.6909882989426693) once the normalizer moved by 5 ulps, toward
+        # 1/zeta(2), with power's second-order mass bracket
+        assert scaled_pair(power2, 2 ** 47, 0.5) == (0.690988298942669, 0.6909882989426709)
 
     def test_width_floor_is_not_a_miss(self, logpower2):
         # eps = 1e-12 stops at the one-ulp floor, before the cap: no raise
@@ -1090,8 +1099,12 @@ class TestEmGap:
                 call()
 
     def test_own_cap_certifies_past_the_series_default(self, power2, monkeypatch):
-        # at n = 2^48 the e^{-np} sum certifies DEFAULT_EPS with 18,545,664
+        # at n = 2^48 the e^{-np} sum certifies DEFAULT_EPS with 18,611,200
         # terms, more than DEFAULT_MAX_TERMS: em_gap keeps its own 2^25 cap
+        # (18,545,664, one block of 2^16 fewer, before the normalizer moved
+        # by 5 ulps with power's second-order mass bracket: there the
+        # bracket's computed width is a few ulps of rounding, 1 ulp at
+        # 18,545,664 before and 4 after, so those ulps move the stop a block)
         seen = []
         series_points = tail_index._series_points
 
@@ -1101,8 +1114,8 @@ class TestEmGap:
         monkeypatch.setattr(tail_index, "_series_points", recorded)
         r = em_gap(power2, 2 ** 48)
         assert abs(r.lattice_sum - r.integral) <= r.bound
-        assert [terms for _, _, terms in seen] == [18_545_664]
-        assert 18_545_664 > tail_index.DEFAULT_MAX_TERMS
+        assert [terms for _, _, terms in seen] == [18_611_200]
+        assert 18_611_200 > tail_index.DEFAULT_MAX_TERMS
 
 
 class TestSeries:
@@ -1138,23 +1151,27 @@ def _digest(points) -> str:
 # 1e-7 on the t_n scale, below it, within eps = 1e-6.  Six digests
 # were computed again once the series grid's first block held 64 values:
 # the first 1,024 terms became two block sums, which moved 8 of the 106
-# values by 1 ulp and no trunc_error or terms_used.
+# values by 1 ulp and no trunc_error or terms_used.  The five power digests
+# were computed again once power was normalized with the second-order mass
+# bracket: its normalizer moved by 3 (lam = 1.5) or 5 (lam = 2) ulps toward
+# 1/zeta(lam), which moves values and widths in their last bits and no
+# terms_used.
 CLI_SCHEDULE = _parse_schedule("1000:100000000:x3/2")
 PINNED_SCHEDULES = [pytest.param(*row, id=row_id) for row_id, row in [
     ("power2-seed1", ("power:lambda=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
-     1e-6, 1 << 22, "0f4724421f8db6bb4ac6e4184af8adc4bf0b8d5e2d8c6cead8cf41bdaca4a4c2", 83968)),
+     1e-6, 1 << 22, "e49e8048a5470a506695838010d6b4e569e7768a5a12ee989a1702a648604f8a", 83968)),
     ("power1.5-seed1", ("power:lambda=1.5", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
-     1e-6, 1 << 22, "45ee87d01edbe696abae3c46ed3305480e20c3addb06eea0ee0bf9f3bc046649", 364544)),
+     1e-6, 1 << 22, "b0d9e416a03fa8e63a2c199d460ffad5d487cb21b677649d3e2ceb947ecca469", 364544)),
     ("logpower-seed1", ("logpower:lambda=2,k0=2", [3981, 15849, 63096, 251189, 1000000, 3981072, 15848932, 63095734],
      1e-6, 1 << 22, "b42f11650c9c008f57439d0a2dd86d0e71e148004bda3f5ebf1159c510b635f8", 2048)),
     ("power2-seed201", ("power:lambda=2", [5623, 22387, 89125, 354813, 1412538, 5623413, 22387211, 89125094],
-     1e-6, 1 << 22, "f75e8fe5913c315ebdb85be69327afc5b7401c7241e06644de6e92b276cc9e65", 83968)),
+     1e-6, 1 << 22, "41614b91e3500beea287a7ee1cad879a8c80f4be37d4297ff56a2f299cec391c", 83968)),
     ("power1.5-seed201", ("power:lambda=1.5", [2512, 10000, 39811, 158489, 630957, 2511886, 10000000, 39810717],
-     1e-6, 1 << 22, "eb7b57331ee7c791ce48a702d253aed01165fb91bed84960d9f77227fcb19192", 290816)),
+     1e-6, 1 << 22, "1ea34be924237a1d3331eeec100c6d782c8bdfd99ee10fd092b59b578d498f42", 290816)),
     ("logpower-seed201", ("logpower:lambda=2,k0=2", [5012, 19953, 79433, 316228, 1258925, 5011872, 19952623, 79432823],
      1e-6, 1 << 22, "8546b03738a02e0c6ba0b517b272f0faa5c750b1c7c56594d72712e4b60bf5ac", 2048)),
     ("power1.5-cli", ("power:lambda=1.5", CLI_SCHEDULE, 1e-9, 1 << 24,
-     "0ffd513b1797931bf2b539f263610f9c0750b57bfa480b46e9f248ffab30e838", 14486528)),
+     "90510ed4e784fdb8266e2f95fb574628e68ce38937d973d939f21390c6ec2a7e", 14486528)),
     ("logpower-cli", ("logpower:lambda=2,k0=2", CLI_SCHEDULE, 1e-9, 1 << 24,
      "7ca878bbe9b87a83a28b6082d34af1e80f4229547c0487da9db6fddcadb6495e", 19456)),
 ]]

@@ -107,61 +107,66 @@ def test_mass_certificate_on_grid(spec_text):
 
 
 # (norm_constant, mass_halfwidth, [(tail_mass_bound(K), tail_mass_lower(K))
-# for K in TAIL_KS]) as float.hex(): the power rows computed while the power
-# and log-power mass brackets still had formulas of their own in zoo, before
-# they became the series sandwich at n = 0; the log-power rows with its
+# for K in TAIL_KS]) as float.hex(): the log-power rows with its
 # second-order bracket, each checked against 40-digit mpmath sums; every
-# tail_mass_bound then 4 ulps higher once it was widened past its rounding
+# tail_mass_bound then 4 ulps higher once it was widened past its rounding.
+# The power rows again once power's mass bracket became the second-order
+# one log-power has: the lam = 1.5, 2 and 3 normalizers moved down by 3 to
+# 5 ulps, toward 1/zeta(lam) (lam = 1.01's did not move; all lie within
+# 3.3e-16 relative of 40-digit 1/zeta(lam)), and each tail bracket narrowed
+# from about K^-2 to K^-4 of the tail.  Every tail_mass_lower, log-power's
+# too, then 4 ulps lower once it was widened down past its rounding; the
+# log-power norm_constant, mass_halfwidth and tail_mass_bound did not move
 TAIL_KS = (1, 10, 255, 10 ** 3, 10 ** 6)
 PINNED_TAILS = {
-    "power:lambda=1.01": ("0x1.45cc0d45476d1p-7", "0x1.f5e4ab2631896p-51", [
-        ("0x1.faff80de88ff6p-1", "0x1.face332038399p-1"),
-        ("0x1.f13a4abd0469cp-1", "0x1.f138ec2d6c3bcp-1"),
-        ("0x1.e19b897551d97p-1", "0x1.e19b88d976951p-1"),
-        ("0x1.db140065d1e05p-1", "0x1.db14005bc61c2p-1"),
-        ("0x1.bb5ef4d12f2b1p-1", "0x1.bb5ef4d12f2a3p-1"),
+    "power:lambda=1.01": ("0x1.45cc0d45476d1p-7", "0x1.cd2b297d889bcp-51", [
+        ("0x1.fae96e7a3093ap-1", "0x1.fae824f771672p-1"),
+        ("0x1.f139cebd6a4acp-1", "0x1.f139ce62c9e8dp-1"),
+        ("0x1.e19b89413b47cp-1", "0x1.e19b89413b33ap-1"),
+        ("0x1.db140062780c2p-1", "0x1.db140062780b9p-1"),
+        ("0x1.bb5ef4d12f2adp-1", "0x1.bb5ef4d12f2a5p-1"),
     ]),
-    "power:lambda=1.5": ("0x1.87fafd259c5f5p-2", "0x1.06a4c820d19b5p-49", [
-        ("0x1.400cf92a9f624p-1", "0x1.37d18a73ac09cp-1"),
-        ("0x1.e3df0326db67bp-3", "0x1.e37d8b9d245c2p-3"),
-        ("0x1.885d20b3c4061p-5", "0x1.885cfbe4e5c66p-5"),
-        ("0x1.8c8ea2fce6c77p-6", "0x1.8c8ea08e5019cp-6"),
-        ("0x1.91634a7858d63p-11", "0x1.91634a7858ac8p-11"),
+    "power:lambda=1.5": ("0x1.87fafd259c5f2p-2", "0x1.a90b18546ce11p-50", [
+        ("0x1.3c263a98d589fp-1", "0x1.3bda708e4b333p-1"),
+        ("0x1.e3bc0ea8784a0p-3", "0x1.e3bbea7e82a8dp-3"),
+        ("0x1.885d14649598dp-5", "0x1.885d14648ee56p-5"),
+        ("0x1.8c8ea22d32fd6p-6", "0x1.8c8ea22d32f56p-6"),
+        ("0x1.91634a7858c82p-11", "0x1.91634a7858c7ap-11"),
     ]),
-    "power:lambda=2": ("0x1.37423899a155bp-1", "0x1.b1efe4933b486p-49", [
-        ("0x1.9f02f6222c728p-2", "0x1.8512c6c009ab2p-2"),
-        ("0x1.da4c87027bf08p-5", "0x1.d951a894fdcc6p-5"),
-        ("0x1.37de27ad7811fp-9", "0x1.37ddd9b5ee266p-9"),
-        ("0x1.3e91d14723452p-11", "0x1.3e91cc11a0dd4p-11"),
-        ("0x1.4660d2a8e5c59p-21", "0x1.4660d2a8e56bap-21"),
+    "power:lambda=2": ("0x1.37423899a1556p-1", "0x1.f5e653e5a3387p-51", [
+        ("0x1.920ade711b0e9p-2", "0x1.90d39c38816cbp-2"),
+        ("0x1.d9f14d664e119p-5", "0x1.d9f0cebd75390p-5"),
+        ("0x1.37de0d964cea9p-9", "0x1.37de0d963975fp-9"),
+        ("0x1.3e91cf8a30c9cp-11", "0x1.3e91cf8a30b37p-11"),
+        ("0x1.4660d2a8e5a76p-21", "0x1.4660d2a8e5a6ep-21"),
     ]),
-    "power:lambda=3": ("0x1.a9efc35d12237p-1", "0x1.b52d3645c27c2p-50", [
-        ("0x1.7a9c3be0f3adfp-3", "0x1.3f73d285cd9a9p-3"),
-        ("0x1.ee82eaf191ddfp-9", "0x1.eb8a04442b3e4p-9"),
-        ("0x1.ab9af369bf085p-18", "0x1.ab99b3206f359p-18"),
-        ("0x1.be2e3a56fa80fp-22", "0x1.be2e2475ce198p-22"),
-        ("0x1.d4525e191e132p-42", "0x1.d4525e191c90ap-42"),
+    "power:lambda=3": ("0x1.a9efc35d12234p-1", "0x1.279922c962d0ep-50", [
+        ("0x1.5a12cebb9ebcep-3", "0x1.55e9f753360f1p-3"),
+        ("0x1.ed66a921849e9p-9", "0x1.ed6432db9d47ap-9"),
+        ("0x1.ab9a881850e43p-18", "0x1.ab9a8817cbc8cp-18"),
+        ("0x1.be2e33096f137p-22", "0x1.be2e33096e7a6p-22"),
+        ("0x1.d4525e191d922p-42", "0x1.d4525e191d91ap-42"),
     ]),
     "logpower:lambda=1.5,k0=5": ("0x1.3a6187e0c5d8dp-1", "0x1.1f3820ae4e598p-49", [
-        ("0x1.e1356fba78518p-1", "0x1.e133c8d648f29p-1"),
-        ("0x1.8079acc8ff93bp-1", "0x1.8079a905b6e07p-1"),
-        ("0x1.0aaf2c198e3bep-1", "0x1.0aaf2c198da8dp-1"),
-        ("0x1.de4e93d5863e6p-2", "0x1.de4e93d5863d5p-2"),
-        ("0x1.5252eceb67ed3p-2", "0x1.5252eceb67ecfp-2"),
+        ("0x1.e1356fba78518p-1", "0x1.e133c8d648f25p-1"),
+        ("0x1.8079acc8ff93bp-1", "0x1.8079a905b6e03p-1"),
+        ("0x1.0aaf2c198e3bep-1", "0x1.0aaf2c198da89p-1"),
+        ("0x1.de4e93d5863e6p-2", "0x1.de4e93d5863d1p-2"),
+        ("0x1.5252eceb67ed3p-2", "0x1.5252eceb67ecbp-2"),
     ]),
     "logpower:lambda=2,k0=2": ("0x1.e55e022e5eb22p-2", "0x1.5c225945ff3d0p-50", [
-        ("0x1.03a9ca293c7aep-1", "0x1.032f679a00d74p-1"),
-        ("0x1.8d5ded0a8722cp-3", "0x1.8d5dd04125d21p-3"),
-        ("0x1.5dfec77f227e7p-4", "0x1.5dfec77f20abap-4"),
-        ("0x1.18fed4beb93a7p-4", "0x1.18fed4beb9390p-4"),
-        ("0x1.190e6eba20905p-5", "0x1.190e6eba20901p-5"),
+        ("0x1.03a9ca293c7aep-1", "0x1.032f679a00d70p-1"),
+        ("0x1.8d5ded0a8722cp-3", "0x1.8d5dd04125d1dp-3"),
+        ("0x1.5dfec77f227e7p-4", "0x1.5dfec77f20ab6p-4"),
+        ("0x1.18fed4beb93a7p-4", "0x1.18fed4beb938cp-4"),
+        ("0x1.190e6eba20905p-5", "0x1.190e6eba208fdp-5"),
     ]),
     "logpower:lambda=3,k0=17": ("0x1.f714208ff906bp+3", "0x1.c3553c1f8d7e6p-49", [
-        ("0x1.eb2e41433c6bep-1", "0x1.eb2e31ce64fc2p-1"),
-        ("0x1.76b7cc8d65e0cp-1", "0x1.76b7cacbede45p-1"),
-        ("0x1.004f5375742e9p-2", "0x1.004f537571784p-2"),
-        ("0x1.4fc8072358116p-3", "0x1.4fc80723580dep-3"),
-        ("0x1.515f9b26bab31p-5", "0x1.515f9b26bab2dp-5"),
+        ("0x1.eb2e41433c6bep-1", "0x1.eb2e31ce64fbep-1"),
+        ("0x1.76b7cc8d65e0cp-1", "0x1.76b7cacbede41p-1"),
+        ("0x1.004f5375742e9p-2", "0x1.004f537571780p-2"),
+        ("0x1.4fc8072358116p-3", "0x1.4fc80723580dap-3"),
+        ("0x1.515f9b26bab31p-5", "0x1.515f9b26bab29p-5"),
     ]),
 }
 
@@ -174,17 +179,65 @@ def test_power_type_tails_are_pinned(spec_text):
     assert [(dist.tail_mass_bound(K).hex(), dist.tail_mass_lower(K).hex()) for K in TAIL_KS] == tails
 
 
-def test_mass_bracket_is_the_sandwich_written_out():
-    # at n = 0 the kernel is 1 and the power tail integral is
-    # y^{1-lam}/(lam-1) in closed form, so the power mass bracket is bit for
-    # bit the trapezoid/midpoint sandwich written out
+def test_power_mass_bracket_contains_hurwitz_zeta():
+    # the n = 0 bracket [I + f/2 - f'/12 - |f'''|/384, I + f/2 - f'/12] on
+    # sum_{k>K} k^-lam, Hurwitz's zeta(lam, K+1), holds it in 40 digits
+    # within 4 ulps of rounding (measured: 1.9 above the upper end, 1.6
+    # below the lower), and strictly where it is wider than 10^3 ulps; there
+    # the sum sits 0.47 to 0.66 of the way up, near the 1 - 384/720 that the
+    # Bernoulli kernel's mean 1/30 puts it at
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(16)
     for _ in range(2000):
         lam = float(rng.uniform(1.01, 7.3))
         K = int(2.0 ** rng.uniform(0.0, 27.0))
-        lo = (K + 1.0) ** (1.0 - lam) / (lam - 1.0) + 0.5 * (K + 1.0) ** -lam
-        hi = (K + 0.5) ** (1.0 - lam) / (lam - 1.0)
-        assert zoo._tail_bracket(FamilyKind.POWER, {"lambda": lam}, K) == (lo, hi)
+        lo, hi = zoo._tail_bracket(FamilyKind.POWER, {"lambda": lam}, K)
+        with mp.workdps(40):
+            want = mp.zeta(lam, K + 1)
+        slack = 4.0 * math.ulp(hi)
+        assert lo - slack <= want <= hi + slack, (lam, K)
+        if hi - lo > 1e3 * slack:
+            assert lo < want < hi, (lam, K)
+            assert 0.4 < (want - lo) / (hi - lo) < 0.7, (lam, K)
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.POWER, FamilyKind.LOG_POWER])
+@pytest.mark.parametrize("kernel", list(zoo.Kernel), ids=lambda k: k.name)
+def test_series_sandwich_refuses_n_below_one(kind, kernel):
+    # the tail mass, n = 0, is _tail_bracket's; at n = 0 e^{-np}'s power
+    # convexity quadratic has no root and divided by zero
+    with pytest.raises(InvalidParams, match="n >= 1"):
+        zoo.tail_sandwich(kind, 0.6, {"lambda": 2.0, "k0": 2}, 0.0, kernel)
+
+
+NORMALIZATION_TERMS = {1.01: 1792, 1.1: 1792, 1.5: 768, 2.0: 768, 3.0: 256}
+
+
+@pytest.mark.parametrize("lam", list(NORMALIZATION_TERMS))
+def test_power_norm_constant_within_its_halfwidth(lam):
+    # the certified mass norm_constant * zeta(lam) lies within
+    # mass_halfwidth of 1, against 40-digit zeta, down to lam = 1.01, where
+    # the integral term 1/(lam-1) is most of the bracket
+    mp = pytest.importorskip("mpmath")
+    dist = make_distribution(parse_spec(f"power:lambda={lam}"))
+    with mp.workdps(40):
+        assert abs(mp.mpf(dist.norm_constant) * mp.zeta(lam) - 1) <= dist.mass_halfwidth
+
+
+@pytest.mark.parametrize("lam", list(NORMALIZATION_TERMS))
+def test_power_normalization_terms(lam, monkeypatch):
+    # the n = 0 bracket narrows like K^-4, so normalization stops at the
+    # chunk end 256, 768 or 1,792; the first-order sandwich, about K^-2,
+    # summed 3,145,472 (lam = 1.01), 2,096,896, 261,888, 32,512 and 3,840
+    summed = []
+    weights = zoo._log_weight_block
+
+    def counted(kind, p, ks):
+        summed.append(len(ks))
+        return weights(kind, p, ks)
+    monkeypatch.setattr(zoo, "_log_weight_block", counted)
+    make_distribution(parse_spec(f"power:lambda={lam}"))
+    assert sum(summed) <= NORMALIZATION_TERMS[lam]
 
 
 def _logpower_mass_mp(mp, lam: float, k0: int, K: int):
@@ -217,37 +270,6 @@ def test_logpower_mass_bracket_contains_mpmath(lam):
                 assert lo < want < hi, (k0, K)
 
 
-@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
-def test_mass_bracket_contains_hurwitz_zeta(lam):
-    # at n = 0 the series sandwich brackets the unnormalized tail mass
-    # sum_{k>K} k^-lam, which is Hurwitz's zeta(lam, K+1)
-    mp = pytest.importorskip("mpmath")
-    bracket = zoo.tail_sandwich(FamilyKind.POWER, 1.0, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
-    for K in (1, 10, 10 ** 3, 10 ** 6):
-        lo, hi = bracket(K)
-        with mp.workdps(40):
-            want = float(mp.zeta(lam, K + 1))
-        assert lo < want < hi, K
-
-
-@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("kernel", list(zoo.Kernel), ids=lambda k: k.name)
-def test_power_sandwich_at_n_zero(lam, kernel):
-    # at n = 0 both kernels are 1: e^{-np}'s convexity quadratic has
-    # A = B = 0 and no root, and the bracket is the mass bracket
-    mp = pytest.importorskip("mpmath")
-    c = 0.6
-    bracket = zoo.tail_sandwich(FamilyKind.POWER, c, {"lambda": lam}, 0.0, kernel)
-    mass = zoo.tail_sandwich(FamilyKind.POWER, c, {"lambda": lam}, 0.0, zoo.Kernel.BINOMIAL)
-    assert zoo._power_convex_from(c, lam, 0.0, kernel) == c ** (1.0 / lam) * (1.0 + 1e-9)
-    for K in (1, 64, 10 ** 3, 10 ** 6):
-        assert bracket(K) == mass(K)
-        lo, hi = bracket(K)
-        with mp.workdps(40):
-            want = float(c * mp.zeta(lam, K + 1))
-        assert lo < want < hi, K
-
-
 @pytest.mark.parametrize("spec_text", [f"power:lambda={lam}" for lam in (1.5, 2.0, 3.0)] + [
     f"logpower:lambda={lam},k0={k0}" for lam in (1.5, 2.0, 3.0) for k0 in (2, 17)])
 def test_tail_mass_bound_covers_its_rounding(spec_text):
@@ -262,6 +284,21 @@ def test_tail_mass_bound_covers_its_rounding(spec_text):
         with mp.workdps(40):
             tail = mp.zeta(lam, K + 1) if k0 is None else _logpower_mass_mp(mp, lam, k0, K)
             assert mp.mpf(dist.norm_constant) * tail <= dist.tail_mass_bound(K), K
+
+
+@pytest.mark.parametrize("spec_text", [f"power:lambda={lam}" for lam in (1.01, 1.5, 2.0, 3.0, 7.3)] + [
+    f"logpower:lambda={lam},k0={k0}" for lam in (1.5, 2.0, 3.0) for k0 in (2, 17)])
+def test_tail_mass_lower_covers_its_rounding(spec_text):
+    # the lower end is widened down by the same 4 ulps, so it is at or below
+    # norm_constant times the 40-digit tail: in float the power mass
+    # bracket's lower end lies up to 1.7 ulps above zeta(lam, K+1)
+    mp = pytest.importorskip("mpmath")
+    dist = make_distribution(parse_spec(spec_text))
+    lam, k0 = dist.spec.params["lambda"], dist.spec.params.get("k0")
+    for K in (1, 10, 255, 4581, 10 ** 4, 10 ** 5, 10 ** 6):
+        with mp.workdps(40):
+            tail = mp.zeta(lam, K + 1) if k0 is None else _logpower_mass_mp(mp, lam, k0, K)
+            assert dist.tail_mass_lower(K) <= mp.mpf(dist.norm_constant) * tail, K
 
 
 @pytest.mark.parametrize("spec_text", [
