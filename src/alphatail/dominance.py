@@ -29,6 +29,8 @@ from .errors import FiniteSupport, InvalidParams, positive_integer
 from .zoo import Distribution
 
 DEFAULT_DEPTH = 50
+# the scan holds about 30 bytes per interval: 2^20 intervals take some 30 MB
+MAX_DEPTH = 1 << 20
 DEFAULT_PROBE_LIMIT = 10 ** 6
 DEFAULT_GROWTH_THRESHOLD = 8
 
@@ -78,10 +80,13 @@ def dominates(
     p_i <= q_{depth+1}.  If the probe limit or the end of P's level table
     comes first, the verdict is UNDETERMINED.  ``depth``, ``probe_limit``
     and ``growth_threshold`` must be positive integers (NumPy's included),
-    the threshold at least 2, since Q against itself puts one value in each
-    interval; anything else raises InvalidParams before any scan.
+    the depth at most ``MAX_DEPTH`` and the threshold at least 2, since Q
+    against itself puts one value in each interval; anything else raises
+    InvalidParams before any work.
     """
     depth = positive_integer(depth, "depth")
+    if depth > MAX_DEPTH:
+        raise InvalidParams(f"depth must be at most {MAX_DEPTH}, got {depth}")
     probe_limit = positive_integer(probe_limit, "probe_limit")
     growth_threshold = positive_integer(growth_threshold, "growth_threshold")
     if growth_threshold < 2:

@@ -7,11 +7,11 @@ conditional binomials (Devroye, *Non-Uniform Random Variate Generation*,
 draws left, T the certified mass past its end (``tail_mass_bound``), so no
 probability comes from 1 - a running sum, which cancels deep in a tail.  T
 is an upper bound, so each block's share is low by at most T's certified
-bracket: a relative 2e-5 of T at the first block end of a power tail, far
-less after.  The m draws of a block go into its letters through one
-multinomial or, when m is below the block's length, as m uniforms against
-its CDF.  The walk stops once no draw is left and holds one block at a
-time, whatever n; keys come out ascending.
+bracket: a relative 1.9e-9 of T at the first block end of power:lambda=2
+(9.2e-9 at lambda=3), less after.  The m draws of a block go into its
+letters through one multinomial or, when m is below the block's length, as
+m uniforms against its CDF.  The walk stops once no draw is left and holds
+one block at a time, whatever n; keys come out ascending.
 
 The walk ends at letter _MAX_LETTER or at the end of a level table.  The
 draws past that end are drawn first, one binomial on the certified mass

@@ -30,39 +30,13 @@ One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
 ``w(p) = e^{-np}`` (the second member of ``scaled_pair``, ``em_gap``).
 
-Truncation bounds are family-aware.  Power and log-power tails are closed
-analytically by ``zoo.tail_sandwich``; ``zoo`` normalizes them with its own
-mass bracket and describes its tail integrals (incomplete beta and gamma
-functions, an alternating series).  Once ``f(x) = p w(p)`` is convex on
-``[K+1/2, inf)`` a power tail's omitted sum lies between the trapezoid and
-midpoint sandwiches ``int_{K+1}^inf f + f(K+1)/2`` and
-``int_{K+1/2}^inf f``, about ``|f'(K)|/8`` apart.  A log-power tail closes
-with second-order Euler-Maclaurin instead, at any K >= 0: with a = K+1 the
-sum lies within a stated bound on ``int_a^inf |f''''|/720`` of
-``int_a^inf f + f(a)/2 - f'(a)/12 + f'''(a)/720``, a width that falls like
-K^-4 rather than K^-2, and at K = 0, where no head is summed, like n^-3
-on the t_n scale up to powers of ln n.  So the sandwich is tried at K = 0
-first: for
-``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` it closes there from n of
-about 7.9e5 to 1.44e8 (from about 4.3e4 at ``eps = 1e-6``), and below
-that at the first block end, 1,024.  The lower end is added to ``value``
-and the width, never less than one ulp of the upper end, is the
-``trunc_error``.  Later blocks lower that floor as the tail falls past a
-power of two, so the sum stops at it only when the floor at ``max_terms``
-is above eps too (for ``logpower:lambda=2,k0=2`` at ``eps = 1e-9`` and the
-default cap, from n of about 2.88e8, at K = 0).  Other infinite tails
-close on ``tail_mass_bound(K)``, an upper end for both kernels since
-``w(p) <= 1``: where n times it meets eps, n p_{K+1} <= eps, so the
-omitted sum is within a relative eps of the omitted mass.  Neither bound
-reads the head sum, so the stop is found before any block is summed: the
-first block end, tested in order, where the bracket closes.  ``eps`` is a
-target on the t_n scale; a tail that cannot certify it within
-``max_terms`` summands (set on ``tn``, ``zeta1`` and ``evaluate_series``;
-``em_gap`` sums to 2^25) stops at the cap.  If the bracket has not opened
-there (a power tail under a small ``max_terms``; a log-power bracket is
-open at every K), the sound lower term ``w(p_{K+1})`` times the certified
-lower tail mass joins ``value``; either way the honest, larger
-``trunc_error`` is reported instead of a guess.
+A closed form's tail closes on ``Distribution.series_tail``'s bracket,
+which does not read the head sum, so the stop is found before any block is
+summed (``_stop``): the lower end joins ``value`` and the width, never less
+than one ulp of the upper end, is ``trunc_error``.  ``eps`` is a target on
+the t_n scale; a tail that cannot certify it within ``max_terms`` summands
+(set on ``tn``, ``zeta1`` and ``evaluate_series``; ``em_gap`` sums to
+2^25) stops at the cap and reports the honest, larger ``trunc_error``.
 Float rounding and the normalizer's halfwidth lie outside ``trunc_error``.
 
 Very large n (beyond 2**53, needed for the diffusion family's probe
@@ -82,7 +56,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AlphatailError, FiniteSupport, InvalidParams, positive_integer
-from .zoo import LN2, Distribution, FamilyKind, Kernel, block_end, power_tail_integral, tail_sandwich
+from .zoo import LN2, Distribution, FamilyKind, Kernel, block_end, power_tail_integral
 
 DEFAULT_EPS = 1e-9          # t_n-scale truncation target for CLI-level calls
 DEFAULT_MAX_TERMS = 1 << 24
@@ -149,59 +123,41 @@ def _terms(L: np.ndarray, big: Optional[tuple], n: float, factor: np.ndarray | f
 def _stop(dist: Distribution, n: float, eps_t: float, max_terms: int,
           kernel: Kernel) -> tuple[int, float, float]:
     """(K, tail_lo, width): where the head of sum_k p_k w(p_k) over a closed
-    form stops, and the lower end and width of the omitted tail's bracket.
+    form stops, and the lower end and width of ``dist.series_tail``'s
+    bracket on the omitted tail.
 
-    The head is summed in blocks (see ``zoo.block_end``) up to the first block
-    end K where the bracket is narrower than eps_t / n, or than one ulp of
-    its upper end if n ulps of the upper end at ``max_terms``, which no
-    width up to the cap undercuts, are above eps_t.  Power and log-power
-    tails close with their sandwich once it opens (``zoo.tail_sandwich``:
-    where the summand turns convex, at every K for log-power, which is tried
-    at K = 0 first); other tails with ``dist.tail_mass_bound(K)`` alone,
-    which bounds the omitted sum for both kernels since w(p) <= 1.  A tail
-    that reaches ``max_terms`` unmet before its sandwich opens takes that
-    upper end and the lower one w(p_{K+1}) times the certified lower tail
-    mass, sound because p_k <= p_{K+1} beyond K.  No rule reads the head
-    sum, so K is found from the certificates alone, testing every block
-    end in order: near the one-ulp floor rounding moves the computed width
-    up and down between block ends, so the rule is not monotone in K.
+    K = 0 and then every block end (see ``zoo.block_end``) are tested in
+    order, each cut at ``max_terms``; the head stops at the first where the
+    bracket is narrower than eps_t / n, or than one ulp of its upper end if
+    n ulps of the upper end at ``max_terms``, which no width up to the cap
+    undercuts, are above eps_t; else at the cap, on the cap's bracket.  No
+    rule reads the head sum, and near the one-ulp floor rounding moves the
+    computed width up and down between block ends, so the rule is not
+    monotone in K and no block end is skipped.
     """
-    bracket = tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
-    # a sandwich is tried at K = 0, where a log-power tail closes at large n,
-    # and then from the second block end on: at 64 it seldom closes
-    ends = map(block_end, itertools.count(0 if bracket is None else 1))
-    if bracket is not None:
-        ends = itertools.chain([0], ends)
+    bracket = dist.series_tail(n, kernel)
     # a bracket whose remainder alone is wider than eps_t / n and than 2^-51,
-    # one ulp of a tail below 2, closes by neither rule below: it gives up
-    # before its integral, except at the cap, where its ends are used
+    # one ulp of a tail below 2, closes by neither rule: it may give up
+    # before its integral, except at the cap
     give_up = max(eps_t / n, 2.0 ** -51)
     cap_floor = None
-    for K in ends:
+    for K in itertools.chain([0], map(block_end, itertools.count())):
         K = min(K, max_terms)
         capped = K >= max_terms
-        tail_lo, tail_hi = 0.0, math.inf
-        sandwich = None if bracket is None else bracket(K, math.inf if capped else give_up)
-        closed = sandwich is not None
-        if closed:
-            tail_lo, tail_hi = sandwich
-        elif K >= dist.k0_head and (capped or bracket is None):
-            tail_hi = dist.tail_mass_bound(K)
+        tail = bracket(K, math.inf if capped else give_up)
+        if tail is None and not capped:
+            continue
+        # no bracket at the cap reports an infinite width
+        tail_lo, tail_hi = tail or (0.0, math.inf)
         # never certify a zero width for an infinite tail: at least one ulp
         width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-        if n * width <= eps_t:
+        if n * width <= eps_t or capped:
             return K, tail_lo, width
-        if closed and tail_hi - tail_lo <= math.ulp(tail_hi):
-            if cap_floor is None:
-                cap_floor = n * math.ulp(bracket(max_terms)[1])
+        # the one-ulp floor rule, for a finite bracket
+        if tail_hi - tail_lo <= math.ulp(tail_hi) < math.inf:
+            cap_floor = cap_floor or n * math.ulp(bracket(max_terms)[1])
             if cap_floor > eps_t:
                 return K, tail_lo, width
-        if capped:
-            if not closed and K >= dist.k0_head:
-                p1 = math.exp(dist.log_prob(K + 1))
-                tail_lo = min(dist.tail_mass_lower(K) * kernel.at(p1, n), tail_hi)
-                width = max(tail_hi - tail_lo, math.ulp(tail_hi))
-            return K, tail_lo, width
 
 
 def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, float, float]],
@@ -313,12 +269,12 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     level table's L (see ``Kernel.log_weight``), are shared by all of ns,
     and each result is bit for bit that of its n on its own; a level
     table's terms at each n are summed by ``_exact_sum``.  A target
-    ``eps_t`` that is not positive (NaN included) raises InvalidParams
-    before any work."""
+    ``eps_t`` that is not positive and finite (NaN included) raises
+    InvalidParams before any work."""
     if not ns:
         return []
-    if not eps_t > 0.0:
-        raise InvalidParams(f"eps must be positive, got {eps_t!r}")
+    if not 0.0 < eps_t < math.inf:
+        raise InvalidParams(f"eps must be positive and finite, got {eps_t!r}")
     if dist.prefix_length is None:
         return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns], kernel)
     p, counts = dist.positive_levels()

@@ -19,29 +19,9 @@ where ``f = p`` has ``f'''' >= 0``, the one-sided second-order Euler-Maclaurin
 ``int + f/2 - f'/12`` less ``[0, |f'''|/384]`` from ``a = K+1``); summation
 stops once the bracket half-width falls below 1e-14.
 
-The closed-form tails of power and log-power families at n >= 1 live here,
-in ``tail_sandwich``: it returns one function ``bracket(K)`` on
-``sum_{k>K} p_k w(p_k)`` for either kernel ``w(p) = (1-p)^n`` or
-``e^{-np}`` (``Kernel``), for the series evaluator in ``tail_index``.  For
-power tails it is None until ``f(x) = p w(p)`` is convex on
-``[K+1/2, inf)``; from there the sum lies between the trapezoid and
-midpoint sandwiches of its tail integral, a bracket about ``|f'(K)|/8``
-wide (see ``_power_bracket``).  Log-power tails close with second-order
-Euler-Maclaurin from ``a = K+1`` at every K >= 0, K = 0 included, where no
-head is left: ``int + f/2 - f'/12 + f'''/720`` within ``W``, a bound on
-``int |f''''|/720`` from the closed-form derivatives, summed over pieces of
-``[a, inf)`` on which ``t = (n+1) p`` (``n p`` for ``e^{-np}``) falls by a
-fixed ratio, with no sign test.  For power tails ``p_k = c k^-lam`` the
-integral is ``(c^{1/lam}/lam) B_{p(y)}(1-1/lam, n+1)``, an incomplete beta
-function, for ``(1-p)^n`` and
-``(c^{1/lam}/lam) n^{1/lam-1} gamma(1-1/lam, n p(y))``, an incomplete gamma
-function, for ``e^{-np}``.  For log-power tails ``p_k = c/(j ln^lam j)``,
-``j = k + k0 - 1``, it has three parts.  Where t <= 4, expanding the kernel
-in powers of p integrates term by term into upper incomplete gamma
-functions of negative order, evaluated by their continued fraction; the
-partial sums alternate, so the last two bracket the integral.  Where
-4 < t <= 40 it is a 48-point Gauss-Legendre rule in ``u = ln j`` within a
-Bernstein-ellipse bound, and beyond a closed bound near ``y T e^-T``, T = 40.
+A closed form's series ``sum_k p_k w(p_k)`` at n >= 1 closes on
+``Distribution.series_tail``, whose docstring is the one description of how
+each family's tail closes.
 
 A spec names a family and its parameters.  ``_PARAMS`` is the one table of
 each family's parameters, in spec-text order, with their types and defaults.
@@ -127,6 +107,8 @@ _CLOSED_FORM = {
     FamilyKind.POWER,
     FamilyKind.LOG_POWER,
 }
+# the closed forms whose series tails close on an analytic sandwich
+_SANDWICHED = {FamilyKind.POWER, FamilyKind.LOG_POWER}
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -662,26 +644,6 @@ def _logpower_bracket(c: float, lam: float, k0: int, n: float, kernel: Kernel,
     return lo + mid - W, hi + mid + W
 
 
-def tail_sandwich(kind: FamilyKind, c: float, params: dict, n: float,
-                  kernel: Kernel) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
-    """The closed-form sandwich of the power or log-power tail p_k = c g(k)
-    at n >= 1 (the mass, n = 0, is ``_tail_bracket``'s) and kernel, None for
-    any other family: ``bracket(K, width=inf)`` is [lo, hi] on sum_{k>K} p_k
-    w(p_k), and None before it opens, for power until p w(p) turns convex on
-    [K+1/2, inf); a log-power bracket is open at every K >= 0, and None only
-    where its remainder bound alone is wider than ``width`` (power ignores
-    ``width``).  An n below 1 raises InvalidParams."""
-    if kind not in (FamilyKind.POWER, FamilyKind.LOG_POWER):
-        return None
-    _require(n >= 1.0, f"a closed-form series tail needs n >= 1 (got {n})")
-    if kind is FamilyKind.POWER:
-        lam = params["lambda"]
-        x_c = _power_convex_from(c, lam, n, kernel)
-        return lambda K, width=math.inf: _power_bracket(c, lam, n, kernel, K) if K + 0.5 >= x_c else None
-    lam, k0 = params["lambda"], params["k0"]
-    return lambda K, width=math.inf: _logpower_bracket(c, lam, k0, n, kernel, K, width)
-
-
 def _tail_bracket(kind: FamilyKind, p: dict, K: int) -> tuple[float, float]:
     """Certified bracket [lo, hi] for the unnormalized tail sum over k > K.
 
@@ -988,6 +950,61 @@ class Distribution:
             return 0.0
         bound = self.norm_constant * _tail_bracket(self.kind, self.spec.params, K)[0]
         return max(bound - _TAIL_ROUNDING_ULPS * math.ulp(bound), 0.0)
+
+    def series_tail(self, n: float, kernel: Kernel) -> Callable[..., Optional[tuple[float, float]]]:
+        """The certificate on the tail of a closed form's series at n >= 1:
+        ``bracket(K, width=inf)`` is [lo, hi] on sum_{k>K} p_k w(p_k) for the
+        kernel w(p) = (1-p)^n or e^{-np}, or None where no bracket is worth
+        computing.  ``width`` is the widest bracket the caller can use; inf
+        marks the cap, past which no head is summed.  An n below 1 raises
+        InvalidParams (the mass, n = 0, is ``_tail_bracket``'s).
+
+        * Power, p = c x^-lam: once f(x) = p w(p) is convex on [K+1/2, inf)
+          (``_power_convex_from``) the sum lies between the trapezoid and
+          midpoint sandwiches of its tail integral, about |f'(K)|/8 wide
+          (``_power_bracket``); the integral is an incomplete beta function,
+          for e^{-np} an incomplete gamma one (``power_tail_integral``).
+          None before that.
+        * Log-power: second-order Euler-Maclaurin from a = K+1 at every
+          K >= 0, K = 0 included, where no head is left: the centre
+          I + f/2 - f'/12 + f'''/720 within W, a bound on int_a^inf
+          |f''''|/720 with no sign test (``_logpower_bracket``); the width
+          falls like K^-4, and at K = 0 like n^-3 on the t_n scale up to
+          powers of ln n.  I is an alternating series where t = (n+1) p
+          (n p for e^{-np}) is at most 4, a Gauss-Legendre rule up to t = 40
+          and a closed bound beyond (``_logpower_integral``).  None where 2W
+          alone is above ``width``, before the integral is taken.
+        * Every other closed form: (0, ``tail_mass_bound(K)``), an upper end
+          for both kernels since w(p) <= 1, past the head; None before it.
+          Where n times it meets eps, n p_{K+1} <= eps, so the omitted sum
+          is within a relative eps of the omitted mass.
+
+        Power and log-power give None at the first block end, 64, below the
+        cap: a sandwich seldom closes there.  At the cap a tail with no open
+        sandwich (a thin tail, or a power tail before it turns convex) takes
+        the lower end w(p_{K+1}) times ``tail_mass_lower(K)``, at most the
+        upper end, sound because p_k <= p_{K+1} past the head.  The bracket
+        is built per call and reads no head sum.
+        """
+        _require(n >= 1.0, "a closed-form series tail needs n >= 1")
+        kind, c, params = self.spec.kind, self.norm_constant, self.spec.params
+        thick = kind in _SANDWICHED
+        logpower = thick and kind is FamilyKind.LOG_POWER
+        x_c = _power_convex_from(c, params["lambda"], n, kernel) if thick and not logpower else math.inf
+
+        def bracket(K, width=math.inf):
+            capped = width == math.inf
+            if thick and (capped or K != block_end(0)):
+                if logpower:
+                    return _logpower_bracket(c, params["lambda"], params["k0"], n, kernel, K, width)
+                if K + 0.5 >= x_c:
+                    return _power_bracket(c, params["lambda"], n, kernel, K)
+            if K < self.k0_head or thick and not capped:
+                return None
+            hi = self.tail_mass_bound(K)
+            lo = self.tail_mass_lower(K) * kernel.at(math.exp(self.log_prob(K + 1)), n) if capped else 0.0
+            return min(lo, hi), hi
+        return bracket
 
     def _table_tail(self, K: int) -> float:
         n_prefix = int(self._cum_counts[-1])

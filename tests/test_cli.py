@@ -223,6 +223,20 @@ class TestDominates:
         assert (code, out) == (2, "")
         assert "growth_threshold must be at least 2" in err
 
+    def test_depth_past_the_cap_exits_2(self, run):
+        # depth 10^9 asked for about 30 GB and was killed; it is refused
+        # before the scan allocates anything
+        tracemalloc.start()
+        try:
+            code, out, err = run("dominates", "--q", "geometric:a=2", "--p", "geometric:a=2",
+                                 "--depth", "1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "depth must be at most 1048576" in err
+        assert peak < 4 << 20
+
     def test_finite_p_exit_3(self, run):
         code, _, err = run("dominates", "--q", "geometric:a=2", "--p", "finite:p=0.5;0.5")
         assert code == 3

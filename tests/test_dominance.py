@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from alphatail import (
     make_distribution,
     parse_spec,
 )
-from alphatail.dominance import _ordered_q
+from alphatail.dominance import MAX_DEPTH, _ordered_q
 
 
 def dist(text):
@@ -130,6 +131,19 @@ class TestContract:
         # itself; probe_limit = 0 or 2.5 gave UNDETERMINED with no counts
         with pytest.raises(InvalidParams, match=f"{next(iter(kwargs))} must be a positive integer"):
             dominates(geom2, geom2, **kwargs)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 10 ** 9])
+    def test_depth_above_the_cap_is_refused_before_any_work(self, geom2, depth):
+        # the scan holds about 30 bytes per interval: depth 10^9 asked for
+        # about 30 GB and was killed instead of refused
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match=f"depth must be at most {MAX_DEPTH}, got {depth}"):
+                dominates(geom2, geom2, depth=depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_growth_threshold_below_two_is_refused(self, geom2):
         # Q against itself holds exactly one value per interval, so a

@@ -1,8 +1,9 @@
 """Module boundaries: no library module touches another object's private
-attributes or imports a private name from a sibling module, and the package
-loads on numpy alone."""
+attributes or imports a private name from a sibling module, the package
+loads on numpy alone, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "alphatail"
+SPANS = SRC.parents[1] / "bench" / "spans.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -62,3 +64,25 @@ def test_import_loads_numpy_alone():
             " - set(sys.stdlib_module_names) - {'alphatail'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _spans_list(name: str) -> list:
+    """The literal list ``name`` assigned in ``bench/spans.py``, read as
+    source: module references as their names."""
+    tree = ast.parse(SPANS.read_text(), filename=str(SPANS))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+    return [tuple(e.id if isinstance(e, ast.Name) else e.value for e in item.elts)
+            if isinstance(item, ast.Tuple) else item.value for item in value.elts]
+
+
+def test_benchmark_wraps_names_that_exist():
+    # the tracer getattr()s each name at install; a refactor that drops one
+    # breaks every traced benchmark run
+    functions, methods = _spans_list("FUNCTIONS"), _spans_list("METHODS")
+    assert functions and methods
+    for module, attr, _ in functions:
+        assert callable(getattr(importlib.import_module(f"alphatail.{module}"), attr, None)), f"{module}.{attr}"
+    distribution = importlib.import_module("alphatail.zoo").Distribution
+    for attr in methods:
+        assert callable(getattr(distribution, attr, None)), f"Distribution.{attr}"

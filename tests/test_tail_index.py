@@ -182,6 +182,25 @@ class TestCertificates:
         assert iv.trunc_error > 1e-12
         assert iv.terms_used == cap
 
+    @pytest.mark.parametrize("spec_text, n, eps", [
+        ("geometric:a=2", 10, 1.0), ("tilted:lambda=1,r=1", 10, 1.0), ("power:lambda=2", 10 ** 6, 1e5)])
+    def test_the_cap_bracket_does_not_read_eps(self, spec_text, n, eps):
+        # at the cap a tail with no open sandwich closes on series_tail's cap
+        # bracket, lower end w(p_{K+1}) times the lower tail mass, whether or
+        # not its upper end alone meets eps; where it did, the lower end was
+        # 0 (geometric:a=2 at n = 10: trunc_error 5.4e-19, now 9.6e-34)
+        dist = make_distribution(parse_spec(spec_text))
+        met, missed = (tn(dist, n, eps=e, max_terms=64) for e in (eps, 1e-300))
+        assert met == missed and met.terms_used == 64
+        lo, hi = dist.series_tail(float(n), BINOMIAL)(64)
+        assert 0.0 < lo <= hi and met.trunc_error == n * max(hi - lo, math.ulp(hi)) <= eps
+
+    @pytest.mark.parametrize("call", [tn, zeta1, lambda d, n, eps: evaluate_series(d, [n], eps)])
+    def test_infinite_eps_is_refused(self, geom2, call):
+        # eps = inf is no target: it would take every bracket as the cap's
+        with pytest.raises(InvalidParams, match="eps must be positive and finite"):
+            call(geom2, 10, eps=math.inf)
+
     def test_finite_has_zero_trunc(self, uniform10):
         assert tn(uniform10, 12345).trunc_error == 0.0
 
@@ -213,9 +232,9 @@ BINOMIAL, POISSON = zoo.Kernel.BINOMIAL, zoo.Kernel.POISSON
 
 
 def _sandwich(dist: Distribution, n: float, kernel):
-    """The closed-form sandwich ``tail_index`` closes dist's tail with at n:
-    K -> [lo, hi] on the tail beyond K, None before the summand is convex."""
-    return zoo.tail_sandwich(dist.kind, dist.norm_constant, dist.spec.params, n, kernel)
+    """The bracket ``tail_index`` closes dist's tail with at n: K -> [lo, hi]
+    on the tail beyond K, None where none is worth computing."""
+    return dist.series_tail(n, kernel)
 
 
 def _kernel_cases(ns, lams):

@@ -206,8 +206,9 @@ def test_power_mass_bracket_contains_hurwitz_zeta():
 def test_series_sandwich_refuses_n_below_one(kind, kernel):
     # the tail mass, n = 0, is _tail_bracket's; at n = 0 e^{-np}'s power
     # convexity quadratic has no root and divided by zero
+    dist = make_distribution(FamilySpec(kind, {"lambda": 2.0}))
     with pytest.raises(InvalidParams, match="n >= 1"):
-        zoo.tail_sandwich(kind, 0.6, {"lambda": 2.0, "k0": 2}, 0.0, kernel)
+        dist.series_tail(0.0, kernel)
 
 
 NORMALIZATION_TERMS = {1.01: 1792, 1.1: 1792, 1.5: 768, 2.0: 768, 3.0: 256}
