@@ -23,8 +23,13 @@ one ``IndexValue`` per n, in a plain list.  Each n first finds where its
 head stops, from the tail certificates alone; then one sweep over the
 blocks, up to the largest stop, sums the head of every n.  A block's p and
 log1p(-p) do not depend on n, so they are computed once for all the n whose
-head reaches the block, as a level table's are once for all n.  Every
-result is bit for bit that of its n evaluated on its own.
+head reaches the block, as a level table's are once for all n.  The arrays
+that every call reads, a level table's and a closed form's first block of
+64 values, are kept on the distribution after their first use
+(``Distribution.kernel_arrays``): lazy, read-only, and at most three arrays
+of the table's or the block's size per kernel; a walk past the first block
+takes every block fresh.  Every result is bit for bit that of its n
+evaluated on its own, on a fresh distribution or a warm one.
 
 One evaluator sums ``sum_k p_k w(p_k)`` for either of two kernels: Turing's
 ``w(p) = (1-p)^n`` (``zeta1``, ``tn``) and its Poissonized twin
@@ -164,22 +169,31 @@ def _sweep(dist: Distribution, ns: Sequence[float], stops: Sequence[tuple[int, f
            kernel: Kernel) -> list[tuple[float, float, int]]:
     """(value, trunc, terms) at every n of ns from its stop (K, tail_lo,
     width): the head sum_{k<=K} p_k w(p_k) plus tail_lo, summed for all of
-    ns in one walk over ``dist.prob_blocks`` up to the largest K.
+    ns in one walk over the blocks of ``block_end`` up to the largest K.
 
     Each block's p, and its L and p > 0.99 test (see ``Kernel.log_weight``),
-    are computed once for every n whose K reaches the block.  A block's
-    terms are summed with NumPy's pairwise sum and the block sums of each n
-    with ``math.fsum``, as one n on its own does, so every value is bit for
-    bit that of its own evaluation.  The sweep holds one block's arrays,
-    whatever the number of n.
+    are computed once for every n whose K reaches the block.  A walk that
+    ends at block 0, where every thin tail closes, reads them from
+    ``dist.kernel_arrays``, kept read-only on the distribution after their
+    first use; a longer one takes each block fresh from ``dist.prob_blocks``.
+    A block's terms are summed with NumPy's pairwise sum and the block sums
+    of each n with ``math.fsum``, as one n on its own does, so every value
+    is bit for bit that of its own evaluation.  The sweep holds one block's
+    arrays, whatever the number of n, besides the 64 values of the kept ones.
     """
     sums: list[list[float]] = [[] for _ in ns]
     live = range(len(ns))
-    for start, p in dist.prob_blocks(max(K for K, _, _ in stops) + 1):
+    stop = max(K for K, _, _ in stops) + 1
+    if stop == block_end(0) + 1:
+        L, big, p, _ = dist.kernel_arrays(kernel)
+        blocks = [(1, p, L, big)]
+    else:
+        blocks = ((start, p, *kernel.log_weight(p)) for start, p in dist.prob_blocks(stop))
+    for start, p, L, big in blocks:
         # the n whose K reaches this block; every K ends a block (or the cap)
         live = [j for j in live if stops[j][0] >= start]
-        L, big = kernel.log_weight(p)
-        out = L if len(live) == 1 else np.empty_like(L)
+        # the terms overwrite a fresh L that no other n needs, never a kept one
+        out = L if len(live) == 1 and L.flags.writeable else np.empty_like(L)
         for j in live:
             sums[j].append(float(_terms(L, big, ns[j], p, out).sum()))
     return [(math.fsum(s) + lo, width, K) for s, (K, lo, width) in zip(sums, stops)]
@@ -268,22 +282,22 @@ def _series_points(dist: Distribution, ns: Sequence[float], eps_t: float, max_te
     n of ns, all within the float-exact range: a closed form's blocks, or a
     level table's L (see ``Kernel.log_weight``), are shared by all of ns,
     and each result is bit for bit that of its n on its own; a level
-    table's terms at each n are summed by ``_exact_sum``.  A target
-    ``eps_t`` that is not positive and finite (NaN included) raises
-    InvalidParams before any work."""
+    table's terms at each n are summed by ``_exact_sum``."""
     if not ns:
         return []
-    if not 0.0 < eps_t < math.inf:
-        raise InvalidParams(f"eps must be positive and finite, got {eps_t!r}")
     if dist.prefix_length is None:
         return _sweep(dist, ns, [_stop(dist, n, eps_t, max_terms, kernel) for n in ns], kernel)
-    p, counts = dist.positive_levels()
-    L, big = kernel.log_weight(p)
-    out = L if len(ns) == 1 else np.empty_like(L)
-    factor = counts * p
-    trunc = dist.tail_mass_bound(dist.prefix_length)
+    L, big, factor, trunc = dist.kernel_arrays(kernel)
+    out = np.empty_like(L)
     return [(_exact_sum(_terms(L, big, n, factor, out)), trunc, dist.prefix_length)
             for n in ns]
+
+
+def _check_eps(eps: float) -> None:
+    """Refuse a target eps that is not positive and finite, NaN included,
+    with InvalidParams: the public calls check it before any point."""
+    if not 0.0 < eps < math.inf:
+        raise InvalidParams(f"eps must be positive and finite, got {eps!r}")
 
 
 def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
@@ -292,6 +306,7 @@ def _certified_sum(dist: Distribution, n: int, eps: float, max_terms: int,
     ``value``: n past 2**53 raises InvalidParams before any work, and a
     series that stops at ``max_terms`` with n * trunc > eps raises
     AlphatailError instead of returning an uncertified lower end."""
+    _check_eps(eps)
     if n > _FLOAT_N_LIMIT:
         raise InvalidParams(f"n = {n} lies past the float-exact range 2**53 of the {kernel.value} series")
     value, trunc, terms = _series_points(dist, [float(n)], eps, max_terms, kernel)[0]
@@ -316,9 +331,11 @@ def zeta1(
     ``eps`` targets the t_n scale, so the zeta-scale remainder satisfies
     ``trunc_error <= eps / n`` whenever the family's tail certificate can
     reach it within ``max_terms`` summands.  Past 2**53 it is t_n / n,
-    summed over the whole table, and ``eps`` is not read.  An n or
+    summed over the whole table, so ``eps`` sets no stop there.  An
+    ``eps`` that is not positive and finite, at any n, or an n or
     ``max_terms`` that is not a positive integer raises InvalidParams.
     """
+    _check_eps(eps)
     n = positive_integer(n)
     max_terms = positive_integer(max_terms, "max_terms")
     if n <= _FLOAT_N_LIMIT:
@@ -351,8 +368,10 @@ def evaluate_series(
     one sweep sums a closed form's blocks for all of them, or one pass a
     level table's levels.  Points past 2**53 are evaluated one at a time,
     each over the window of levels that can carry a term, found by binary
-    search.  A ``max_terms`` that is not a positive integer raises
-    InvalidParams before any work."""
+    search.  An ``eps`` that is not positive and finite (NaN and infinity
+    included, whatever the schedule, an empty one too) or a ``max_terms``
+    that is not a positive integer raises InvalidParams before any work."""
+    _check_eps(eps)
     max_terms = positive_integer(max_terms, "max_terms")
     ns = [positive_integer(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])):

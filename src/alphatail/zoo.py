@@ -37,7 +37,11 @@ small values never underflow before they are needed) and multiplicities;
 ``levels()`` is a list view of them and ``descending_levels()`` orders them
 by non-increasing p, without a copy for the constructed families.  All
 distributions are immutable after construction; every prefix is
-materialized eagerly, so instances are safe to share across threads.
+materialized eagerly, so instances are safe to share across threads.  The
+one thing built later is ``kernel_arrays``: the n-independent arrays of the
+series, built on first use per kernel and kept read-only, at most three
+arrays of the level table's size, or of 64 values for a closed form; two
+threads that race to build them build the same values.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import operator
 import types
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -292,6 +296,19 @@ class Kernel(Enum):
         if self is Kernel.BINOMIAL:
             return math.exp(n * math.log1p(-p))
         return math.exp(-n * p)
+
+
+class KernelArrays(NamedTuple):
+    """The n-independent part of sum_k factor_k w(p_k) for one kernel, from
+    which the series evaluator takes the terms at every n: ``Kernel.log_weight``'s
+    (L, big), the factor of each term (p_k, or a level's multiplicity
+    times p), and for a level table the certified mass beyond it (None for
+    a closed form, whose tail closes on ``Distribution.series_tail``)."""
+
+    L: np.ndarray
+    big: Optional[tuple]
+    factor: np.ndarray
+    tail: Optional[float]
 
 
 def _power_convex_from(c: float, lam: float, n: float, kernel: Kernel) -> float:
@@ -741,6 +758,8 @@ class Distribution:
     """Immutable normalized distribution over indices k = 1, 2, ...
 
     Stored as a closed form or as a level table (see the module docstring).
+    Its values never change; ``kernel_arrays`` is built on first use and
+    kept read-only, and neither a copy nor a pickle carries it.
     ``prob(k)`` may flush to zero for double-exponentially small values;
     ``log_prob(k)`` stays finite as long as the value is positive, and is
     the accessor the series evaluators use.
@@ -765,6 +784,7 @@ class Distribution:
         self._base = base
         self.runs = runs or []
         self._beyond_log2_mass = beyond_log2_mass
+        self._kernel_arrays: dict = {}    # Kernel -> KernelArrays, built on first use
         self._level_log2 = None
         if levels is not None:
             log2_p = np.asarray(levels[0], dtype=np.float64)
@@ -922,6 +942,37 @@ class Distribution:
         out = _log_weight_block(self.kind, self.spec.params, ks)
         out += math.log(self.norm_constant)
         return out
+
+    def kernel_arrays(self, kernel: Kernel) -> KernelArrays:
+        """The n-independent arrays of the series sum_k p_k w(p_k) for
+        ``kernel``: for a level table, the levels of ``positive_levels``
+        with factor multiplicity times p and tail
+        ``tail_mass_bound(prefix_length)``; for a closed form, block 0 of
+        ``prob_blocks`` (k = 1 .. ``block_end(0)``) with factor p.
+
+        Built on the first call for each kernel and kept, read-only, for
+        every later one: at most three table-sized arrays, or three of 64
+        values, per kernel.  Two threads that both build them build the
+        same values, so either one kept serves both.  A copy or pickle
+        keeps none and builds its own on first use."""
+        arrays = self._kernel_arrays.get(kernel)
+        if arrays is None:
+            with np.errstate(under="ignore", divide="ignore"):
+                if self._level_log2 is not None:
+                    p, counts = self.positive_levels()
+                    factor, tail = counts * p, self.tail_mass_bound(self.prefix_length)
+                else:
+                    p = factor = np.exp(self.log_prob_block(1, block_end(0) + 1))
+                    tail = None
+                L, big = kernel.log_weight(p)
+            for a in (L, factor, *(big or ())):
+                a.flags.writeable = False
+            arrays = self._kernel_arrays[kernel] = KernelArrays(L, big, factor, tail)
+        return arrays
+
+    def __getstate__(self) -> dict:
+        # a copy or unpickling of a read-only array is writable: keep none
+        return {**self.__dict__, "_kernel_arrays": {}}
 
     # -- tail certification ----------------------------------------------------
 

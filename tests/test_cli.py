@@ -76,6 +76,14 @@ class TestTn:
             assert code == 2
             assert err.strip()
 
+    @pytest.mark.parametrize("n", [1000, 2 ** 60])
+    def test_bad_eps_exit_2(self, run, n):
+        # past 2**53 no point reads eps; -1 exited 0 there
+        code, out, err = run("tn", "--dist", "diffusion:stages=14", "--schedule", f"{n}:{n}:x2",
+                             "--eps", "-1")
+        assert (code, out) == (2, "")
+        assert "eps must be positive and finite" in err
+
     def test_bad_dist_exit_2(self, run):
         code, _, _ = run("tn", "--dist", "power:lambda=0.5")
         assert code == 2

@@ -2,10 +2,14 @@
 
 import bisect
 import collections
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,6 +37,7 @@ from alphatail import (
     oscillation_t,
     parse_spec,
     power_tail_limit,
+    sample,
     scaled_pair,
     tn,
     zeta1,
@@ -95,11 +100,22 @@ class TestZetaBasics:
             with pytest.raises(InvalidParams, match="eps must be positive"):
                 call()
 
-    def test_eps_is_a_float_range_target(self, diffusion14):
-        # past 2**53 the whole table is summed and eps is not read
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+    def test_eps_checked_past_the_float_range(self, diffusion14, eps):
+        # past 2**53, and on an empty schedule, no point reads eps: these
+        # returned a value before eps was checked at the top of each call
         n = 1 << 60
-        assert tn(diffusion14, n, eps=math.nan) == tn(diffusion14, n)
-        assert zeta1(diffusion14, n, eps=0.0) == zeta1(diffusion14, n)
+        for call in (lambda: tn(diffusion14, n, eps=eps), lambda: zeta1(diffusion14, n, eps=eps),
+                     lambda: evaluate_series(diffusion14, [n, 2 * n], eps=eps),
+                     lambda: evaluate_series(diffusion14, [], eps=eps)):
+            with pytest.raises(InvalidParams, match="eps must be positive and finite"):
+                call()
+
+    def test_eps_sets_no_stop_past_the_float_range(self, diffusion14):
+        # past 2**53 the whole table is summed, whatever the target
+        n = 1 << 60
+        assert tn(diffusion14, n, eps=1e-3) == tn(diffusion14, n)
+        assert zeta1(diffusion14, n, eps=1e3) == zeta1(diffusion14, n)
 
     def test_numpy_integers_are_integers(self, geom2):
         assert tn(geom2, np.int64(100)) == tn(geom2, 100)
@@ -1241,6 +1257,120 @@ class TestScheduleSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 * 2 ** 20
+
+
+CATALOG_TEXTS = [format_spec(s) for s in catalog()]
+# from inside the first block to far past it: every thin tail closes at the
+# first block end, a power tail walks on
+KEPT_NS = [3, 250, 40_000, 10 ** 6]
+THREADS = 8
+
+
+def _fresh(spec_text: str) -> Distribution:
+    return make_distribution(parse_spec(spec_text))
+
+
+def _warm(spec_text: str) -> Distribution:
+    """A distribution that has evaluated other n, on a schedule and one n
+    at a time, with both kernels."""
+    dist = _fresh(spec_text)
+    evaluate_series(dist, [5, 64, 999, 123_456])
+    tn(dist, 12)
+    zeta1(dist, 7_000_000)
+    scaled_pair(dist, 77, 0.5)
+    if dist.kind is FamilyKind.POWER:
+        em_gap(dist, 1000)
+    return dist
+
+
+class TestKeptKernelArrays:
+    """``Distribution.kernel_arrays``: built on first use, kept read-only,
+    and never a cause of a result other than a fresh distribution's."""
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS)
+    def test_built_on_first_use_only(self, spec_text, monkeypatch):
+        built = []
+        log_weight = zoo.Kernel.log_weight
+        monkeypatch.setattr(zoo.Kernel, "log_weight",
+                            lambda self, p: built.append(self) or log_weight(self, p))
+        dist = _fresh(spec_text)
+        assert built == []
+        for kernel in (BINOMIAL, POISSON):
+            assert dist.kernel_arrays(kernel) is dist.kernel_arrays(kernel)
+        assert built == [BINOMIAL, POISSON]
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS + ["geometric:a=200"])
+    def test_read_only_and_bounded(self, spec_text):
+        # geometric:a=200 has p_1 = 0.995, so its (1-p)^n arrays hold big
+        dist = _fresh(spec_text)
+        for kernel in (BINOMIAL, POISSON):
+            L, big, factor, tail = dist.kernel_arrays(kernel)
+            if dist.prefix_length is None:
+                assert len(L) == len(factor) == zoo.block_end(0) and tail is None
+            else:
+                assert len(L) == len(factor) == len(dist.positive_levels()[0])
+                assert tail == dist.tail_mass_bound(dist.prefix_length)
+            for a in (L, factor, *(big or ())):
+                assert 0 < len(a) <= len(L)
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+        assert (dist.kernel_arrays(BINOMIAL).big is not None) == (spec_text == "geometric:a=200")
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS)
+    def test_warm_equals_fresh(self, spec_text):
+        expected = ([tn(_fresh(spec_text), n) for n in KEPT_NS],
+                    [zeta1(_fresh(spec_text), n) for n in KEPT_NS],
+                    evaluate_series(_fresh(spec_text), KEPT_NS))
+        warm = _warm(spec_text)
+        assert ([tn(warm, n) for n in KEPT_NS], [zeta1(warm, n) for n in KEPT_NS],
+                evaluate_series(warm, KEPT_NS)) == expected
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS)
+    def test_sample_after_tn(self, spec_text):
+        def draw(dist):
+            try:
+                return sample(dist, 5000, seed=3).counts
+            except AlphatailError as err:
+                return type(err)
+
+        warm = _warm(spec_text)
+        kept = [a.copy() for a in warm.kernel_arrays(BINOMIAL)[::2]]
+        assert draw(warm) == draw(_fresh(spec_text))
+        assert all(np.array_equal(a, b) for a, b in zip(warm.kernel_arrays(BINOMIAL)[::2], kept))
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS)
+    def test_copies_of_a_warm_distribution(self, spec_text):
+        warm = _warm(spec_text)
+        expected = [tn(warm, n) for n in KEPT_NS]
+        for copied in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
+            # twice over: a kept array copied writable would take the terms
+            assert [tn(copied, n) for n in KEPT_NS + KEPT_NS] == expected + expected
+            assert not copied.kernel_arrays(BINOMIAL).L.flags.writeable
+
+    @pytest.mark.parametrize("spec_text", CATALOG_TEXTS)
+    def test_threads_share_a_fresh_distribution(self, spec_text):
+        ns = KEPT_NS[:3]
+        expected = [tn(_fresh(spec_text), n) for n in ns]
+        dist = _fresh(spec_text)
+        barrier = threading.Barrier(THREADS)
+        results = [None] * THREADS
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = [tn(dist, n) for n in ns]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * THREADS
 
 
 class TestHugeN:
